@@ -32,7 +32,9 @@ from .connection import (
     verify_geometry,
 )
 from .killing import (
+    MAX_STEPS,
     Grid,
+    TransportInputError,
     a_z_matrix,
     generator_space,
     load_curve_text,
@@ -407,6 +409,14 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+STEP_HELP = (
+    "RK4 step per unit of curve parameter: a curve over [t0, t1] takes "
+    "ceil(|t1 - t0| / step) steps, and each reconstruct leg spans t in [0, 1], "
+    f"so it takes ceil(1 / step) steps whatever its length; at most {MAX_STEPS} "
+    "steps per curve (default 1e-3)"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srkilling",
@@ -488,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--curve", action="append", required=True, help="curve file")
     p.add_argument("--gen", required=True, help="generator file")
-    p.add_argument("--step", type=float, default=1e-3, help="RK4 step")
+    p.add_argument("--step", type=float, default=1e-3, help=STEP_HELP)
     p.add_argument(
         "--require-horizontal",
         action="store_true",
@@ -504,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--curve", action="append", required=True, help="curve file (twice)")
     p.add_argument("--gen", required=True, help="generator file")
-    p.add_argument("--step", type=float, default=1e-3, help="RK4 step")
+    p.add_argument("--step", type=float, default=1e-3, help=STEP_HELP)
     p.set_defaults(fn=cmd_path_check)
 
     p = sub.add_parser(
@@ -515,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--gen", required=True, help="generator file")
     p.add_argument("--grid", required=True, help="grid spec name:min:max:count,...")
-    p.add_argument("--step", type=float, default=1e-3, help="RK4 step")
+    p.add_argument("--step", type=float, default=1e-3, help=STEP_HELP)
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser(
@@ -560,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as e:
         _error_report(str(e), args)
         return EXIT_INPUT
-    except (StructureError, ExprError) as e:
+    except (StructureError, ExprError, TransportInputError) as e:
         _error_report(str(e), args)
         return EXIT_INPUT
     except MemoryError as e:

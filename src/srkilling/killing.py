@@ -16,9 +16,23 @@ Transport integrates the linear system
     c' = -dalpha(x, v),
 
 along a curve with frame velocity v, by fixed-step classical Runge-Kutta
-(bit-reproducible for a given step).  Reconstruction transports a
-generator from a base point to every grid point along a vertical-then-
-straight two-leg path and emits the field Z = X^k e_k + c xi.
+(bit-reproducible for a given step).  The step is per unit of curve
+parameter.  With the state y = (x, A row-major, c) of size
+d = 2n + (2n)^2 + 1 the system is y' = M(t) y, so one RK4 step of size h is
+the matrix
+
+    P = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
+    K1 = M(t),  K2 = M(t + h/2) (I + h/2 K1),
+    K3 = M(t + h/2) (I + h/2 K2),  K4 = M(t + h) (I + h K3)
+
+(Hairer, Norsett & Wanner, Solving ODEs I, II.1).  The kernel builds M and
+P for every curve of a batch and every step of a block with batched matrix
+products, holding at most STAGE_BLOCK stage points, and then applies
+y <- P y step by step as y + (P - I) y, which rounds once per step as the
+serial loop did.  The full A is transported, so its drift from skew
+stays measurable.  Reconstruction transports a generator from a base point
+to every grid point along a vertical-then-straight two-leg path, one batch
+per leg, and emits the field Z = X^k e_k + c xi.
 """
 
 from __future__ import annotations
@@ -49,6 +63,7 @@ __all__ = [
     "DiscreteField",
     "Grid",
     "TransportResult",
+    "TransportInputError",
     "a_z_matrix",
     "a_z_field",
     "derivation_apply",
@@ -67,6 +82,17 @@ __all__ = [
 ]
 
 SKEW_TOL = 1e-12
+# Stage points whose transport operators one kernel block holds; bounds the
+# kernel's memory whatever the number of curves and steps.
+STAGE_BLOCK = 2048
+# Steps one curve may take; a finer step is rejected as an input error.
+MAX_STEPS = 10**6
+
+
+class TransportInputError(ValueError):
+    """A transport argument no integration can honour: a step that is not
+    positive and finite or needs more than MAX_STEPS steps, a generator off
+    the curve start, or curves without a shared start or endpoint."""
 
 
 @dataclass
@@ -510,43 +536,145 @@ def _as_point(s: ContactStructure, q) -> np.ndarray:
     return q
 
 
-def _curve_stage_data(s: ContactStructure, cd: CurvatureData, curve: Curve, nsteps: int):
-    """Coefficient arrays at the 2*nsteps+1 half-step stage points."""
-    ts = curve.t0 + (curve.t1 - curve.t0) * np.arange(2 * nsteps + 1) / (2 * nsteps)
-    pts = np.stack(
-        [ex.compile_expression(e, ["t"])(ts) for e in curve.exprs], axis=-1
+def _step_count(span: float, step: float) -> int:
+    """RK4 steps over a parameter span: ceil(|span| / step), at least one."""
+    if not (math.isfinite(step) and step > 0):
+        raise TransportInputError(f"step must be positive and finite, got {step!r}")
+    n = abs(span) / step
+    if not n <= MAX_STEPS:
+        raise TransportInputError(
+            f"step {step!r} over a parameter span of {abs(span)!r} needs more "
+            f"than {MAX_STEPS} RK4 steps"
+        )
+    return max(1, math.ceil(n))
+
+
+def _pack_state(gen: Generator) -> np.ndarray:
+    """The transport state (X, A row-major, c)."""
+    return np.concatenate([gen.X, gen.A.ravel(), [gen.c]])
+
+
+def _skew_part(y: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """States (B, d) with A projected to skew, and the drift max |A + A^T|
+    per state before the projection."""
+    A = y[:, h:-1].reshape(-1, h, h)
+    sym = A + np.swapaxes(A, 1, 2)
+    out = y.copy()
+    out[:, h:-1] = (0.5 * (A - np.swapaxes(A, 1, 2))).reshape(len(y), h * h)
+    return out, np.abs(sym).reshape(len(y), -1).max(axis=1, initial=0.0)
+
+
+def _connection_at(cd: CurvatureData, points: np.ndarray):
+    """Gamma_h (h,h,h,N), Gamma_xi (h,h,N), R (h,h,h,h,N) and dalpha (h,h,N)
+    at points (N, dim), point axis last."""
+    s = cd.structure
+    conn = cd.connection
+    return (
+        s.eval_table(conn.gamma_h, points),
+        s.eval_table(conn.gamma_xi, points),
+        eval_tensor(s, cd.R, points),
+        eval_tensor(s, cd.dalpha, points),
     )
-    dgamma = np.stack(
-        [ex.compile_expression(ex.differentiate(e, "t"), ["t"])(ts) for e in curve.exprs],
-        axis=-1,
-    )
+
+
+def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray):
+    """The matrix M (S, d, d) of y' = M y at stage points pts (S, dim) with
+    curve velocities vel (S, dim), and the frame+xi components v (S, dim)
+    of the velocities."""
+    s = cd.structure
+    h = s.h
     basis = s.basis_matrix_at(pts)  # (S, dim, dim)
-    if not (np.isfinite(pts).all() and np.isfinite(basis).all()):
+    if not (np.isfinite(pts).all() and np.isfinite(vel).all() and np.isfinite(basis).all()):
         raise ex.EvalError("curve leaves the evaluable domain of the structure")
     try:
-        v = np.linalg.solve(basis, dgamma[..., None])[..., 0]  # frame+xi components
+        v = np.linalg.solve(basis, vel[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise ex.EvalError("frame degenerates along the curve") from None
-    h = s.h
-    Gh = np.empty((h, h, h, len(ts)))
-    for a in range(h):
-        for j in range(h):
-            for k in range(h):
-                Gh[a, j, k] = s.eval_scalar(cd.connection.gamma_h[a][j][k], pts)
-    G0 = np.empty((h, h, len(ts)))
-    for j in range(h):
-        for k in range(h):
-            G0[j, k] = s.eval_scalar(cd.connection.gamma_xi[j][k], pts)
-    Rv = eval_tensor(s, cd.R, pts)  # (h,h,h,h,S)
-    Bv = eval_tensor(s, cd.dalpha, pts)  # (h,h,S)
-    # Gamma(v) as matrices acting on column vectors: Gv[s][k,j]
-    Gv = np.einsum("sa,ajks->skj", v[:, :h], Gh) + v[:, h][:, None, None] * np.moveaxis(
-        G0, -1, 0
-    ).transpose(0, 2, 1)
+    Gh, G0, Rv, Bv = _connection_at(cd, pts)
     for arr in (Gh, G0, Rv, Bv):
         if not np.isfinite(arr).all():
             raise ex.EvalError("connection data is not finite along the curve")
-    return ts, pts, v, Gv, np.moveaxis(Rv, -1, 0), np.moveaxis(Bv, -1, 0)
+    vh = v[:, :h]
+    # Gamma(v) as matrices acting on column vectors: G[s, k, j]
+    G = np.einsum("sa,ajks->skj", vh, Gh) + v[:, h, None, None] * G0.transpose(2, 1, 0)
+    npts, hh, eye = len(pts), h * h, np.eye(h)
+    M = np.zeros((npts, h + hh + 1, h + hh + 1))
+    # x' = -A v - Gamma(v) x
+    M[:, :h, :h] = -G
+    M[:, :h, h:-1] = -np.einsum("km,sj->skmj", eye, vh).reshape(npts, h, hh)
+    # A' = R(x, v) - Gamma(v) A + A Gamma(v), A row-major
+    M[:, h:-1, :h] = np.einsum("sb,abjks->skja", vh, Rv).reshape(npts, hh, h)
+    M[:, h:-1, h:-1] = (
+        np.einsum("km,snj->skjmn", eye, G) - np.einsum("skm,jn->skjmn", G, eye)
+    ).reshape(npts, hh, hh)
+    # c' = -dalpha(x, v)
+    M[:, -1, :h] = -np.einsum("abs,sb->sa", Bv, vh)
+    return M, v
+
+
+def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: float):
+    """Advance the states y (B, d) by nsteps RK4 steps of size hstep along B
+    curves.  stages(rows, k0, k1) gives the points and velocities, each
+    (b, k1 - k0, dim), of the curves in the slice rows at stage indices
+    k0..k1-1; stage k sits at t0 + k hstep / 2.  Returns the end states and
+    max |alpha(gamma')| over the stages of each curve."""
+    nb_total, d = y.shape
+    h = cd.structure.h
+    y = y.copy()
+    viol = np.zeros(nb_total)
+    eye = np.eye(d)
+    chunk = STAGE_BLOCK // 3  # curves per pass: one step is 3 stage points
+    for b0 in range(0, nb_total, chunk):
+        rows = slice(b0, min(nb_total, b0 + chunk))
+        nb = rows.stop - b0
+        per_block = (STAGE_BLOCK // nb - 1) // 2
+        yb = y[rows]
+        for i0 in range(0, nsteps, per_block):
+            k = min(per_block, nsteps - i0)
+            pts, vel = stages(rows, 2 * i0, 2 * (i0 + k) + 1)
+            dim = pts.shape[-1]
+            M, v = _operator(cd, pts.reshape(-1, dim), vel.reshape(-1, dim))
+            M = M.reshape(nb, 2 * k + 1, d, d)
+            viol[rows] = np.maximum(
+                viol[rows], np.abs(v[:, h]).reshape(nb, 2 * k + 1).max(axis=1)
+            )
+            M0, M1, M2 = M[:, 0:-1:2], M[:, 1::2], M[:, 2::2]
+            K2 = M1 @ (eye + 0.5 * hstep * M0)
+            K3 = M1 @ (eye + 0.5 * hstep * K2)
+            K4 = M2 @ (eye + hstep * K3)
+            # P - I: adding the increment D y to y rounds once per step
+            D = hstep / 6.0 * (M0 + 2 * K2 + 2 * K3 + K4)
+            for j in range(k):
+                yb = yb + (D[:, j] @ yb[..., None])[..., 0]
+        y[rows] = yb
+    return y, viol
+
+
+def _curve_stages(curve: Curve, nsteps: int):
+    """Stage points and velocities of one expression curve."""
+    fns = [ex.compile_expression(e, ["t"]) for e in curve.exprs]
+    dfns = [ex.compile_expression(ex.differentiate(e, "t"), ["t"]) for e in curve.exprs]
+    span = curve.t1 - curve.t0
+
+    def stages(rows, k0, k1):
+        ts = curve.t0 + span * np.arange(k0, k1) / (2 * nsteps)
+        pts = np.stack([f(ts) for f in fns], axis=-1)
+        vel = np.stack([f(ts) for f in dfns], axis=-1)
+        return pts[None], vel[None]
+
+    return stages
+
+
+def _segment_stages(p: np.ndarray, dp: np.ndarray, nsteps: int):
+    """Stage points p + dp t and velocities dp of straight segments over
+    t in [0, 1], the arithmetic of segment_curve."""
+
+    def stages(rows, k0, k1):
+        ts = np.arange(k0, k1) / (2 * nsteps)
+        pts = p[rows, None, :] + dp[rows, None, :] * ts[:, None]
+        return pts, np.broadcast_to(dp[rows, None, :], pts.shape)
+
+    return stages
 
 
 def transport(
@@ -559,58 +687,35 @@ def transport(
 ) -> TransportResult:
     """Integrate the prolongation system along the curve.
 
-    The step is the RK4 step in the curve parameter; the endpoint state is
-    returned with A projected back to skew (the raw drift is recorded).
+    The step is the RK4 step per unit of curve parameter: the curve takes
+    ceil(|t1 - t0| / step) equal steps, at least one and at most MAX_STEPS.
+    The endpoint state is returned with A projected back to skew (the raw
+    drift is recorded).  This is the batched kernel on a batch of one.
     """
     s = cd.structure
     if not s.coords:
         raise StructureError("transport requires a chart-mode structure")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    span = curve.t1 - curve.t0
+    nsteps = _step_count(span, step)
     start = curve.point_at(curve.t0)
     if gen.q is None or np.max(np.abs(gen.q - start)) > 1e-9:
-        raise ValueError("generator base point does not match the curve start")
+        raise TransportInputError("generator base point does not match the curve start")
 
-    span = curve.t1 - curve.t0
-    nsteps = max(1, int(math.ceil(abs(span) / step)))
-    hstep = span / nsteps
-    ts, pts, v, Gv, Rv, Bv = _curve_stage_data(s, cd, curve, nsteps)
-    hz = s.h
-
-    viol = float(np.max(np.abs(v[:, hz]))) if len(v) else 0.0
+    y, viol = _propagate(
+        cd, _pack_state(gen)[None], _curve_stages(curve, nsteps), nsteps, span / nsteps
+    )
+    viol = float(viol[0])
     if require_horizontal and viol > horizontal_tol:
         raise ValueError(
             f"curve is not horizontal: max |alpha(gamma')| = {viol:.3e}"
         )
-
-    def rhs(stage: int, x: np.ndarray, A: np.ndarray, c: float):
-        vh = v[stage, :hz]
-        G = Gv[stage]
-        R = Rv[stage]
-        xdot = -A @ vh - G @ x
-        RM = np.einsum("a,b,abjk->kj", x, vh, R)
-        Adot = RM - G @ A + A @ G
-        cdot = -x @ Bv[stage] @ vh
-        return xdot, Adot, cdot
-
-    x = gen.X.copy()
-    A = gen.A.copy()
-    c = gen.c
-    for i in range(nsteps):
-        s0, s1, s2 = 2 * i, 2 * i + 1, 2 * i + 2
-        k1 = rhs(s0, x, A, c)
-        k2 = rhs(s1, x + 0.5 * hstep * k1[0], A + 0.5 * hstep * k1[1], c + 0.5 * hstep * k1[2])
-        k3 = rhs(s1, x + 0.5 * hstep * k2[0], A + 0.5 * hstep * k2[1], c + 0.5 * hstep * k2[2])
-        k4 = rhs(s2, x + hstep * k3[0], A + hstep * k3[1], c + hstep * k3[2])
-        x = x + hstep / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        A = A + hstep / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        c = c + hstep / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-
-    drift = float(np.max(np.abs(A + A.T)))
-    A = 0.5 * (A - A.T)
+    h = s.h
+    y, drift = _skew_part(y, h)
     end = curve.point_at(curve.t1)
-    out = Generator(X=x, A=A, c=c, q=end)
-    return TransportResult(gen=out, skew_drift=drift, steps=nsteps, horizontal_violation=viol)
+    out = Generator(X=y[0, :h], A=y[0, h:-1].reshape(h, h), c=y[0, -1], q=end)
+    return TransportResult(
+        gen=out, skew_drift=float(drift[0]), steps=nsteps, horizontal_violation=viol
+    )
 
 
 def path_independence(
@@ -624,10 +729,10 @@ def path_independence(
     endpoint deviation is the report."""
     p1, p2 = curve1.point_at(curve1.t1), curve2.point_at(curve2.t1)
     if np.max(np.abs(p1 - p2)) > 1e-9:
-        raise ValueError("curves do not share their endpoint")
+        raise TransportInputError("curves do not share their endpoint")
     s1, s2 = curve1.point_at(curve1.t0), curve2.point_at(curve2.t0)
     if np.max(np.abs(s1 - s2)) > 1e-9:
-        raise ValueError("curves do not share their start point")
+        raise TransportInputError("curves do not share their start point")
     r1 = transport(cd, gen, curve1, step)
     r2 = transport(cd, gen, curve2, step)
     dev = max(
@@ -653,6 +758,23 @@ def segment_curve(p: np.ndarray, q: np.ndarray) -> Curve:
     return Curve(exprs=exprs, t0=0.0, t1=1.0)
 
 
+def _segment_transport(
+    cd: CurvatureData, y: np.ndarray, starts: np.ndarray, ends: np.ndarray, nsteps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transport the states y (B, d) along the segments starts -> ends, each
+    parametrized as segment_curve does: p + dp t over t in [0, 1], with dp
+    the exact rational difference rounded once.  Returns the end states
+    with A projected to skew and the segment points at t = 1."""
+    dp = np.array(
+        [
+            [float(Fraction(float(b)) - Fraction(float(a))) for a, b in zip(p, q)]
+            for p, q in zip(starts, ends)
+        ]
+    ).reshape(starts.shape)
+    y, _ = _propagate(cd, y, _segment_stages(starts, dp, nsteps), nsteps, 1.0 / nsteps)
+    return _skew_part(y, cd.structure.h)[0], starts + dp
+
+
 def reconstruct_field(
     cd: CurvatureData,
     gen: Generator,
@@ -664,12 +786,18 @@ def reconstruct_field(
     two-leg path q0 -> (q0 with the vertical coordinate of q) -> q, and
     emit Z = X^k e_k + c xi in coordinates.
 
+    Each leg is a segment over t in [0, 1], so with the step per unit of
+    curve parameter every leg takes ceil(1 / step) steps whatever its
+    length.  Leg 1 is one batch over the distinct vertical values, leg 2
+    one batch over the grid points; a leg shorter than 1e-15 is skipped.
+
     The generator must lie in span(i(q0)); degenerate inputs are rejected
     because only those extend to Killing fields.
     """
     s = cd.structure
     if not s.coords:
         raise StructureError("reconstruction requires a chart-mode structure")
+    nsteps = _step_count(1.0, step)
     space = generator_space(cd, gen.q)
     res = space.membership_residual(gen)
     if res > membership_tol:
@@ -680,31 +808,27 @@ def reconstruct_field(
     q0 = gen.q
     points = grid.points
     h = s.h
-    N = points.shape[0]
-    X = np.empty((N, h))
-    Avals = np.empty((N, h, h))
-    cvals = np.empty(N)
-    leg1_cache: dict[float, Generator] = {}
-    for p in range(N):
-        q = points[p]
-        zq = float(q[-1])
-        mid_gen = leg1_cache.get(zq)
-        if mid_gen is None:
-            mid = q0.copy()
-            mid[-1] = zq
-            if np.max(np.abs(mid - q0)) < 1e-15:
-                mid_gen = gen
-            else:
-                mid_gen = transport(cd, gen, segment_curve(q0, mid), step).gen
-            leg1_cache[zq] = mid_gen
-        if np.max(np.abs(q - mid_gen.q)) < 1e-15:
-            end = mid_gen
-        else:
-            end = transport(cd, mid_gen, segment_curve(mid_gen.q, q), step).gen
-        X[p] = end.X
-        Avals[p] = end.A
-        cvals[p] = end.c
 
+    # leg 1: q0 -> (q0 with vertical value z), once per distinct z; mid is
+    # where leg 2 starts, the leg's end point or q0 where it is skipped
+    _, first, which = np.unique(points[:, -1], return_index=True, return_inverse=True)
+    mid = np.repeat(q0[None, :], len(first), axis=0)
+    target = mid.copy()
+    target[:, -1] = points[first, -1]
+    y_mid = np.repeat(_pack_state(gen)[None, :], len(first), axis=0)
+    moved = ~(np.max(np.abs(target - mid), axis=1) < 1e-15)
+    y_mid[moved], mid[moved] = _segment_transport(
+        cd, y_mid[moved], mid[moved], target[moved], nsteps
+    )
+
+    # leg 2: mid -> q, for every grid point
+    y, starts = y_mid[which], mid[which]
+    moved = ~(np.max(np.abs(points - starts), axis=1) < 1e-15)
+    y[moved] = _segment_transport(cd, y[moved], starts[moved], points[moved], nsteps)[0]
+
+    X = y[:, :h]
+    Avals = y[:, h:-1].reshape(-1, h, h)
+    cvals = y[:, -1]
     basis = s.basis_matrix_at(points)  # columns e_1..e_2n, xi
     coeff = np.concatenate([X, cvals[:, None]], axis=1)
     Z_coords = np.einsum("pik,pk->pi", basis, coeff)
@@ -902,13 +1026,10 @@ def verify_killing_field(
         ],
         axis=0,
     ).reshape((h,) + shape + (dim,))
-    Gh = np.empty((h, h, h) + shape)
-    for a in range(h):
-        for j in range(h):
-            for k in range(h):
-                Gh[a, j, k] = s.eval_scalar(cd.connection.gamma_h[a][j][k], points).reshape(shape)
-    Rv = eval_tensor(s, cd.R, points).reshape((h, h, h, h) + shape)
-    Bv = eval_tensor(s, cd.dalpha, points).reshape((h, h) + shape)
+    Gh, _, Rv, Bv = _connection_at(cd, points)
+    Gh = Gh.reshape((h, h, h) + shape)
+    Rv = Rv.reshape((h, h, h, h) + shape)
+    Bv = Bv.reshape((h, h) + shape)
 
     interior = np.ones(shape, dtype=bool)
     for ax in range(dim):
@@ -1039,10 +1160,12 @@ def load_curve_text(text: str, s: ContactStructure) -> Curve:
     body = dict(sections["curve"])
     if "t_range" not in body or "gamma" not in body:
         raise StructureError("[curve] needs t_range and gamma")
-    parts = body["t_range"].split()
-    if len(parts) != 2:
-        raise StructureError("t_range must be '<t0> <t1>'")
-    t0, t1 = float(parts[0]), float(parts[1])
+    try:
+        t0, t1 = (float(p) for p in body["t_range"].split())
+    except ValueError:
+        raise StructureError("t_range must be '<t0> <t1>'") from None
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise StructureError("t_range must be finite")
     comps = split_components(body["gamma"])
     if len(comps) != s.dim:
         raise StructureError(f"gamma needs {s.dim} expressions")
@@ -1063,6 +1186,8 @@ def load_generator_text(text: str, s: ContactStructure) -> Generator:
         at = np.array([float(v) for v in body["at"].replace(",", " ").split()])
     except (KeyError, ValueError) as e:
         raise StructureError(f"bad [generator] section: {e}") from None
+    if not (np.isfinite(X).all() and np.isfinite(at).all() and math.isfinite(c)):
+        raise StructureError("bad [generator] section: X, c and at must be finite")
     h = s.h
     if len(X) != h:
         raise StructureError(f"X needs {h} components")
@@ -1079,6 +1204,8 @@ def load_generator_text(text: str, s: ContactStructure) -> Generator:
         vals = [float(v) for v in row.replace(",", " ").split()]
         if len(vals) != i:
             raise StructureError(f"A row {i} needs {i} entries")
+        if not np.isfinite(vals).all():
+            raise StructureError(f"A row {i} must be finite")
         for j, v in enumerate(vals):
             A[i, j] = v
             A[j, i] = -v

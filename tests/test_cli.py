@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from srkilling.cli import main
 
@@ -190,6 +191,66 @@ class TestTransportCommands:
         assert payload["pass"] is True
         summary = json.loads(out)
         assert summary["pass"] is True
+
+
+def input_error(code, out):
+    return code == 2 and json.loads(out)["error"]["kind"] == "input_error"
+
+
+class TestTransportInputs:
+    """Transport arguments that no integration can honour exit 2."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "curve.toml").write_text(CURVE_Y)
+        (tmp_path / "gen.toml").write_text(GEN_Y1)
+        (tmp_path / "gen_j.toml").write_text(GEN_J)
+        return tmp_path
+
+    def prolong(self, capsys, files, *extra, curve="curve.toml", gen="gen.toml"):
+        return run(
+            capsys, "prolong", "heisenberg:1",
+            "--curve", str(files / curve), "--gen", str(files / gen), *extra,
+        )
+
+    # 1e-7 needs 10^7 steps on the unit curve, above the 10^6 bound
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1", "1e-7"])
+    def test_prolong_bad_step(self, capsys, files, step):
+        assert input_error(*self.prolong(capsys, files, f"--step={step}"))
+
+    def test_path_check_bad_step(self, capsys, files):
+        code, out = run(
+            capsys, "path-check", "heisenberg:1", "--curve", str(files / "curve.toml"),
+            "--curve", str(files / "curve.toml"), "--gen", str(files / "gen.toml"), "--step=nan",
+        )
+        assert input_error(code, out)
+
+    def test_reconstruct_bad_step(self, capsys, files):
+        code, out = run(
+            capsys, "reconstruct", "heisenberg:1", "--gen", str(files / "gen_j.toml"),
+            "--grid", "x:-1:1:3,y:-1:1:3,z:-1:1:3", "--step=0",
+        )
+        assert input_error(code, out)
+
+    def test_generator_off_the_curve_start(self, capsys, files):
+        (files / "gen_off.toml").write_text(GEN_Y1.replace("at = 0, 0, 0", "at = 1, 0, 0"))
+        assert input_error(*self.prolong(capsys, files, gen="gen_off.toml"))
+
+    def test_path_check_endpoint_mismatch(self, capsys, files):
+        (files / "other.toml").write_text("[curve]\nt_range = 0 1\ngamma = t, t, 0\n")
+        code, out = run(
+            capsys, "path-check", "heisenberg:1", "--curve", str(files / "curve.toml"),
+            "--curve", str(files / "other.toml"), "--gen", str(files / "gen.toml"),
+        )
+        assert input_error(code, out)
+
+    def test_non_finite_t_range(self, capsys, files):
+        (files / "inf.toml").write_text(CURVE_Y.replace("t_range = 0 1", "t_range = 0 inf"))
+        assert input_error(*self.prolong(capsys, files, curve="inf.toml"))
+
+    def test_non_finite_generator(self, capsys, files):
+        (files / "gen_nan.toml").write_text(GEN_Y1.replace("c = 0", "c = nan"))
+        assert input_error(*self.prolong(capsys, files, gen="gen_nan.toml"))
 
 
 class TestVerifyAndScan:
