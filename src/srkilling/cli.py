@@ -9,6 +9,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from .frame import (
     sample_box_points,
 )
 from .connection import (
+    BudgetError,
     NotSpecialError,
     compute_connection,
     curvature,
@@ -58,6 +60,16 @@ class InputError(Exception):
     pass
 
 
+def _parse_number(text: str, what: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise InputError(f"{what}: {text.strip()!r} is not a number") from None
+    if not math.isfinite(val):
+        raise InputError(f"{what}: {text.strip()!r} is not finite")
+    return val
+
+
 def _parse_point(text: str, s: ContactStructure) -> np.ndarray:
     vals: dict[str, float] = {}
     parts = [p for p in text.split(",") if p.strip()]
@@ -68,14 +80,14 @@ def _parse_point(text: str, s: ContactStructure) -> np.ndarray:
             if "=" not in p:
                 raise InputError(f"mixed point syntax in {text!r}")
             k, v = p.split("=", 1)
-            vals[k.strip()] = float(v)
+            vals[k.strip()] = _parse_number(v, "point coordinate")
         missing = [c for c in s.coords if c not in vals]
         if missing:
             raise InputError(f"point is missing coordinates {missing}")
         return np.array([vals[c] for c in s.coords])
     if len(parts) != s.dim:
         raise InputError(f"point needs {s.dim} comma-separated values")
-    return np.array([float(p) for p in parts])
+    return np.array([_parse_number(p, "point coordinate") for p in parts])
 
 
 def _parse_grid(text: str, s: ContactStructure) -> Grid:
@@ -86,7 +98,15 @@ def _parse_grid(text: str, s: ContactStructure) -> Grid:
         bits = part.strip().split(":")
         if len(bits) != 4:
             raise InputError(f"grid component {part!r} is not name:min:max:count")
-        name, lo, hi, count = bits[0], float(bits[1]), float(bits[2]), int(bits[3])
+        name = bits[0]
+        lo = _parse_number(bits[1], f"grid {name} min")
+        hi = _parse_number(bits[2], f"grid {name} max")
+        try:
+            count = int(bits[3])
+        except ValueError:
+            raise InputError(f"grid {name} count: {bits[3]!r} is not an integer") from None
+        if count < 1:
+            raise InputError(f"grid {name} count must be at least 1, got {count}")
         if name not in s.coords:
             raise InputError(f"unknown grid coordinate {name!r}")
         axes_by_name[name] = np.linspace(lo, hi, count)
@@ -94,6 +114,19 @@ def _parse_grid(text: str, s: ContactStructure) -> Grid:
     if missing:
         raise InputError(f"grid is missing coordinates {missing}")
     return Grid(names=list(s.coords), axes=[axes_by_name[c] for c in s.coords])
+
+
+def _parse_order(text: str) -> int | str:
+    """'auto' or a nonnegative integer derivative order."""
+    if text == "auto":
+        return text
+    try:
+        order = int(text)
+    except ValueError:
+        raise InputError(f"order must be 'auto' or an integer, got {text!r}") from None
+    if order < 0:
+        raise InputError(f"order must be nonnegative, got {order}")
+    return order
 
 
 def _sample_points(s: ContactStructure, args, count: int = 100) -> np.ndarray:
@@ -236,7 +269,7 @@ def cmd_curvature(args) -> int:
     cd = curvature(conn)
     q = _parse_point(args.at, s) if args.at else (np.zeros(s.dim) if s.coords else np.zeros(0))
     pts = q[None, :] if s.coords else np.zeros((1, 0))
-    order = 0 if args.order in (None, "auto") else int(args.order)
+    order = 0 if args.order in (None, "auto") else _parse_order(args.order)
     higher_derivatives(cd, order)
     Rv = eval_tensor(s, cd.R, pts)[..., 0]
     report = _structure_header(s)
@@ -269,7 +302,7 @@ def cmd_dim(args) -> int:
     conn = compute_connection(s, tol=args.tol)
     cd = curvature(conn)
     q = _parse_point(args.at, s) if args.at else (np.zeros(s.dim) if s.coords else None)
-    order = args.order if args.order == "auto" else int(args.order)
+    order = _parse_order(args.order)
     gs = generator_space(cd, q, order=order, m_max=args.max_order)
     report = _structure_header(s)
     report["at"] = q.tolist() if q is not None else None
@@ -393,7 +426,7 @@ def cmd_scan(args) -> int:
     conn = compute_connection(s, tol=args.tol)
     cd = curvature(conn)
     grid = _parse_grid(args.grid, s) if args.grid else Grid(names=[], axes=[])
-    order = args.order if args.order == "auto" else int(args.order)
+    order = _parse_order(args.order)
     rep = scan_regularity(cd, grid, order=order, m_max=args.max_order)
     report = _structure_header(s)
     report.update(rep)
@@ -570,10 +603,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as e:
         _error_report(str(e), args)
         return EXIT_INPUT
-    except (StructureError, ExprError, TransportInputError) as e:
-        _error_report(str(e), args)
-        return EXIT_INPUT
-    except MemoryError as e:
+    except (StructureError, ExprError, TransportInputError, BudgetError) as e:
         _error_report(str(e), args)
         return EXIT_INPUT
     except NotSpecialError as e:

@@ -32,6 +32,7 @@ __all__ = [
     "ConnectionData",
     "CurvatureData",
     "NotSpecialError",
+    "BudgetError",
     "HTensor",
     "compute_connection",
     "covariant_derivative",
@@ -46,6 +47,11 @@ __all__ = [
 class NotSpecialError(Exception):
     """The structure failed the special certification; the canonical
     connection of the special theory does not apply."""
+
+
+class BudgetError(MemoryError):
+    """A derivative order or tensor size over its configured bound; raised
+    before anything is allocated."""
 
 
 @dataclass
@@ -188,11 +194,15 @@ def covariant_derivative(
     """(nabla_direction T) in frame components; direction 0 means xi.
 
     Each lower slot contracts -Gamma, each upper slot +Gamma, plus the
-    frame derivative of the scalar components.
+    frame derivative of the scalar components.  Only the Gamma entries that
+    are not literal zeros are contracted: a zero entry contributes
+    ex.mul(ZERO, .) = ZERO, which the sum drops, so the result is the same.
     """
     s = conn.structure
     h = s.h
     g = conn.gamma(direction)
+    lower = [[(m, g[i][m]) for m in range(h) if not _is_zero(g[i][m])] for i in range(h)]
+    upper = [[(m, g[m][i]) for m in range(h) if not _is_zero(g[m][i])] for i in range(h)]
     comps = T.components
     out = np.empty_like(comps)
     n_lower = T.n_lower
@@ -200,17 +210,18 @@ def covariant_derivative(
     for idx in np.ndindex(comps.shape):
         acc = s.frame_derivative(comps[idx], direction)
         for r in range(rank):
-            i_r = idx[r]
             if r < n_lower:
-                for m in range(h):
-                    jdx = idx[:r] + (m,) + idx[r + 1 :]
-                    acc = ex.sub(acc, ex.mul(g[i_r][m], comps[jdx]))
+                for m, gm in lower[idx[r]]:
+                    acc = ex.sub(acc, ex.mul(gm, comps[idx[:r] + (m,) + idx[r + 1 :]]))
             else:
-                for m in range(h):
-                    jdx = idx[:r] + (m,) + idx[r + 1 :]
-                    acc = ex.add(acc, ex.mul(g[m][i_r], comps[jdx]))
+                for m, gm in upper[idx[r]]:
+                    acc = ex.add(acc, ex.mul(gm, comps[idx[:r] + (m,) + idx[r + 1 :]]))
         out[idx] = ex.normalize(acc)
     return HTensor(components=out, n_upper=T.n_upper)
+
+
+def _is_zero(e: Expression) -> bool:
+    return isinstance(e, Const) and e.value == 0
 
 
 def _extend_with_horizontal_slot(conn: ConnectionData, T: HTensor) -> HTensor:
@@ -264,12 +275,12 @@ def higher_derivatives(cd: CurvatureData, order: int) -> CurvatureData:
     xi-derivatives of every cached tensor.  New slots for i >= 1 take only
     horizontal directions (the horizontal tensor algebra convention)."""
     if order > cd.max_order:
-        raise MemoryError(
+        raise BudgetError(
             f"derivative order {order} exceeds the configured bound {cd.max_order}"
         )
     h = cd.structure.h
     if h ** (4 + order) > cd.max_components:
-        raise MemoryError(
+        raise BudgetError(
             f"nabla^{order} R would store {h ** (4 + order)} components, "
             f"over the budget {cd.max_components}"
         )

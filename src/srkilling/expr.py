@@ -14,14 +14,10 @@ agreement, never on canonical forms.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-# symbolic determinants of rational-function matrices produce deep trees
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 __all__ = [
     "Expression",
@@ -38,6 +34,7 @@ __all__ = [
     "ParseError",
     "EvalError",
     "parse_expression",
+    "expression_depth",
     "differentiate",
     "evaluate",
     "compile_expression",
@@ -409,13 +406,57 @@ class _Parser:
         raise ParseError("expected number, identifier or parenthesis", pos)
 
 
+# Deepest parsed tree accepted.  Every tree walk here recurses once or twice
+# per level, and derived expressions (derivatives, determinants, the nabla^m
+# tower) grow deeper than their inputs, so this keeps the whole pipeline
+# inside the interpreter's default recursion limit.
+MAX_PARSE_DEPTH = 200
+
+
 def parse_expression(text: str, variables: list[str]) -> Expression:
     """Parse ``text`` over the declared variable names.
 
     Raises :class:`ParseError` with the byte offset on syntax errors and on
-    identifiers that are neither declared variables nor built-in functions.
+    identifiers that are neither declared variables nor built-in functions,
+    and on input whose tree is more than MAX_PARSE_DEPTH levels deep (a
+    chain of k sums or products counts k levels).
     """
-    return _Parser(text, variables).parse()
+    try:
+        e = _Parser(text, variables).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
+    depth = expression_depth(e)
+    if depth > MAX_PARSE_DEPTH:
+        raise ParseError(
+            f"expression tree is {depth} levels deep, over the limit {MAX_PARSE_DEPTH}", 0
+        )
+    return e
+
+
+def _children(e: Expression) -> tuple[Expression, ...]:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.a, e.b)
+    if isinstance(e, Neg):
+        return (e.a,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
+
+
+def expression_depth(e: Expression) -> int:
+    """Levels of the tree (a leaf is 1), computed without recursion."""
+    depth: dict[int, int] = {}
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            depth[id(node)] = 1 + max((depth[id(c)] for c in _children(node)), default=0)
+        elif id(node) not in depth:
+            stack.append((node, True))
+            stack.extend((c, False) for c in _children(node))
+    return depth[id(e)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ components.
 from __future__ import annotations
 
 import hashlib
-import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ __all__ = [
     "builtin_names",
     "sample_box_points",
     "sym_det",
+    "pfaffian_minors",
     "wedge_power",
 ]
 
@@ -74,95 +76,74 @@ def sample_box_points(dim: int, count: int, seed: int = 0, radius: float = 1.0) 
 
 
 def sym_det(rows: list[list[Expression]]) -> Expression:
-    """Determinant by cofactor expansion along the first row."""
+    """Determinant by cofactor expansion along the first row.
+
+    After the top rows are expanded, the minor left over depends only on
+    which columns remain, so it is memoized on that tuple within the call:
+    O(m 2^m) products instead of about e*m! recursive calls.  The expression
+    is the one the plain expansion builds, with equal minors shared as one
+    subtree.
+    """
     m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    total: Expression = ZERO
-    for j in range(m):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = ex.mul(rows[0][j], sym_det(minor))
-        total = add_signed(total, term, j % 2 == 0)
-    return total
+    memo: dict[tuple[int, ...], Expression] = {}
+
+    def minor(cols: tuple[int, ...]) -> Expression:
+        r = m - len(cols)
+        if len(cols) == 1:
+            return rows[r][cols[0]]
+        hit = memo.get(cols)
+        if hit is None:
+            hit = ZERO
+            for p, j in enumerate(cols):
+                term = ex.mul(rows[r][j], minor(cols[:p] + cols[p + 1 :]))
+                hit = ex.add(hit, term) if p % 2 == 0 else ex.sub(hit, term)
+            memo[cols] = hit
+        return hit
+
+    return minor(tuple(range(m)))
 
 
-def add_signed(acc: Expression, term: Expression, positive: bool) -> Expression:
-    return ex.add(acc, term) if positive else ex.sub(acc, term)
+def pfaffian_minors(A):
+    """pf(idx): the Pfaffian of the skew matrix A restricted to the rows and
+    columns in idx, an increasing tuple of even length.
 
+    Expands along the first remaining row,
+        Pf = sum_p (-1)^(p+1) A[idx[0]][idx[p]] Pf(idx without 0 and p),
+    memoized on idx, so all Pfaffian minors of one matrix share their
+    subterms.  Entries may be Expressions (built with the smart
+    constructors) or numbers (Fraction, float).
+    """
+    if isinstance(A[0][0], Expression):
+        add, sub, mul = ex.add, ex.sub, ex.mul
+        memo: dict = {(): ONE}
+    else:
+        add, sub, mul = operator.add, operator.sub, operator.mul
+        memo = {(): 1}
 
-def _perm_sign(p: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    def pf(idx: tuple[int, ...]):
+        hit = memo.get(idx)
+        if hit is None:
+            i = idx[0]
+            for p in range(1, len(idx)):
+                term = mul(A[i][idx[p]], pf(idx[1:p] + idx[p + 1 :]))
+                hit = term if p == 1 else (add if p % 2 else sub)(hit, term)
+            memo[idx] = hit
+        return hit
+
+    return pf
 
 
 def wedge_power(B, n: int):
     """n-fold wedge of a 2-form given by its frame matrix B, on e_1..e_2n.
 
-    Expanded as (1/2^n) * sum over permutations of sign * prod B pairs; the
-    permutation order is fixed by itertools, so results are deterministic.
-    Works elementwise for both Expression matrices and numpy arrays.
+    wedge^n B (e_1..e_2n) = n! Pf(B), with the Pfaffian expanded by
+    pfaffian_minors.  Works for Expression matrices and for numeric
+    (Fraction or float) matrices and arrays.
     """
-    two_n = 2 * n
-    symbolic = isinstance(B[0][0], Expression)
-    if symbolic:
-        total: Expression = ZERO
-        for p in itertools.permutations(range(two_n)):
-            term: Expression = ONE
-            for k in range(n):
-                term = ex.mul(term, B[p[2 * k]][p[2 * k + 1]])
-            total = add_signed(total, term, _perm_sign(p) > 0)
-        return ex.mul(Const(Fraction(1, 2**n)), total)
-    total = 0.0
-    for p in itertools.permutations(range(two_n)):
-        term = 1.0
-        for k in range(n):
-            term = term * B[p[2 * k]][p[2 * k + 1]]
-        total = total + _perm_sign(p) * term
-    return total / (2**n)
-
-
-def _cramer_solve(mat: list[list[Expression]], rhs: list[Expression]) -> list[Expression]:
-    """Solve mat * u = rhs symbolically; the shared 1/det is built once and
-    u_k = det_k / det reduces by exact polynomial division when it can."""
-    m = len(mat)
-    det = ex.normalize(sym_det(mat))
-    inv_det = ex.pow_(det, Fraction(-1))
-    out = []
-    for k in range(m):
-        cols = [[mat[i][j] if j != k else rhs[i] for j in range(m)] for i in range(m)]
-        num = ex.normalize(sym_det(cols))
-        out.append(ex.normalize(ex.mul(num, inv_det)))
-    return out
-
-
-def _fraction_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination over Fractions (lie mode)."""
-    m = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            raise StructureError("singular linear system in lie-mode solve")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+    pf = pfaffian_minors(B)(tuple(range(2 * n)))
+    if isinstance(pf, Expression):
+        return ex.mul(Const(Fraction(math.factorial(n))), pf)
+    return math.factorial(n) * pf
 
 
 # ---------------------------------------------------------------------------
@@ -303,32 +284,37 @@ def compute_reeb(
     samples: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> list[Expression]:
-    """Reeb field via Cramer's rule on a (2n+1)x(2n+1) linear system.
+    """Reeb field from the kernel of E, by Pfaffians.
 
     dalpha(xi, .) = 0 is equivalent to E xi = 0 (the scalar prefactor of
-    dalpha drops), and alpha(xi) = 1 becomes alpha0(xi) = v^(1/n).  With
-    eta := v^((n-1)/n) xi the system turns polynomial:
-        (E + alpha0 alpha0^T) eta = v * alpha0,
-    which is invertible at every contact point regardless of which 2n rows
-    of E happen to span; finally xi = v^((1-n)/n) eta.
+    dalpha drops), and alpha(xi) = 1 becomes alpha0(xi) = v^(1/n).  E is
+    skew of odd size 2n+1 and has rank 2n at a contact point, so
+    adj E = k k^T with k_i = (-1)^i Pf(E without row and column i)
+    (0-based), and k spans ker E.  With eta := v^((n-1)/n) xi this gives
+        eta = v k / (alpha0 . k),
+    polynomial over the one denominator alpha0 . k; finally
+    xi = v^((1-n)/n) eta.  alpha0 . k vanishes exactly where the bordered
+    matrix E + alpha0 alpha0^T, of determinant (alpha0 . k)^2, is singular.
     """
     dim = len(coords)
     if dim < 3:
         raise StructureError("n >= 1 is required (dim M = 2n+1 >= 3)")
     alpha0, v, E = norm.alpha0, norm.v, norm.E
-    M = [
-        [ex.normalize(ex.add(E[i][j], ex.mul(alpha0[i], alpha0[j]))) for j in range(dim)]
-        for i in range(dim)
-    ]
-    det = ex.normalize(sym_det(M))
-    det_vals = _eval_scalar_at(det, coords, samples)
-    if np.min(np.abs(det_vals)) < 1e-9:
+    pf = pfaffian_minors(E)
+    full = tuple(range(dim))
+    k = []
+    for i in range(dim):
+        k_i = pf(full[:i] + full[i + 1 :])
+        k.append(ex.normalize(k_i if i % 2 == 0 else ex.neg(k_i)))
+    alpha0_k = ex.normalize(_pairing(alpha0, k))
+    # the bound applies to det(E + alpha0 alpha0^T) = (alpha0 . k)^2
+    if np.min(_eval_scalar_at(alpha0_k, coords, samples) ** 2) < 1e-9:
         raise StructureError(
             "internal inconsistency: Reeb system is singular at a sample point "
             "although the contact condition held"
         )
-    rhs = [ex.normalize(ex.mul(v, a)) for a in alpha0]
-    eta = _cramer_solve(M, rhs)
+    inv = ex.pow_(alpha0_k, Fraction(-1))
+    eta = [ex.normalize(ex.mul(ex.normalize(ex.mul(v, k_i)), inv)) for k_i in k]
     if n == 1:
         return eta
     scale = ex.pow_(v, Fraction(1 - n, n))
@@ -385,6 +371,7 @@ class ContactStructure:
     E: list[list[Expression]] | None = None
     dalpha_scale: Expression = ONE
     _compiled: dict = field(default_factory=dict, repr=False)
+    _coframe: tuple | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -442,7 +429,7 @@ class ContactStructure:
 
     def frame_derivative(self, e: Expression, a: int) -> Expression:
         """Directional derivative along e_a (a = 1..2n) or xi (a = 0)."""
-        if not self.coords:
+        if not self.coords or isinstance(e, Const):
             return ZERO  # lie mode: all scalars are constant
         vec = self.reeb if a == 0 else self.frame[a - 1]
         acc: Expression = ZERO
@@ -466,10 +453,31 @@ class ContactStructure:
         ]
 
     def decompose(self, V: list[Expression]) -> tuple[list[Expression], Expression]:
-        """Split V into horizontal frame components and xi component."""
-        mat = [[self.frame[j][i] for j in range(self.h)] + [self.reeb[i]] for i in range(self.dim)]
-        sol = _cramer_solve(mat, V)
+        """Split V into horizontal frame components and xi component.
+
+        The components are u_k = (sum_i C_ik V_i) / det P for the basis
+        matrix P = [e_1..e_2n, xi] and its cofactors C_ik (Cramer's rule
+        expanded along column k); the cofactors and 1/det P are computed
+        once per structure, so each call is a pairing.
+        """
+        cof, inv_det = self._basis_coframe()
+        sol = [ex.normalize(ex.mul(ex.normalize(_pairing(col, V)), inv_det)) for col in cof]
         return sol[: self.h], sol[self.h]
+
+    def _basis_coframe(self) -> tuple[list[list[Expression]], Expression]:
+        """(cof, 1/det P): cof[k][i] = C_ik, the cofactors of the basis matrix."""
+        if self._coframe is None:
+            cols = self.frame + [self.reeb]
+            mat = [[vec[i] for vec in cols] for i in range(self.dim)]
+            cof = [[ZERO] * self.dim for _ in range(self.dim)]
+            for i in range(self.dim):
+                rows = mat[:i] + mat[i + 1 :]
+                for k in range(self.dim):
+                    d = ex.normalize(sym_det([r[:k] + r[k + 1 :] for r in rows]))
+                    cof[k][i] = d if (i + k) % 2 == 0 else ex.neg(d)
+            inv_det = ex.pow_(ex.normalize(sym_det(mat)), Fraction(-1))
+            self._coframe = (cof, inv_det)
+        return self._coframe
 
     def project(self, V: list[Expression]) -> list[Expression]:
         """P V = V - alpha(V) xi, the horizontal projection."""
@@ -507,8 +515,9 @@ def _eval_scalar_at(e: Expression, coords: list[str], points: np.ndarray) -> np.
 
 
 def structure_functions(s: ContactStructure) -> Brackets:
-    """Brackets of the adapted basis, decomposed via the symbolic basis
-    change (Cramer); see Brackets for the index conventions."""
+    """Brackets of the adapted basis, each decomposed by pairing with the
+    basis coframe (ContactStructure.decompose, whose cofactors are computed
+    once per structure); see Brackets for the index conventions."""
     h = s.h
     c_h = [[[ZERO] * h for _ in range(h)] for _ in range(h)]
     c_0 = [[ZERO] * h for _ in range(h)]
@@ -525,13 +534,13 @@ def structure_functions(s: ContactStructure) -> Brackets:
     c0_0 = [ZERO] * h
     for j in range(h):
         v = lie_bracket(s.reeb, s.frame[j], s.coords)
-        hor, xi_comp = s.decompose(v)
+        # The coframe's xi component of [xi,e_j] equals alpha([xi,e_j]) in
+        # exact arithmetic; c0_0 takes the direct pairing with alpha, which
+        # check_special verifies to vanish.
+        hor, _ = s.decompose(v)
         for k in range(h):
             c0_h[j][k] = hor[k]
         c0_0[j] = s.alpha_of(v)
-        # xi_comp equals alpha([xi,e_j]) in exact arithmetic; both are kept
-        # (xi_comp via Cramer, c0_0 via alpha) and verified to vanish.
-        del xi_comp
     return Brackets(c_h=c_h, c_0=c_0, c0_h=c0_h, c0_0=c0_0)
 
 
@@ -587,7 +596,7 @@ def _lie_build(n: int, constants: dict[tuple[int, int, int], Fraction], text: st
 
     # alpha0 = dual of e_{2n+1}; dalpha0(u,v) = -alpha0([u,v])
     B0 = [[-C[a][b][dim - 1] for b in range(2 * n)] for a in range(2 * n)]
-    v = _wedge_power_fraction(B0, n)
+    v = wedge_power(B0, n)
     if v == 0:
         raise NotContactError("lie structure is not contact: wedge^n dalpha0 = 0")
     if n % 2 == 0 and v < 0:
@@ -663,17 +672,6 @@ def _check_jacobi(C: list, dim: int) -> None:
                             f"Jacobi identity fails for (e{i+1},e{j+1},e{k+1}) "
                             f"component {m+1}: residual {total}"
                         )
-
-
-def _wedge_power_fraction(B: list[list[Fraction]], n: int) -> Fraction:
-    two_n = 2 * n
-    total = Fraction(0)
-    for p in itertools.permutations(range(two_n)):
-        term = Fraction(1)
-        for k in range(n):
-            term *= B[p[2 * k]][p[2 * k + 1]]
-        total += _perm_sign(p) * term
-    return total / (2**n)
 
 
 def _fraction_root(v: Fraction, n: int) -> Fraction:

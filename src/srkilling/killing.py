@@ -47,6 +47,7 @@ from . import expr as ex
 from .expr import Expression, Const, ZERO
 from .frame import ContactStructure, StructureError, lie_bracket, split_components
 from .connection import (
+    BudgetError,
     ConnectionData,
     CurvatureData,
     HTensor,
@@ -426,7 +427,7 @@ def generator_space(
     auto = order == "auto"
     target = m_max if auto else int(order)
     if target > cd.max_order:
-        raise MemoryError(f"order {target} exceeds the configured bound {cd.max_order}")
+        raise BudgetError(f"order {target} exceeds the configured bound {cd.max_order}")
 
     dims: list[int] = []
     kernel_basis: np.ndarray | None = None

@@ -253,6 +253,54 @@ class TestTransportInputs:
         assert input_error(*self.prolong(capsys, files, gen="gen_nan.toml"))
 
 
+class TestPointAndGridInputs:
+    """Malformed or non-finite points, grids and orders exit 2."""
+
+    @pytest.mark.parametrize(
+        "point", ["a,b,c", "1e400,0,0", "nan,0,0", "x=inf,y=0,z=0", "x=1,y=two,z=0"]
+    )
+    def test_bad_point(self, capsys, point):
+        assert input_error(*run(capsys, "dim", "heisenberg:1", f"--at={point}"))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "x:-1:1:x,y:-1:1:2,z:-1:1:2",
+            "x:-1:1:0,y:-1:1:2,z:-1:1:2",
+            "x:-1:1:-3,y:-1:1:2,z:-1:1:2",
+            "x:-1:b:2,y:-1:1:2,z:-1:1:2",
+            "x:-inf:1:2,y:-1:1:2,z:-1:1:2",
+            "x:-1:1e400:2,y:-1:1:2,z:-1:1:2",
+        ],
+    )
+    def test_bad_grid(self, capsys, grid):
+        assert input_error(*run(capsys, "scan", "heisenberg:1", f"--grid={grid}"))
+
+    @pytest.mark.parametrize("command", ["dim", "scan", "curvature"])
+    @pytest.mark.parametrize("order", ["x", "1.5", "-1"])
+    def test_bad_order(self, capsys, command, order):
+        assert input_error(*run(capsys, command, "heisenberg:1", f"--order={order}"))
+
+    def test_frame_entry_too_deep(self, capsys, tmp_path):
+        f = tmp_path / "deep.toml"
+        f.write_text(
+            "[manifold]\nmode = chart\nn = 1\ncoords = x, y, z\n[frame]\n"
+            "X1 = 1, 0, -y/2\nX2 = 0, 1, x/2" + " + x/1000" * 1500 + "\n"
+        )
+        assert input_error(*run(capsys, "check", str(f)))
+
+    def test_order_over_the_bound_is_refused_before_any_work(self, capsys, monkeypatch):
+        import srkilling.killing as killing
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("generator space assembled past the order bound")
+
+        monkeypatch.setattr(killing, "_tensor_value_cache", no_work)
+        code, out = run(capsys, "dim", "heisenberg:1", "--order", "7")
+        assert input_error(code, out)
+        assert "exceeds the configured bound" in json.loads(out)["error"]["message"]
+
+
 class TestVerifyAndScan:
     def test_verify_killing_field(self, capsys):
         code, out = run(

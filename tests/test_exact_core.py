@@ -1,0 +1,229 @@
+"""Oracle tests for the exact symbolic core: memoized determinants,
+Pfaffians, the basis coframe and the Pfaffian Reeb field.
+
+The references here are written independently of the code under test: a
+Leibniz permutation sum for determinants and wedge powers, Pf(A)^2 = det A,
+the defining equations of the Reeb field, and the dimension of the isometry
+algebra of the Heisenberg group.
+"""
+
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from srkilling import expr as ex
+from srkilling import frame
+from srkilling.connection import compute_connection, curvature
+from srkilling.expr import Const, Expression
+from srkilling.frame import load_structure, pfaffian_minors, sym_det, wedge_power
+from srkilling.killing import generator_space
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def perm_sign(p):
+    sign = 1
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            if p[i] > p[j]:
+                sign = -sign
+    return sign
+
+
+def leibniz_det(rows):
+    """Reference determinant: the full permutation sum, added as a balanced
+    tree so that its depth stays logarithmic in the m! terms."""
+    m = len(rows)
+    terms = []
+    for p in itertools.permutations(range(m)):
+        term = ex.ONE
+        for i in range(m):
+            term = ex.mul(term, rows[i][p[i]])
+        terms.append(term if perm_sign(p) > 0 else ex.neg(term))
+    while len(terms) > 1:
+        terms = [ex.add(*terms[i : i + 2]) if i + 1 < len(terms) else terms[i] for i in range(0, len(terms), 2)]
+    return terms[0] if terms else ex.ONE
+
+
+def perm_sum_wedge(B, n):
+    """Reference wedge^n B on e_1..e_2n: (1/2^n) sum_p sign(p) prod B pairs."""
+    total = Fraction(0)
+    for p in itertools.permutations(range(2 * n)):
+        term = Fraction(1)
+        for k in range(n):
+            term *= B[p[2 * k]][p[2 * k + 1]]
+        total += perm_sign(p) * term
+    return total / 2**n
+
+
+def random_fraction(rng):
+    return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+
+
+def random_skew(rng, m):
+    A = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            A[i][j] = random_fraction(rng)
+            A[j][i] = -A[i][j]
+    return A
+
+
+def small_poly(rng):
+    """A random polynomial of degree <= 1 in x, y with small coefficients."""
+    c0, cx, cy = (int(v) for v in rng.integers(-2, 3, size=3))
+    return ex.normalize(
+        ex.parse_expression(f"{c0} + {cx}*x + {cy}*y", ["x", "y"])
+    )
+
+
+def canonical(e: Expression) -> str:
+    return ex.to_string(ex.normalize(e))
+
+
+class TestSymDet:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_rational_matches_leibniz(self, m):
+        rng = np.random.default_rng(100 + m)
+        rows = [[Const(random_fraction(rng)) for _ in range(m)] for _ in range(m)]
+        assert canonical(sym_det(rows)) == canonical(leibniz_det(rows))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_polynomial_matches_leibniz(self, m):
+        rng = np.random.default_rng(200 + m)
+        rows = [[small_poly(rng) for _ in range(m)] for _ in range(m)]
+        assert canonical(sym_det(rows)) == canonical(leibniz_det(rows))
+
+    def test_polynomial_six_by_six_matches_leibniz(self):
+        rng = np.random.default_rng(206)
+        rows = [
+            [small_poly(rng) if rng.random() < 0.5 else Const(random_fraction(rng)) for _ in range(6)]
+            for _ in range(6)
+        ]
+        assert canonical(sym_det(rows)) == canonical(leibniz_det(rows))
+
+
+class TestPfaffian:
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_square_is_determinant(self, m):
+        rng = np.random.default_rng(300 + m)
+        for _ in range(3):
+            A = random_skew(rng, m)
+            pf = pfaffian_minors(A)(tuple(range(m)))
+            det = leibniz_det([[Const(v) for v in row] for row in A])
+            assert isinstance(det, Const)
+            assert pf * pf == det.value
+
+    def test_symbolic_square_is_determinant(self):
+        names = ["a", "b", "c", "d", "e", "f"]
+        A = [[ex.ZERO] * 4 for _ in range(4)]
+        for (i, j), name in zip(itertools.combinations(range(4), 2), names):
+            A[i][j] = ex.Var(name)
+            A[j][i] = ex.neg(ex.Var(name))
+        pf = pfaffian_minors(A)(tuple(range(4)))
+        assert canonical(ex.mul(pf, pf)) == canonical(leibniz_det(A))
+        assert canonical(pf) == canonical(ex.parse_expression("a*f - b*e + c*d", names))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_wedge_power_is_n_factorial_pfaffian(self, n):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(3):
+            B = random_skew(rng, 2 * n)
+            assert wedge_power(B, n) == perm_sum_wedge(B, n)
+            Bs = [[Const(v) for v in row] for row in B]
+            assert ex.normalize(wedge_power(Bs, n)) == Const(perm_sum_wedge(B, n))
+            Bf = np.array([[float(v) for v in row] for row in B])
+            assert wedge_power(Bf, n) == pytest.approx(float(perm_sum_wedge(B, n)), abs=1e-12)
+
+
+BUILTINS = ["heisenberg:1", "su2", "su2:chart", "heisenberg:2", "heisenberg:3"]
+
+
+@pytest.fixture(scope="module")
+def structures():
+    return {name: load_structure(name) for name in BUILTINS}
+
+
+def sample_points(s, count=20):
+    if s.mode == "lie":
+        return np.zeros((1, 0))
+    return np.random.default_rng(7).uniform(-1.0, 1.0, size=(count, s.dim))
+
+
+class TestCoframe:
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_basis_vectors_decompose_to_unit_vectors(self, structures, name):
+        s = structures[name]
+        pts = sample_points(s)
+        basis = s.frame + [s.reeb]
+        for j, vec in enumerate(basis):
+            hor, xi_comp = s.decompose(vec)
+            got = s.eval_table(hor + [xi_comp], pts)
+            want = np.zeros_like(got)
+            want[j] = 1.0
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_decompose_reuses_the_coframe(self, monkeypatch):
+        s = load_structure("su2:chart")
+        s._coframe = None
+        calls = []
+        real = frame.sym_det
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(frame, "sym_det", counting)
+        V = s.parse_field("x, y*z, 1")
+        first = s.decompose(V)
+        assert len(calls) == s.dim**2 + 1
+        second = s.decompose(V)
+        third = s.decompose(s.frame[0])
+        assert len(calls) == s.dim**2 + 1
+        assert [str(e) for e in first[0]] == [str(e) for e in second[0]]
+        assert str(first[1]) == str(second[1])
+        assert len(third[0]) == s.h
+
+
+class TestReebField:
+    @pytest.mark.parametrize("name", ["su2:chart", "heisenberg:2", "heisenberg:3"])
+    def test_defining_equations_hold_on_samples(self, structures, name):
+        s = structures[name]
+        pts = sample_points(s, 50)
+        alpha = s.eval_table(s.alpha, pts)  # (dim, N)
+        xi = s.eval_table(s.reeb, pts)
+        E = s.eval_table(s.E, pts)  # (dim, dim, N); dalpha is a multiple of E
+        np.testing.assert_allclose(np.einsum("iN,iN->N", alpha, xi), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.einsum("ijN,jN->iN", E, xi), 0.0, atol=1e-12)
+
+
+def test_heisenberg3_isometry_dimension():
+    """dim i(q) on H^7 is (2n+1) + n^2 = 16: the Heisenberg algebra (left
+    translations) plus u(n) (unitary rotations about q)."""
+    s = load_structure("heisenberg:3")
+    cd = curvature(compute_connection(s))
+    q = [0.5, -0.25, 0.125, 0.75, -0.5, 0.25, 1.0]
+    gs = generator_space(cd, q)
+    assert gs.certified
+    assert gs.dim == 16
+
+
+def test_import_leaves_recursion_limit_alone():
+    code = (
+        "import sys\n"
+        "before = sys.getrecursionlimit()\n"
+        "import srkilling.cli\n"
+        "print(before, sys.getrecursionlimit())\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+    assert out[0] == out[1]

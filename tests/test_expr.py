@@ -55,6 +55,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expression("x + 1 )", XYZ)
 
+    def test_depth_limit(self):
+        k = ex.MAX_PARSE_DEPTH
+        assert ex.expression_depth(parse_expression(" + ".join(["x"] * k), XYZ)) == k
+        with pytest.raises(ParseError, match="levels deep"):
+            parse_expression(" + ".join(["x"] * (k + 1)), XYZ)
+        with pytest.raises(ParseError, match="too deeply"):
+            parse_expression("(" * 2000 + "x" + ")" * 2000, XYZ)
+
     def test_whitespace_insensitive(self):
         a = parse_expression("x * y+ z", XYZ)
         b = parse_expression("x*y+z", XYZ)
