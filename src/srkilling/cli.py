@@ -15,17 +15,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import expr as ex
 from .expr import ExprError
 from .frame import (
     ContactStructure,
     StructureError,
+    _max_abs,
     check_special,
     load_structure,
     sample_box_points,
+    structure_checks,
 )
 from .connection import (
     BudgetError,
+    CheckRecord,
     NotSpecialError,
     compute_connection,
     curvature,
@@ -188,57 +190,20 @@ def _finish(report: dict, args) -> int:
 def cmd_check(args) -> int:
     s = _load(args)
     pts = _sample_points(s, args)
-    records = []
-    B = s.dalpha_frame()
-    from .frame import wedge_power
-
-    Bv = np.stack([np.stack([s.eval_scalar(e, pts) for e in row]) for row in B])
-    wedge = np.array([wedge_power(Bv[:, :, p], s.n) for p in range(Bv.shape[2])])
-    res_norm = float(np.max(np.abs(wedge - 1.0))) if wedge.size else 0.0
-    records.append(
-        {
-            "check": "normalization",
-            "max_residual": res_norm,
-            "points_tested": int(pts.shape[0]),
-            "pass": res_norm < args.tol,
-        }
-    )
-    res_axi = float(np.max(np.abs(s.eval_scalar(s.alpha_of(s.reeb), pts) - 1.0)))
-    worst_dxi = 0.0
-    for j in range(s.dim):
-        e_j = [ex.ONE if i == j else ex.ZERO for i in range(s.dim)]
-        worst_dxi = max(worst_dxi, float(np.max(np.abs(s.eval_scalar(s.dalpha_on(s.reeb, e_j), pts)))))
-    res_reeb = max(res_axi, worst_dxi)
-    records.append(
-        {
-            "check": "reeb_identities",
-            "max_residual": res_reeb,
-            "points_tested": int(pts.shape[0]),
-            "pass": res_reeb < max(args.tol, 1e-8),
-        }
-    )
+    npts = int(pts.shape[0])
+    res = structure_checks(s, pts)
     rep = check_special(s, points=pts, tol=args.tol)
-    records.append(
-        {
-            "check": "special_bracket_horizontal",
-            "max_residual": rep.r1,
-            "points_tested": rep.points,
-            "pass": rep.r1 < args.tol,
-        }
-    )
-    records.append(
-        {
-            "check": "special_reeb_killing",
-            "max_residual": rep.r2,
-            "points_tested": rep.points,
-            "pass": rep.r2 < args.tol,
-        }
-    )
+    records = [
+        CheckRecord("normalization", res["normalization"], npts, res["normalization"] < args.tol),
+        CheckRecord("reeb_identities", res["reeb"], npts, res["reeb"] < max(args.tol, 1e-8)),
+        CheckRecord("special_bracket_horizontal", rep.r1, rep.points, rep.r1 < args.tol),
+        CheckRecord("special_reeb_killing", rep.r2, rep.points, rep.r2 < args.tol),
+    ]
     report = _structure_header(s)
-    report["checks"] = records
+    report["checks"] = check_records_payload(records)
     report["special"] = bool(rep.special)
     report["orientation_sign"] = s.orientation_sign
-    report["pass"] = all(r["pass"] for r in records)
+    report["pass"] = all(r.pass_ for r in records)
     return _finish(report, args)
 
 
@@ -275,12 +240,10 @@ def cmd_curvature(args) -> int:
     report = _structure_header(s)
     report["at"] = q.tolist()
     report["R"] = Rv.tolist()
-    report["max_abs_R"] = float(np.max(np.abs(Rv))) if Rv.size else 0.0
-    nabla_norms = []
-    for i in range(order + 1):
-        Tv = eval_tensor(s, cd.nabla_R[i], pts)
-        nabla_norms.append(float(np.max(np.abs(Tv))) if Tv.size else 0.0)
-    report["nabla_R_max_abs"] = nabla_norms
+    report["max_abs_R"] = _max_abs([Rv])
+    report["nabla_R_max_abs"] = [
+        _max_abs([eval_tensor(s, cd.nabla_R[i], pts)]) for i in range(order + 1)
+    ]
     report["pass"] = True
     return _finish(report, args)
 
@@ -393,29 +356,23 @@ def cmd_verify(args) -> int:
     s = _load(args)
     conn = compute_connection(s, tol=args.tol)
     cd = curvature(conn)
-    report = _structure_header(s)
-    if args.field:
-        try:
-            Z = s.parse_field(args.field)
-        except (StructureError, ExprError) as e:
-            raise InputError(str(e)) from e
-        pts = _sample_points(s, args)
-        records = verify_killing(cd, Z, points=pts, tol=args.field_tol)
-        records += riemannian_extension_check(cd, Z, points=pts, tol=args.field_tol)
-        az = a_z_matrix(conn, Z, pts[0] if s.coords else None)
-        report["generator_at_first_point"] = {
-            "X": az.gen.X.tolist(),
-            "A": az.gen.A.tolist(),
-            "c": az.gen.c,
-            "contact_residual": az.contact_residual,
-        }
-    elif args.field_json:
-        raise InputError(
-            "verifying a reconstructed field file: use reconstruct, which "
-            "emits the finite-difference checks alongside the field"
-        )
-    else:
+    if not args.field:
         raise InputError("verify needs --field \"<expr>,...\"")
+    try:
+        Z = s.parse_field(args.field)
+    except (StructureError, ExprError) as e:
+        raise InputError(str(e)) from e
+    pts = _sample_points(s, args)
+    records = verify_killing(cd, Z, points=pts, tol=args.field_tol)
+    records += riemannian_extension_check(cd, Z, points=pts, tol=args.field_tol)
+    az = a_z_matrix(conn, Z, pts[0] if s.coords else None)
+    report = _structure_header(s)
+    report["generator_at_first_point"] = {
+        "X": az.gen.X.tolist(),
+        "A": az.gen.A.tolist(),
+        "c": az.gen.c,
+        "contact_residual": az.contact_residual,
+    }
     report["checks"] = check_records_payload(records)
     report["pass"] = all(r.pass_ for r in records)
     return _finish(report, args)
@@ -470,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 nargs="?",
                 help="builtin name (heisenberg:<n>, su2, su2:chart) or definition file",
             )
-            p.add_argument("--structure", dest="structure_opt", help=argparse.SUPPRESS)
         p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for sample points")
         p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -571,7 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument("--field", help="comma-separated coordinate components")
-    p.add_argument("--field-json", help=argparse.SUPPRESS)
     p.add_argument("--grid", help="sample grid spec")
     p.add_argument("--field-tol", type=float, default=1e-9, help="check tolerance")
     p.set_defaults(fn=cmd_verify)
@@ -593,8 +548,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "structure_opt", None) and not args.structure:
-        args.structure = args.structure_opt
     if hasattr(args, "structure") and not args.structure:
         _error_report("missing structure argument", args)
         return EXIT_INPUT

@@ -9,7 +9,7 @@ obtained by the Koszul trick from metricity (skewness of Gamma in its
 upper/lower horizontal pair) and zero torsion (antisymmetric part equals
 the structure functions); the vertical coefficients are forced by
 nabla_xi X = [xi, X].  Both axioms are re-verified numerically after
-construction.
+construction (_axiom_residuals, which verify_geometry reports too).
 
 Curvature and the iterated covariant derivatives of R and dalpha live in
 the horizontal tensor algebra: every stored slot is a frame index 1..2n.
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expression, Const, ZERO
-from .frame import ContactStructure, check_special
+from .frame import ContactStructure, _max_abs, check_special
 
 __all__ = [
     "ConnectionData",
@@ -102,7 +102,7 @@ class CurvatureData:
     nabla_dalpha: list[HTensor] = field(default_factory=list)
     xi_R: list[HTensor] = field(default_factory=list)  # nabla_xi(nabla^i R)
     xi_dalpha: list[HTensor] = field(default_factory=list)
-    max_order: int = 6
+    max_order: int = 7  # generator spaces through m = 6 need nabla^7
     max_components: int = 1_000_000
 
     @property
@@ -158,34 +158,38 @@ def compute_connection(
     ]
     gamma_xi = [[s.brackets.c0_h[j][k] for k in range(h)] for j in range(h)]
     conn = ConnectionData(structure=s, gamma_h=gamma_h, gamma_xi=gamma_xi, special_report=report)
-    _verify_axioms(conn, tol)
-    return conn
-
-
-def _verify_axioms(conn: ConnectionData, tol: float) -> None:
-    s = conn.structure
-    pts = s.validation_points()
-    h = s.h
-    worst = 0.0
-    for a in range(h + 1):
-        g = conn.gamma(a)
-        for j in range(h):
-            for k in range(h):
-                vals = s.eval_scalar(ex.add(g[j][k], g[k][j]), pts)
-                worst = max(worst, float(np.max(np.abs(vals))))
-    for a in range(h):
-        for j in range(h):
-            for k in range(h):
-                e = ex.sub(
-                    ex.sub(conn.gamma_h[a][j][k], conn.gamma_h[j][a][k]),
-                    s.brackets.c_h[a][j][k],
-                )
-                vals = s.eval_scalar(e, pts)
-                worst = max(worst, float(np.max(np.abs(vals))))
-    if worst > max(tol, 1e-9):
+    worst = _max_abs(_axiom_residuals(conn, s.validation_points()))
+    if not worst < max(tol, 1e-9):
         raise AssertionError(
             f"internal error: connection axioms violated (residual {worst:.3e})"
         )
+    return conn
+
+
+def _axiom_residuals(conn: ConnectionData, points: np.ndarray) -> tuple[float, float]:
+    """(metricity, torsion) at points: max |Gamma^k_aj + Gamma^j_ak| over
+    the directions e_a and xi, and max |Gamma^k_aj - Gamma^k_ja - c^k_aj|."""
+    s = conn.structure
+    h = s.h
+    metricity = _max_abs(
+        s.eval_scalar(ex.add(g[j][k], g[k][j]), points)
+        for g in map(conn.gamma, range(h + 1))
+        for j in range(h)
+        for k in range(h)
+    )
+    torsion = _max_abs(
+        s.eval_scalar(
+            ex.sub(
+                ex.sub(conn.gamma_h[a][j][k], conn.gamma_h[j][a][k]),
+                s.brackets.c_h[a][j][k],
+            ),
+            points,
+        )
+        for a in range(h)
+        for j in range(h)
+        for k in range(h)
+    )
+    return metricity, torsion
 
 
 def covariant_derivative(
@@ -342,31 +346,15 @@ def verify_geometry(
         )
 
     # (a) metricity and torsion
-    worst_m = 0.0
-    worst_t = 0.0
-    for a in range(h + 1):
-        g = conn.gamma(a)
-        for j in range(h):
-            for k in range(h):
-                vals = s.eval_scalar(ex.add(g[j][k], g[k][j]), points)
-                worst_m = max(worst_m, float(np.max(np.abs(vals))))
-    for a in range(h):
-        for j in range(h):
-            for k in range(h):
-                e = ex.sub(
-                    ex.sub(conn.gamma_h[a][j][k], conn.gamma_h[j][a][k]),
-                    s.brackets.c_h[a][j][k],
-                )
-                vals = s.eval_scalar(e, points)
-                worst_t = max(worst_t, float(np.max(np.abs(vals))))
-    rec("metricity", worst_m)
-    rec("torsion", worst_t)
+    metricity, torsion = _axiom_residuals(conn, points)
+    rec("metricity", metricity)
+    rec("torsion", torsion)
 
     Rv = eval_tensor(s, cd.R, points)  # [a,b,j,k,N]
 
     # (b) first Bianchi: R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0
     first = Rv + np.transpose(Rv, (1, 2, 0, 3, 4)) + np.transpose(Rv, (2, 0, 1, 3, 4))
-    rec("bianchi_first", np.max(np.abs(first)) if first.size else 0.0)
+    rec("bianchi_first", _max_abs([first]))
 
     # (c) second Bianchi: (nabla_X R)(Y,Z) + cyclic = 0
     higher_derivatives(cd, 1)
@@ -376,11 +364,11 @@ def verify_geometry(
         + np.transpose(dRv, (1, 2, 0, 3, 4, 5))
         + np.transpose(dRv, (2, 0, 1, 3, 4, 5))
     )
-    rec("bianchi_second", np.max(np.abs(second)) if second.size else 0.0)
+    rec("bianchi_second", _max_abs([second]))
 
     # (d) R(xi, e_b) = 0 via the curvature formula with Z = xi
-    worst = 0.0
     G0 = conn.gamma_xi
+    r_xi = []
     for b in range(h):
         for j in range(h):
             for k in range(h):
@@ -392,13 +380,12 @@ def verify_geometry(
                     acc = ex.add(acc, ex.mul(G0[m][k], conn.gamma_h[b][j][m]))
                     acc = ex.sub(acc, ex.mul(conn.gamma_h[b][m][k], G0[j][m]))
                     acc = ex.sub(acc, ex.mul(s.brackets.c0_h[b][m], conn.gamma_h[m][j][k]))
-                vals = s.eval_scalar(ex.normalize(acc), points)
-                worst = max(worst, float(np.max(np.abs(vals))))
-    rec("curvature_reeb", worst)
+                r_xi.append(ex.normalize(acc))
+    rec("curvature_reeb", _max_abs(s.eval_scalar(e, points) for e in r_xi))
 
     # (e) skewness of R(Z,W) w.r.t. g: R^k_ab,j symmetric part in (j,k)
     skew = Rv + np.transpose(Rv, (0, 1, 3, 2, 4))
-    rec("curvature_skew", np.max(np.abs(skew)) if skew.size else 0.0)
+    rec("curvature_skew", _max_abs([skew]))
 
     # (f) cyclic identity for nabla dalpha
     dBv = eval_tensor(s, cd.nabla_dalpha[1], points)  # [v,a,b,N]
@@ -407,6 +394,6 @@ def verify_geometry(
         + np.transpose(dBv, (1, 2, 0, 3))
         + np.transpose(dBv, (2, 0, 1, 3))
     )
-    rec("dalpha_bianchi", np.max(np.abs(cyc)) if cyc.size else 0.0)
+    rec("dalpha_bianchi", _max_abs([cyc]))
 
     return records

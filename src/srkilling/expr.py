@@ -577,6 +577,14 @@ def _rational_pow(u: float, r: Fraction) -> float:
     return u ** (p / q)
 
 
+def _const_float(value: Fraction) -> float:
+    """A rational constant as a binary64; EvalError when it does not fit."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise EvalError("a constant does not fit a float (magnitude over 1.8e308)") from None
+
+
 def evaluate(e: Expression, env: dict[str, float]) -> float:
     """Evaluate at a point given as a name -> value mapping (binary64)."""
     memo: dict[int, float] = {}
@@ -594,7 +602,7 @@ def _eval(e: Expression, env: dict[str, float], memo: dict[int, float]) -> float
     if key in memo:
         return memo[key]
     if isinstance(e, Const):
-        val = float(e.value)
+        val = _const_float(e.value)
     elif isinstance(e, Var):
         try:
             val = float(env[e.name])
@@ -669,8 +677,7 @@ def compile_expression(e: Expression, var_order: list[str]):
     steps = []
     for node in order:
         if isinstance(node, Const):
-            c = float(node.value)
-            steps.append(("const", c, 0, 0))
+            steps.append(("const", _const_float(node.value), 0, 0))
         elif isinstance(node, Var):
             if node.name not in var_pos:
                 raise EvalError(f"unbound variable {node.name!r}")

@@ -39,6 +39,7 @@ __all__ = [
     "compute_reeb",
     "structure_functions",
     "check_special",
+    "structure_checks",
     "load_structure",
     "load_structure_text",
     "builtin_names",
@@ -68,6 +69,26 @@ def sample_box_points(dim: int, count: int, seed: int = 0, radius: float = 1.0) 
     """Seeded uniform sample in [-radius, radius]^dim, for validation grids."""
     rng = np.random.default_rng(seed)
     return rng.uniform(-radius, radius, size=(count, dim))
+
+
+def _max_abs(arrays) -> float:
+    """max |v| over every entry of the arrays (or numbers), 0.0 when there
+    are none.  A NaN entry makes the result NaN, so a residual test
+    `residual < tol` fails on it instead of skipping it."""
+    worst = 0.0
+    for vals in arrays:
+        worst = float(np.max(np.abs(vals), initial=worst))
+    return worst
+
+
+def _evaluate(fn, points: np.ndarray) -> np.ndarray:
+    """A function compiled by expr.compile_expression at points (N, dim):
+    one value per point, also for a constant."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.asarray(fn(*points.T), dtype=float)
+    if out.ndim == 0:
+        out = np.full(points.shape[0], float(out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +264,7 @@ def normalize_contact_form(
     B0 = [[_two_form_on(D0, frame[a], frame[b]) for b in range(2 * n)] for a in range(2 * n)]
     v = ex.normalize(wedge_power(B0, n))
 
-    vals = _eval_scalar_at(v, coords, samples)
+    vals = _evaluate(ex.compile_expression(v, coords), samples)
     if np.min(np.abs(vals)) < 1e-9:
         raise NotContactError(
             "distribution is not contact: wedge^n dalpha0 vanishes at a sample point"
@@ -308,7 +329,7 @@ def compute_reeb(
         k.append(ex.normalize(k_i if i % 2 == 0 else ex.neg(k_i)))
     alpha0_k = ex.normalize(_pairing(alpha0, k))
     # the bound applies to det(E + alpha0 alpha0^T) = (alpha0 . k)^2
-    if np.min(_eval_scalar_at(alpha0_k, coords, samples) ** 2) < 1e-9:
+    if np.min(_evaluate(ex.compile_expression(alpha0_k, coords), samples) ** 2) < 1e-9:
         raise StructureError(
             "internal inconsistency: Reeb system is singular at a sample point "
             "although the contact condition held"
@@ -385,22 +406,11 @@ class ContactStructure:
 
     def eval_scalar(self, e: Expression, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation of one expression at points (N, dim)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
         key = id(e)
         hit = self._compiled.get(key)
         if hit is None or hit[0] is not e:
-            fn = ex.compile_expression(e, self.coords)
-            self._compiled[key] = (e, fn)
-        else:
-            fn = hit[1]
-        if self.coords:
-            out = fn(*[points[:, i] for i in range(self.dim)])
-        else:
-            out = fn()
-        out = np.asarray(out, dtype=float)
-        if out.ndim == 0:
-            out = np.full(points.shape[0], float(out))
-        return out
+            hit = self._compiled[key] = (e, ex.compile_expression(e, self.coords))
+        return _evaluate(hit[1], points)
 
     def eval_scalar_at(self, e: Expression, point) -> float:
         return float(self.eval_scalar(e, np.asarray(point, dtype=float)[None, :])[0])
@@ -427,15 +437,46 @@ class ContactStructure:
 
     # -- symbolic helpers ---------------------------------------------------
 
-    def frame_derivative(self, e: Expression, a: int) -> Expression:
-        """Directional derivative along e_a (a = 1..2n) or xi (a = 0)."""
+    def derivative_along(self, V: list[Expression], e: Expression) -> Expression:
+        """V(e): the derivative of the scalar e along the field V."""
         if not self.coords or isinstance(e, Const):
             return ZERO  # lie mode: all scalars are constant
-        vec = self.reeb if a == 0 else self.frame[a - 1]
         acc: Expression = ZERO
         for i, ci in enumerate(self.coords):
-            acc = ex.add(acc, ex.mul(vec[i], ex.differentiate(e, ci)))
+            acc = ex.add(acc, ex.mul(V[i], ex.differentiate(e, ci)))
         return acc
+
+    def frame_derivative(self, e: Expression, a: int) -> Expression:
+        """Directional derivative along e_a (a = 1..2n) or xi (a = 0)."""
+        return self.derivative_along(self.reeb if a == 0 else self.frame[a - 1], e)
+
+    def bracket(self, V: list[Expression], W: list[Expression]) -> list[Expression]:
+        """[V, W] in the components fields are given in.
+
+        Chart mode: the coordinate Jacobi-Lie bracket.  Lie mode: V and W
+        are constant combinations of the Lie algebra basis, so the bracket
+        is bilinear in their adapted-basis components (decompose) over the
+        structure functions, with [e_k, e_l] = c^m_kl e_m + c^0_kl xi and
+        [xi, e_k] = c^m_0k e_m + c0_0[k] xi = -[e_k, xi].
+        """
+        if self.coords:
+            return lie_bracket(V, W, self.coords)
+        h, b = self.h, self.brackets
+        # table[p][q]: the components of [E_p, E_q] for E = (e_1..e_2n, xi)
+        xi_e = [b.c0_h[k] + [b.c0_0[k]] for k in range(h)]
+        table = [
+            [b.c_h[k][l] + [b.c_0[k][l]] for l in range(h)] + [[ex.neg(c) for c in xi_e[k]]]
+            for k in range(h)
+        ] + [xi_e + [[ZERO] * (h + 1)]]
+        (vh, v0), (wh, w0) = self.decompose(V), self.decompose(W)
+        v, w = vh + [v0], wh + [w0]
+        comps = [ZERO] * (h + 1)
+        for p in range(h + 1):
+            for q in range(h + 1):
+                vw = ex.mul(v[p], w[q])
+                comps = [ex.add(x, ex.mul(vw, t)) for x, t in zip(comps, table[p][q])]
+        basis = self.frame + [self.reeb]
+        return [ex.normalize(_pairing(comps, [e[i] for e in basis])) for i in range(self.dim)]
 
     def alpha_of(self, V: list[Expression]) -> Expression:
         return ex.normalize(_pairing(self.alpha, V))
@@ -501,19 +542,6 @@ class ContactStructure:
         return np.vstack([np.zeros((1, self.dim)), pts])
 
 
-def _eval_scalar_at(e: Expression, coords: list[str], points: np.ndarray) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    fn = ex.compile_expression(e, coords)
-    if coords:
-        out = fn(*[points[:, i] for i in range(len(coords))])
-    else:
-        out = fn()
-    out = np.asarray(out, dtype=float)
-    if out.ndim == 0:
-        out = np.full(points.shape[0], float(out))
-    return out
-
-
 def structure_functions(s: ContactStructure) -> Brackets:
     """Brackets of the adapted basis, each decomposed by pairing with the
     basis coframe (ContactStructure.decompose, whose cofactors are computed
@@ -555,18 +583,32 @@ def check_special(
     """
     if points is None:
         points = _default_special_grid(s)
-    r1 = 0.0
-    for j in range(s.h):
-        vals = s.eval_scalar(s.brackets.c0_0[j], points)
-        r1 = max(r1, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    r2 = 0.0
-    for i in range(s.h):
-        for j in range(i, s.h):
-            e = ex.add(s.brackets.c0_h[i][j], s.brackets.c0_h[j][i])
-            vals = s.eval_scalar(e, points)
-            r2 = max(r2, float(np.max(np.abs(vals))) if vals.size else 0.0)
+    b = s.brackets
+    r1 = _max_abs(s.eval_scalar(c, points) for c in b.c0_0)
+    r2 = _max_abs(
+        s.eval_scalar(ex.add(b.c0_h[i][j], b.c0_h[j][i]), points)
+        for i in range(s.h)
+        for j in range(i, s.h)
+    )
     npts = 1 if s.mode == "lie" else int(np.atleast_2d(points).shape[0])
     return SpecialReport(r1=r1, r2=r2, points=npts, tol=tol)
+
+
+def structure_checks(s: ContactStructure, pts: np.ndarray) -> dict[str, float]:
+    """Max residuals at pts of the identities the normalization guarantees:
+    "alpha_frame" of alpha(e_i) = 0, "normalization" of
+    wedge^n dalpha(e_1..e_2n) = 1, and "reeb" of alpha(xi) = 1 together with
+    dalpha(xi, .) = 0."""
+    Bv = s.eval_table(s.dalpha_frame(), pts)  # (2n, 2n, N)
+    unit = [[ONE if i == j else ZERO for i in range(s.dim)] for j in range(s.dim)]
+    return {
+        "alpha_frame": _max_abs(s.eval_scalar(s.alpha_of(vec), pts) for vec in s.frame),
+        "normalization": _max_abs([wedge_power(Bv, s.n) - 1.0]),
+        "reeb": _max_abs(
+            [s.eval_scalar(s.alpha_of(s.reeb), pts) - 1.0]
+            + [s.eval_scalar(s.dalpha_on(s.reeb, e), pts) for e in unit]
+        ),
+    }
 
 
 def _default_special_grid(s: ContactStructure) -> np.ndarray:
@@ -849,14 +891,21 @@ def load_structure_text(text: str, name: str = "", seed: int = 0) -> ContactStru
         dalpha_scale=ex.pow_(norm.v, Fraction(-(n + 1), n)),
     )
     s.brackets = structure_functions(s)
-    _validate_structure(s, samples)
+    res = structure_checks(s, samples)
+    for key, bound, message in (
+        ("alpha_frame", 1e-12, "alpha(e_i) != 0 after normalization"),
+        ("normalization", 1e-8, "normalization failed: wedge^n dalpha(frame) != 1"),
+        ("reeb", 1e-8, "Reeb identities fail: alpha(xi) != 1 or dalpha(xi, .) != 0"),
+    ):
+        if not res[key] < bound:
+            raise StructureError(message)
     return s
 
 
 def _check_frame_rank(frame, coords, samples) -> None:
     vals = np.stack(
         [
-            np.stack([_eval_scalar_at(c, coords, samples) for c in vec], axis=-1)
+            np.stack([_evaluate(ex.compile_expression(c, coords), samples) for c in vec], axis=-1)
             for vec in frame
         ],
         axis=1,
@@ -865,31 +914,6 @@ def _check_frame_rank(frame, coords, samples) -> None:
         sv = np.linalg.svd(row, compute_uv=False)
         if sv[-1] < 1e-9:
             raise StructureError("frame is linearly dependent at a sample point")
-
-
-def _validate_structure(s: ContactStructure, samples: np.ndarray) -> None:
-    # alpha(e_i) = 0 identically (sampled)
-    for vec in s.frame:
-        vals = s.eval_scalar(s.alpha_of(vec), samples)
-        if np.max(np.abs(vals)) > 1e-12:
-            raise StructureError("alpha(e_i) != 0 after normalization")
-    # wedge^n dalpha(frame) = 1
-    B = s.dalpha_frame()
-    Bv = np.stack([np.stack([s.eval_scalar(e, samples) for e in row]) for row in B])
-    wedge = np.array(
-        [wedge_power(Bv[:, :, p], s.n) for p in range(Bv.shape[2])]
-    )
-    if np.max(np.abs(wedge - 1.0)) > 1e-8:
-        raise StructureError("normalization failed: wedge^n dalpha(frame) != 1")
-    # alpha(xi) = 1 and dalpha(xi, .) = 0
-    vals = s.eval_scalar(s.alpha_of(s.reeb), samples)
-    if np.max(np.abs(vals - 1.0)) > 1e-8:
-        raise StructureError("alpha(xi) != 1")
-    for j in range(s.dim):
-        e_j = [ONE if i == j else ZERO for i in range(s.dim)]
-        vals = s.eval_scalar(s.dalpha_on(s.reeb, e_j), samples)
-        if np.max(np.abs(vals)) > 1e-8:
-            raise StructureError("dalpha(xi, .) != 0")
 
 
 # -- builtins ---------------------------------------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expression, Const, ZERO
-from .frame import ContactStructure, StructureError, lie_bracket, split_components
+from .frame import ContactStructure, StructureError, _max_abs, split_components
 from .connection import (
     BudgetError,
     ConnectionData,
@@ -114,7 +114,7 @@ class Generator:
         h = self.X.shape[0]
         if self.A.shape != (h, h):
             raise ValueError(f"A must be {h}x{h}, got {self.A.shape}")
-        drift = float(np.max(np.abs(self.A + self.A.T))) if h else 0.0
+        drift = _max_abs([self.A + self.A.T])
         if drift > SKEW_TOL:
             raise ValueError(f"A is not skew-symmetric (|A+A^T| = {drift:.3e})")
 
@@ -244,8 +244,7 @@ def a_z_field(conn: ConnectionData, Z: list[Expression]) -> list[list[Expression
     zh, z0 = s.decompose(Z)
     A = [[ZERO] * h for _ in range(h)]
     for j in range(h):
-        br = lie_bracket(Z, s.frame[j], s.coords) if s.coords else _lie_mode_bracket(s, Z, j)
-        hor, _ = s.decompose(br)
+        hor, _ = s.decompose(s.bracket(Z, s.frame[j]))
         for k in range(h):
             acc = hor[k]
             for a in range(h):
@@ -253,30 +252,6 @@ def a_z_field(conn: ConnectionData, Z: list[Expression]) -> list[list[Expression
             acc = ex.sub(acc, ex.mul(z0, conn.gamma_xi[j][k]))
             A[k][j] = ex.normalize(acc)
     return A
-
-
-def _lie_mode_bracket(s: ContactStructure, Z: list[Expression], j: int) -> list[Expression]:
-    """[Z, e_j] for a constant-component field in lie mode."""
-    # Z = sum_k z^k e_k + z^0 xi in basis components; brackets with e_j come
-    # from the structure functions of the adapted basis.
-    zh, z0 = s.decompose(Z)
-    h = s.h
-    out_h = [ZERO] * h
-    out_0: Expression = ZERO
-    for k in range(h):
-        for m in range(h):
-            out_h[m] = ex.add(out_h[m], ex.mul(zh[k], s.brackets.c_h[k][j][m]))
-        out_0 = ex.add(out_0, ex.mul(zh[k], s.brackets.c_0[k][j]))
-    for m in range(h):
-        out_h[m] = ex.add(out_h[m], ex.mul(z0, s.brackets.c0_h[j][m]))
-    # back to basis components: e_m stay, xi contributes reeb
-    out = [ZERO] * s.dim
-    for m in range(h):
-        for i in range(s.dim):
-            out[i] = ex.add(out[i], ex.mul(out_h[m], s.frame[m][i]))
-    for i in range(s.dim):
-        out[i] = ex.normalize(ex.add(out[i], ex.mul(out_0, s.reeb[i])))
-    return out
 
 
 def a_z_matrix(conn: ConnectionData, Z: list[Expression], q) -> AZResult:
@@ -291,12 +266,8 @@ def a_z_matrix(conn: ConnectionData, Z: list[Expression], q) -> AZResult:
     c = float(s.eval_scalar(s.alpha_of(Z), pts)[0])
     Af = a_z_field(conn, Z)
     A_raw = np.array([[s.eval_scalar(Af[k][j], pts)[0] for j in range(s.h)] for k in range(s.h)])
-    contact = 0.0
-    for j in range(s.h):
-        br = lie_bracket(Z, s.frame[j], s.coords) if s.coords else _lie_mode_bracket(s, Z, j)
-        val = float(s.eval_scalar(s.alpha_of(br), pts)[0])
-        contact = max(contact, abs(val))
-    skew = float(np.max(np.abs(A_raw + A_raw.T)))
+    contact = _max_abs(s.eval_scalar(s.alpha_of(s.bracket(Z, e)), pts) for e in s.frame)
+    skew = _max_abs([A_raw + A_raw.T])
     A = 0.5 * (A_raw - A_raw.T)  # exact for Killing Z; projection otherwise
     gen = Generator(X=X, A=A, c=c, q=q if s.coords else None)
     return AZResult(gen=gen, contact_residual=contact, skew_residual=skew, A_raw=A_raw)
@@ -426,8 +397,11 @@ def generator_space(
     pts = q[None, :] if q is not None else np.zeros((1, 0))
     auto = order == "auto"
     target = m_max if auto else int(order)
-    if target > cd.max_order:
-        raise BudgetError(f"order {target} exceeds the configured bound {cd.max_order}")
+    if target + 1 > cd.max_order:  # order m reads nabla^(m+1)
+        raise BudgetError(
+            f"order {target} needs derivative order {target + 1}, which exceeds "
+            f"the configured bound {cd.max_order}"
+        )
 
     dims: list[int] = []
     kernel_basis: np.ndarray | None = None
@@ -736,11 +710,7 @@ def path_independence(
         raise TransportInputError("curves do not share their start point")
     r1 = transport(cd, gen, curve1, step)
     r2 = transport(cd, gen, curve2, step)
-    dev = max(
-        float(np.max(np.abs(r1.gen.X - r2.gen.X))),
-        float(np.max(np.abs(r1.gen.A - r2.gen.A))),
-        abs(r1.gen.c - r2.gen.c),
-    )
+    dev = _max_abs([r1.gen.X - r2.gen.X, r1.gen.A - r2.gen.A, r1.gen.c - r2.gen.c])
     return {
         "deviation": dev,
         "end1": r1,
@@ -861,54 +831,34 @@ def verify_killing(
     h = s.h
     records: list[CheckRecord] = []
 
-    def rec(name: str, residual: float) -> None:
-        records.append(
-            CheckRecord(name, float(residual), npts, bool(residual < tol))
-        )
-
-    def maxabs(e: Expression) -> float:
-        vals = s.eval_scalar(e, points)
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+    def rec(name: str, exprs) -> None:
+        residual = _max_abs(s.eval_scalar(e, points) for e in exprs)
+        records.append(CheckRecord(name, residual, npts, bool(residual < tol)))
 
     alphaZ = s.alpha_of(Z)
-    brackets = [
-        lie_bracket(Z, s.frame[j], s.coords) if s.coords else _lie_mode_bracket(s, Z, j)
-        for j in range(h)
-    ]
-    dec = [s.decompose(b) for b in brackets]
+    brackets, dec = _bracket_data(s, Z)
 
     # (a) contact: dalpha(Z, e_j) + e_j(alpha(Z))
-    worst = 0.0
-    for j in range(h):
-        e = ex.add(s.dalpha_on(Z, s.frame[j]), s.frame_derivative(alphaZ, j + 1))
-        worst = max(worst, maxabs(e))
-    rec("contact", worst)
+    rec(
+        "contact",
+        (ex.add(s.dalpha_on(Z, s.frame[j]), s.frame_derivative(alphaZ, j + 1)) for j in range(h)),
+    )
 
     # (b) Killing equation: <P[Z,e_i],e_j> + <e_i,P[Z,e_j]> (Z<e_i,e_j> = 0)
-    worst = 0.0
-    for i in range(h):
-        for j in range(i, h):
-            worst = max(worst, maxabs(ex.add(dec[i][0][j], dec[j][0][i])))
-    rec("killing_metric", worst)
+    rec("killing_metric", _killing_metric_terms(dec, h))
 
     # (c) skewness of A_Z
     Af = a_z_field(conn, Z)
-    worst = 0.0
-    for k in range(h):
-        for j in range(k, h):
-            worst = max(worst, maxabs(ex.add(Af[k][j], Af[j][k])))
-    rec("a_skew", worst)
+    rec("a_skew", (ex.add(Af[k][j], Af[j][k]) for k in range(h) for j in range(k, h)))
 
     A_tensor = HTensor(components=_matrix_to_tensor(Af, h), n_upper=1)
 
     # (d) nabla_xi A_Z = 0
-    dxi = covariant_derivative(conn, A_tensor, 0)
-    worst = max((maxabs(c) for c in dxi.components.ravel()), default=0.0)
-    rec("a_parallel_xi", worst)
+    rec("a_parallel_xi", covariant_derivative(conn, A_tensor, 0).components.ravel())
 
     # (e) nabla_{e_a} A_Z = R(Z, e_a) = R(PZ, e_a)
     zh, z0 = s.decompose(Z)
-    worst = 0.0
+    terms = []
     for a in range(h):
         da = covariant_derivative(conn, A_tensor, a + 1)
         for j in range(h):
@@ -916,11 +866,11 @@ def verify_killing(
                 rz = ZERO
                 for b in range(h):
                     rz = ex.add(rz, ex.mul(zh[b], cd.R.components[b, a, j, k]))
-                worst = max(worst, maxabs(ex.sub(da.components[j, k], rz)))
-    rec("a_derivative_curvature", worst)
+                terms.append(ex.sub(da.components[j, k], rz))
+    rec("a_derivative_curvature", terms)
 
     # (f) nabla_V PZ + A_Z V for V = e_a and V = xi
-    worst = 0.0
+    terms = []
     for a in range(h + 1):
         g = conn.gamma(a)
         for k in range(h):
@@ -929,35 +879,29 @@ def verify_killing(
                 acc = ex.add(acc, ex.mul(g[m][k], zh[m]))
             if a > 0:
                 acc = ex.add(acc, Af[k][a - 1])
-            worst = max(worst, maxabs(acc))
-    rec("pz_gradient", worst)
+            terms.append(acc)
+    rec("pz_gradient", terms)
 
     # (g) [xi, Z] = 0
-    br = (
-        lie_bracket(s.reeb, Z, s.coords)
-        if s.coords
-        else [ex.neg(c) for c in _lie_mode_bracket_general(s, Z)]
-    )
-    worst = max((maxabs(c) for c in br), default=0.0)
-    rec("reeb_commutes", worst)
+    rec("reeb_commutes", s.bracket(s.reeb, Z))
 
     # (h) Lie_Z alpha on frame and xi arguments
-    worst = 0.0
-    for j in range(h):
-        worst = max(worst, maxabs(s.alpha_of(brackets[j])))
-    br_xi = (
-        lie_bracket(Z, s.reeb, s.coords)
-        if s.coords
-        else _lie_mode_bracket_general(s, Z)
-    )
-    e = ex.sub(
-        _derivative_along(s, Z, s.alpha_of(s.reeb)),
-        s.alpha_of(br_xi),
-    )
-    worst = max(worst, maxabs(e))
-    rec("lie_alpha", worst)
+    lie_xi = ex.sub(s.derivative_along(Z, s.alpha_of(s.reeb)), s.alpha_of(brackets[h]))
+    rec("lie_alpha", [s.alpha_of(b) for b in brackets[:h]] + [lie_xi])
 
     return records
+
+
+def _bracket_data(s: ContactStructure, Z: list[Expression]) -> tuple[list, list]:
+    """[Z, e_1], .., [Z, e_2n], [Z, xi] and their decompositions."""
+    brackets = [s.bracket(Z, V) for V in s.frame + [s.reeb]]
+    return brackets, [s.decompose(b) for b in brackets]
+
+
+def _killing_metric_terms(dec: list, h: int) -> list[Expression]:
+    """<P[Z,e_i],e_j> + <e_i,P[Z,e_j]> for i <= j, from the decompositions
+    of [Z, e_i]: the Killing equation on frame pairs."""
+    return [ex.add(dec[i][0][j], dec[j][0][i]) for i in range(h) for j in range(i, h)]
 
 
 def _matrix_to_tensor(M: list[list[Expression]], h: int) -> np.ndarray:
@@ -966,31 +910,6 @@ def _matrix_to_tensor(M: list[list[Expression]], h: int) -> np.ndarray:
         for k in range(h):
             out[j, k] = M[k][j]  # tensor stores [lower j, upper k]
     return out
-
-
-def _derivative_along(s: ContactStructure, Z: list[Expression], f: Expression) -> Expression:
-    if not s.coords:
-        return ZERO
-    acc: Expression = ZERO
-    for i, ci in enumerate(s.coords):
-        acc = ex.add(acc, ex.mul(Z[i], ex.differentiate(f, ci)))
-    return acc
-
-
-def _lie_mode_bracket_general(s: ContactStructure, Z: list[Expression]) -> list[Expression]:
-    """[Z, xi] in lie mode for a constant-component field Z."""
-    zh, z0 = s.decompose(Z)
-    h = s.h
-    out_h = [ZERO] * h
-    for k in range(h):
-        for m in range(h):
-            # [e_k, xi] = -[xi, e_k] = -c^m_0k e_m
-            out_h[m] = ex.sub(out_h[m], ex.mul(zh[k], s.brackets.c0_h[k][m]))
-    out = [ZERO] * s.dim
-    for m in range(h):
-        for i in range(s.dim):
-            out[i] = ex.add(out[i], ex.mul(out_h[m], s.frame[m][i]))
-    return [ex.normalize(e) for e in out]
 
 
 def verify_killing_field(
@@ -1040,7 +959,7 @@ def verify_killing_field(
         sl[ax] = shape[ax] - 1
         interior[tuple(sl)] = False
 
-    worst_x = worst_a = worst_c = 0.0
+    res_x, res_a, res_c = [], [], []
     for a in range(h):
         ea = frame_vals[a]  # shape + (dim,)
         # directional derivatives e_a(f) = sum_i (e_a)^i d_i f
@@ -1049,7 +968,7 @@ def verify_killing_field(
         eac = np.einsum("...i,i...->...", ea, dc)
         # nabla_a X^k = e_a(X^k) + G^k_am X^m ; residual + (A e_a)^k
         GaX = np.einsum("mk...,...m->...k", Gh[a], Xg)
-        res_x = eaX + GaX + Ag[..., :, a]
+        res_x.append((eaX + GaX + Ag[..., :, a])[interior])
         # nabla_a A = e_a(A) + G_a A - A G_a ; residual - R(X, e_a)
         Ga = np.moveaxis(Gh[a], (0, 1), (-2, -1))  # shape + (j,k) => G^k_aj at [..., j, k]
         GaM = np.swapaxes(Ga, -1, -2)  # matrix [k,j]
@@ -1057,18 +976,18 @@ def verify_killing_field(
             "...km,...mj->...kj", Ag, GaM
         )
         RXa = np.einsum("...b,bjk...->...kj", Xg, Rv[:, a])
-        res_a = eaA + comm - RXa
+        res_a.append((eaA + comm - RXa)[interior])
         # nabla_a c = e_a(c) ; residual + dalpha(X, e_a)
-        res_c = eac + np.einsum("...m,mb...->...b", Xg, Bv)[..., a]
-        worst_x = max(worst_x, float(np.max(np.abs(res_x[interior]))))
-        worst_a = max(worst_a, float(np.max(np.abs(res_a[interior]))))
-        worst_c = max(worst_c, float(np.max(np.abs(res_c[interior]))))
+        res_c.append((eac + np.einsum("...m,mb...->...b", Xg, Bv)[..., a])[interior])
 
     ni = int(np.sum(interior))
     return [
-        CheckRecord("eqs_x_gradient", worst_x, ni, worst_x < tol),
-        CheckRecord("eqs_a_curvature", worst_a, ni, worst_a < tol),
-        CheckRecord("eqs_c_gradient", worst_c, ni, worst_c < tol),
+        CheckRecord(name, worst, ni, worst < tol)
+        for name, worst in (
+            ("eqs_x_gradient", _max_abs(res_x)),
+            ("eqs_a_curvature", _max_abs(res_a)),
+            ("eqs_c_gradient", _max_abs(res_c)),
+        )
     ]
 
 
@@ -1086,32 +1005,17 @@ def riemannian_extension_check(
         points = s.validation_points(count=100)
     points = np.atleast_2d(points)
     h = s.h
-
-    def maxabs(e: Expression) -> float:
-        vals = s.eval_scalar(e, points)
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-    brackets = [
-        lie_bracket(Z, s.frame[j], s.coords) if s.coords else _lie_mode_bracket(s, Z, j)
-        for j in range(h)
-    ]
-    br_xi = (
-        lie_bracket(Z, s.reeb, s.coords) if s.coords else _lie_mode_bracket_general(s, Z)
+    _, dec = _bracket_data(s, Z)
+    terms = (
+        _killing_metric_terms(dec, h)
+        + [ex.add(dec[i][1], dec[h][0][i]) for i in range(h)]
+        + [dec[h][1]]
     )
-    dec = [s.decompose(b) for b in brackets]
-    dec_xi = s.decompose(br_xi)
-
-    worst = 0.0
-    for i in range(h):
-        for j in range(i, h):
-            worst = max(worst, maxabs(ex.add(dec[i][0][j], dec[j][0][i])))
-    for i in range(h):
-        worst = max(worst, maxabs(ex.add(dec[i][1], dec_xi[0][i])))
-    worst = max(worst, maxabs(dec_xi[1]))
+    worst = _max_abs(s.eval_scalar(e, points) for e in terms)
     return [
         CheckRecord(
             "riemannian_extension",
-            float(worst),
+            worst,
             int(points.shape[0]),
             bool(worst < tol),
         )
@@ -1137,10 +1041,8 @@ def pushforward_generator(
     Mphi = s.basis_matrix_at(phi_q[None, :])[0]
     T = np.linalg.solve(Mphi, jac @ Mq)
     O = T[: s.h, : s.h]
-    off = max(
-        float(np.max(np.abs(T[: s.h, s.h :]))), float(np.max(np.abs(T[s.h :, : s.h])))
-    )
-    if off > 1e-8:
+    off = _max_abs([T[: s.h, s.h :], T[s.h :, : s.h]])
+    if not off < 1e-8:
         raise ValueError(
             f"phi does not preserve the splitting H + span(xi) at q (residual {off:.3e})"
         )

@@ -67,7 +67,7 @@ class TestBasicCommands:
         assert rep["certified"] is True
 
     def test_missing_file_exits_2(self, capsys):
-        code, out = run(capsys, "check", "--structure", "nosuch.toml")
+        code, out = run(capsys, "check", "nosuch.toml")
         assert code == 2
         rep = json.loads(out)
         assert rep["error"]["kind"] == "input_error"
@@ -103,6 +103,29 @@ class TestBasicCommands:
         code, out = run(capsys, "verify", "su2", "--field", "0, 0, -1")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("field,code", [("0,0,1", 0), ("1,0,0", 3)])
+    def test_verify_lie_mode_contact_check(self, capsys, field, code):
+        got, out = run(capsys, "verify", "su2", "--field", field)
+        assert got == code
+        contact = next(r for r in json.loads(out)["checks"] if r["check"] == "contact")
+        assert contact["pass"] is (code == 0)
+
+    @pytest.mark.parametrize("command", ["dim", "verify-geometry"])
+    def test_nan_special_residual_is_a_check_failure(self, capsys, tmp_path, command):
+        # heisenberg:2 with a non-special X2: the special residuals are NaN
+        # at some points of the default 5^5 grid, which must not pass
+        f = tmp_path / "not_special.toml"
+        f.write_text(
+            "[manifold]\nmode = chart\nn = 2\ncoords = x1, y1, x2, y2, z\n[frame]\n"
+            "X1 = 1, 0, 0, 0, -y1/2\nX2 = 0, 1, 0, 0, x1/2 + x1*y2\n"
+            "X3 = 0, 0, 1, 0, -y2/2\nX4 = 0, 0, 0, 1, x2/2\n"
+        )
+        code, out = run(capsys, command, str(f))
+        assert code == 3
+        err = json.loads(out)["error"]
+        assert err["kind"] == "check_failure"
+        assert "not special" in err["message"]
 
     def test_verify_geometry(self, capsys):
         code, out = run(capsys, "verify-geometry", "heisenberg:1")
@@ -288,6 +311,19 @@ class TestPointAndGridInputs:
             "X1 = 1, 0, -y/2\nX2 = 0, 1, x/2" + " + x/1000" * 1500 + "\n"
         )
         assert input_error(*run(capsys, "check", str(f)))
+
+    def test_constant_over_the_float_range(self, capsys, tmp_path):
+        f = tmp_path / "huge.toml"
+        f.write_text(
+            "[manifold]\nmode = chart\nn = 1\ncoords = x, y, z\n[frame]\n"
+            "X1 = 1, 0, -y/2 + 10^400\nX2 = 0, 1, x/2\n"
+        )
+        assert input_error(*run(capsys, "check", str(f)))
+
+    def test_order_six_is_within_the_default_bound(self, capsys):
+        code, out = run(capsys, "dim", "heisenberg:1", "--order", "6")
+        assert code == 0
+        assert json.loads(out)["dims"] == [4] * 7
 
     def test_order_over_the_bound_is_refused_before_any_work(self, capsys, monkeypatch):
         import srkilling.killing as killing

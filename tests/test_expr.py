@@ -105,6 +105,13 @@ class TestEvaluate:
         with pytest.raises(EvalError):
             evaluate(parse_expression("1/x", ["x"]), {"x": 0.0})
 
+    def test_constant_over_the_float_range(self):
+        e = parse_expression("x + 10^400", ["x"])
+        with pytest.raises(EvalError):
+            compile_expression(e, ["x"])
+        with pytest.raises(EvalError):
+            evaluate(e, {"x": 0.0})
+
     def test_even_root_of_negative(self):
         with pytest.raises(EvalError):
             evaluate(parse_expression("pow(x, 1/2)", ["x"]), {"x": -1.0})

@@ -17,7 +17,7 @@ from srkilling.frame import (
     wedge_power,
 )
 
-from conftest import field
+from conftest import SU2C_KILLING, field
 
 XYZ = ["x", "y", "z"]
 
@@ -46,6 +46,27 @@ class TestLieBracket:
         X2 = field(["0", "1", "x/2"])
         br = lie_bracket(dx, X2, XYZ)
         assert [str(e) for e in br] == ["0", "0", "1/2"]
+
+
+class TestUnifiedBracket:
+    """ContactStructure.bracket: one method for both structure modes."""
+
+    def test_lie_mode_reproduces_the_structure_constants(self, su2):
+        # the su2 file: [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2 on the raw basis
+        e = [[ex.ONE if i == j else ex.ZERO for i in range(3)] for j in range(3)]
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            assert su2.bracket(e[a], e[b]) == e[c]
+            assert su2.bracket(e[b], e[a]) == [ex.neg(x) for x in e[c]]
+        # bilinear: [e1 + 2 e3, e2] = e3 - 2 e1
+        two = ex.const(2)
+        V = [ex.ONE, ex.ZERO, two]
+        assert su2.bracket(V, e[1]) == [ex.neg(two), ex.ZERO, ex.ONE]
+
+    def test_chart_mode_is_lie_bracket(self, su2c):
+        fields = su2c.frame + [su2c.reeb] + [field(v) for v in SU2C_KILLING.values()]
+        for V in fields:
+            for W in fields[:3]:
+                assert su2c.bracket(V, W) == lie_bracket(V, W, XYZ)
 
 
 class TestNormalization:

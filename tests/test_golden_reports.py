@@ -1,0 +1,67 @@
+"""Byte-identity guard: the sha256 and exit code of the stdout report of
+fixed CLI runs.  A refactor that keeps the numerics must leave every hash
+unchanged; a change that alters a report on purpose updates its hash and
+says why.  `dim` is left out: its singular values come from LAPACK and
+differ across platforms."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from srkilling.cli import main
+
+GRID_3 = "x:-1:1:3,y:-1:1:3,z:-1:1:3"
+
+GOLDEN = [
+    (("check", "su2"), 0, "bfa9645502b3a973e6cee17de0d0b177926539c969c1cd3a667e73e105b36e8f"),
+    (("check", "su2:chart"), 0, "6ed8cd5c999b027a4b31dce71bd5e50c2a2b2f3622be54508b20fea4b9058554"),
+    (("check", "heisenberg:1"), 0, "06fdfbcde2801763cf3b93575f0bb2bcc9118539c5a6549b23eaaabff537bda3"),
+    (("check", "heisenberg:2"), 0, "5dfda34c77a4f7edab986ab02c90d43f146f8aa62588fc7371764ae0bd2b71dc"),
+    (
+        ("connection", "su2:chart", "--at", "0.3,-0.2,0.1"),
+        0,
+        "e2eb1c80c48b4cbb2e879702e8cb77e2b6877583f9dc4f150f098472163869f1",
+    ),
+    (
+        ("curvature", "su2:chart", "--order", "2"),
+        0,
+        "0b8975caac912205449fe61816d352ec4340c20b408c3df8dcd9098277e85447",
+    ),
+    (("verify-geometry", "su2"), 0, "4ef22acd37c5b96cd9f1bcbbb0c7483423bff6601ba38c49516d6abce7461adb"),
+    (
+        ("verify-geometry", "su2:chart"),
+        0,
+        "ecbcad4d30ad54e44a18a387191df0c0ba0244d4748a61028726c8907c4cd338",
+    ),
+    (
+        ("verify", "heisenberg:1", "--field", "-y, x, 0"),
+        0,
+        "57f9eba2598854cbcf174553fbe066a171ef3655293e705197c96571baba42aa",
+    ),
+    (
+        ("verify", "su2", "--field", "0,0,1"),
+        0,
+        "0aeb19341bf6ab0251b00e63c9b96fa605e7dda9433be918dfdd9e2f015c293c",
+    ),
+    (
+        ("verify", "su2", "--field", "1,0,0"),
+        3,
+        "1ca639a7fc4388c4a3407e51a999703be294ddd899e9017e3b4a8e719e0f728d",
+    ),
+    (
+        ("scan", "heisenberg:1", "--grid", GRID_3),
+        0,
+        "78924742ef5e5c790e18f9a8c07af6439112f49f53b414c4a263df41904296f5",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_report_is_byte_identical(argv, code, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = main(list(argv))
+    assert got == code
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
