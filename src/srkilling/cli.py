@@ -56,6 +56,9 @@ from .report import check_records_payload, render_pretty, to_json
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CHECK = 3
+# Points a --grid may hold, per axis and in all; checked before any axis or
+# mesh is allocated.
+MAX_GRID_POINTS = 10**6
 
 
 class InputError(Exception):
@@ -95,7 +98,7 @@ def _parse_point(text: str, s: ContactStructure) -> np.ndarray:
 def _parse_grid(text: str, s: ContactStructure) -> Grid:
     if s.mode == "lie":
         return Grid(names=[], axes=[])
-    axes_by_name: dict[str, np.ndarray] = {}
+    specs: dict[str, tuple[float, float, int]] = {}
     for part in text.split(","):
         bits = part.strip().split(":")
         if len(bits) != 4:
@@ -109,13 +112,18 @@ def _parse_grid(text: str, s: ContactStructure) -> Grid:
             raise InputError(f"grid {name} count: {bits[3]!r} is not an integer") from None
         if count < 1:
             raise InputError(f"grid {name} count must be at least 1, got {count}")
+        if count > MAX_GRID_POINTS:
+            raise InputError(f"grid {name} count {count} exceeds the bound {MAX_GRID_POINTS}")
         if name not in s.coords:
             raise InputError(f"unknown grid coordinate {name!r}")
-        axes_by_name[name] = np.linspace(lo, hi, count)
-    missing = [c for c in s.coords if c not in axes_by_name]
+        specs[name] = (lo, hi, count)
+    missing = [c for c in s.coords if c not in specs]
     if missing:
         raise InputError(f"grid is missing coordinates {missing}")
-    return Grid(names=list(s.coords), axes=[axes_by_name[c] for c in s.coords])
+    total = math.prod(specs[c][2] for c in s.coords)
+    if total > MAX_GRID_POINTS:
+        raise InputError(f"grid has {total} points, which exceeds the bound {MAX_GRID_POINTS}")
+    return Grid(names=list(s.coords), axes=[np.linspace(*specs[c]) for c in s.coords])
 
 
 def _parse_order(text: str) -> int | str:

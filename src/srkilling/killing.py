@@ -7,7 +7,8 @@ alpha(Z)) at q.  The generator space i_m(q) is the kernel of the linear
 map sending (X, A, c) to the values of (nabla_{X + c xi} + A) applied to
 nabla^i R and nabla^i dalpha for i <= m; it is computed by SVD with a
 relative threshold, and the order m is raised until the dimension
-sequence stabilizes twice.
+sequence stabilizes twice.  A scan assembles the map for a block of grid
+points at once and ranks the whole stack with one SVD call.
 
 Transport integrates the linear system
 
@@ -88,6 +89,9 @@ SKEW_TOL = 1e-12
 STAGE_BLOCK = 2048
 # Steps one curve may take; a finer step is rejected as an input error.
 MAX_STEPS = 10**6
+# Matrix entries (points x rows x unknowns) of the f_q stack one scan block
+# assembles and ranks; bounds the scan's memory whatever the grid size.
+SCAN_BLOCK = 2**16
 
 
 class TransportInputError(ValueError):
@@ -274,16 +278,18 @@ def a_z_matrix(conn: ConnectionData, Z: list[Expression], q) -> AZResult:
 
 
 def endomorphism_action(A: np.ndarray, values: np.ndarray, n_upper: int) -> np.ndarray:
-    """Derivation induced by the endomorphism A on a tensor value: +A on
-    each upper slot, minus composition with A on each lower slot."""
-    rank = values.ndim
+    """Derivation induced by each endomorphism of the stack A (K, h, h) on a
+    tensor value with a trailing point axis, values (h,)*rank + (P,): +A on
+    each upper slot, minus composition with A on each lower slot, the slot
+    terms added in slot order.  Returns (K,) + values.shape."""
+    rank = values.ndim - 1
     n_lower = rank - n_upper
-    out = np.zeros_like(values)
+    out = np.zeros((A.shape[0],) + values.shape)
     for r in range(rank):
         if r < n_lower:
-            term = -np.moveaxis(np.tensordot(values, A, axes=([r], [0])), -1, r)
+            term = -np.moveaxis(np.tensordot(values, A, axes=([r], [1])), [-2, -1], [0, r + 1])
         else:
-            term = np.moveaxis(np.tensordot(values, A, axes=([r], [1])), -1, r)
+            term = np.moveaxis(np.tensordot(values, A, axes=([r], [2])), [-2, -1], [0, r + 1])
         out = out + term
     return out
 
@@ -303,11 +309,11 @@ def derivation_apply(
         T, Tn, Txi = cd.nabla_dalpha[order], cd.nabla_dalpha[order + 1], cd.xi_dalpha[order]
     else:
         raise ValueError(f"unknown tensor kind {which!r}")
-    Tv = eval_tensor(s, T, pts)[..., 0]
+    Tv = eval_tensor(s, T, pts)
     Tnv = eval_tensor(s, Tn, pts)[..., 0]
     Txiv = eval_tensor(s, Txi, pts)[..., 0]
     out = np.tensordot(gen.X, Tnv, axes=([0], [0])) + gen.c * Txiv
-    out = out + endomorphism_action(gen.A, Tv, T.n_upper)
+    out = out + endomorphism_action(gen.A[None], Tv, T.n_upper)[0, ..., 0]
     return out
 
 
@@ -330,43 +336,53 @@ def _tensor_value_cache(cd: CurvatureData, m: int, points: np.ndarray) -> dict:
     return cache
 
 
-def _unknown_basis(h: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Basis of a(q) in the packing order of pack_generator."""
-    out = []
-    for a in range(h):
-        X = np.zeros(h)
-        X[a] = 1.0
-        out.append((X, np.zeros((h, h)), 0.0))
-    for i in range(h):
-        for j in range(i):
-            A = np.zeros((h, h))
-            A[i, j] = 1.0
-            A[j, i] = -1.0
-            out.append((np.zeros(h), A, 0.0))
-    out.append((np.zeros(h), np.zeros((h, h)), 1.0))
+def _skew_basis(h: int) -> np.ndarray:
+    """The A unknowns of a(q) in the packing order of pack_generator,
+    E_ij - E_ji for i > j by rows: a stack (h(h-1)/2, h, h)."""
+    pairs = [(i, j) for i in range(h) for j in range(i)]
+    out = np.zeros((len(pairs), h, h))
+    for k, (i, j) in enumerate(pairs):
+        out[k, i, j] = 1.0
+        out[k, j, i] = -1.0
     return out
+
+
+def _assemble_block(cd: CurvatureData, m: int, cache: dict, sel: slice) -> np.ndarray:
+    """Stack (P, rows, unknowns) of the f_q matrices at the cached points
+    sel, each with kernel i_m(q).  Columns follow the packing order of
+    pack_generator: X^a takes slice a of nabla^(i+1) T, each skew basis
+    element applies its derivation to T (endomorphism_action), c takes the
+    xi-derivative of T.  Row blocks run over i <= m, R before dalpha, each
+    flattened in C order.  The columns are exact +-1 selections, so every
+    entry equals, bit for bit, the per-point value whatever the block."""
+    h = cd.structure.h
+    skew = _skew_basis(h)
+    blocks = []
+    for i in range(m + 1):
+        for key, n_upper in (("R", 1), ("B", 0)):
+            Tv = cache[(key, i)][..., sel]
+            npts = Tv.shape[-1]
+            X = cache[(key + "n", i)][..., sel].reshape(h, -1, npts)
+            A = endomorphism_action(skew, Tv, n_upper).reshape(len(skew), -1, npts)
+            c = cache[(key + "xi", i)][..., sel].reshape(1, -1, npts)
+            blocks.append(np.concatenate([X, A, c]).transpose(2, 1, 0))
+    stack = np.concatenate(blocks, axis=1)
+    # -0.0 becomes +0.0, as in the full sum X . nabla T + c xi T + A . T that
+    # each column selects from; LAPACK's reflector signs read the sign of zero
+    stack += 0.0
+    return stack
 
 
 def _assemble_map(cd: CurvatureData, m: int, cache: dict, p: int) -> np.ndarray:
     """Dense matrix of f_q at cached point index p, with kernel = i_m(q)."""
-    h = cd.structure.h
-    basis = _unknown_basis(h)
-    cols = []
-    for X, A, c in basis:
-        rows = []
-        for i in range(m + 1):
-            for key_v, key_n, key_xi, n_upper in (
-                (("R", i), ("Rn", i), ("Rxi", i), 1),
-                (("B", i), ("Bn", i), ("Bxi", i), 0),
-            ):
-                Tv = cache[key_v][..., p]
-                Tnv = cache[key_n][..., p]
-                Txiv = cache[key_xi][..., p]
-                val = np.tensordot(X, Tnv, axes=([0], [0])) + c * Txiv
-                val = val + endomorphism_action(A, Tv, n_upper)
-                rows.append(val.ravel())
-        cols.append(np.concatenate(rows) if rows else np.zeros(0))
-    return np.stack(cols, axis=1)
+    return _assemble_block(cd, m, cache, slice(p, p + 1))[0]
+
+
+def _ranks(sv: np.ndarray, rel: float, floor: float) -> np.ndarray:
+    """Numerical ranks of singular value rows (..., k), largest first: the
+    count above max(rel * largest, floor)."""
+    thresh = np.maximum(rel * sv[..., 0], floor)
+    return np.sum(sv > thresh[..., None], axis=-1)
 
 
 def _kernel(M: np.ndarray, rel: float, floor: float) -> tuple[int, np.ndarray, np.ndarray]:
@@ -375,8 +391,7 @@ def _kernel(M: np.ndarray, rel: float, floor: float) -> tuple[int, np.ndarray, n
     if M.shape[0] < ncols:
         M = np.vstack([M, np.zeros((ncols - M.shape[0], ncols))])
     _, sv, Vh = np.linalg.svd(M, full_matrices=False)
-    thresh = max(rel * (sv[0] if sv.size else 0.0), floor)
-    rank = int(np.sum(sv > thresh))
+    rank = int(_ranks(sv, rel, floor))
     return ncols - rank, Vh[rank:], sv
 
 
@@ -391,7 +406,11 @@ def generator_space(
     """Compute i_m(q): dims for m = 0.., the kernel basis at the final
     order, and the stabilization certificate (three equal consecutive
     dims).  With an explicit order, exactly that order is used and the
-    certificate reflects the dims computed up to it."""
+    certificate reflects the dims computed up to it.  Each order assembles
+    f_q with the scan's assembler at the single point q and takes a full
+    SVD: the rank counts singular values above max(rel_threshold * largest,
+    abs_floor) and the kernel basis is the trailing right singular
+    vectors."""
     s = cd.structure
     q = _as_point(s, q) if s.coords else None
     pts = q[None, :] if q is not None else np.zeros((1, 0))
@@ -431,6 +450,24 @@ def generator_space(
     )
 
 
+def _neighbour_flags(dims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(regular, pit) over a grid of dimensions: regular where every grid
+    neighbour shares the dimension, pit where there is a neighbour and every
+    neighbour's dimension is strictly larger.  Compared by shifted slices,
+    along each axis in both directions."""
+    regular = np.ones(dims.shape, dtype=bool)
+    pit = np.ones(dims.shape, dtype=bool)
+    has_neighbour = np.zeros(dims.shape, dtype=bool)
+    for ax in range(dims.ndim):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        for here, there in ((lo, hi), (hi, lo)):
+            regular[here] &= dims[there] == dims[here]
+            pit[here] &= dims[there] > dims[here]
+            has_neighbour[here] = True
+    return regular, pit & has_neighbour
+
+
 def scan_regularity(
     cd: CurvatureData,
     grid: Grid,
@@ -441,7 +478,14 @@ def scan_regularity(
 ) -> dict:
     """dim i(q) over a grid, regularity flags (all neighbors share the
     dimension), and an upper-semicontinuity surrogate: a point all of whose
-    neighbors have strictly larger dimension is flagged as a violation."""
+    neighbors have strictly larger dimension is flagged as a violation.
+
+    The order m is the one generator_space settles on at the first grid
+    point.  The tensors are evaluated at every point at once; the points
+    then go in blocks of at most SCAN_BLOCK matrix entries, each assembled
+    as one stack of f_q matrices (_assemble_block) and ranked by one
+    stacked np.linalg.svd without singular vectors, under the threshold
+    rule of generator_space."""
     s = cd.structure
     if s.mode == "lie":
         gs = generator_space(cd, None, order, rel_threshold, abs_floor, m_max)
@@ -462,34 +506,22 @@ def scan_regularity(
     gs0 = generator_space(cd, points[0], order, rel_threshold, abs_floor, m_max)
     m = gs0.m_used
     cache = _tensor_value_cache(cd, m, points)
-    h = s.h
     nunk = ambient_dimension(s.n)
+    rows = sum(cache[(key, i)][..., 0].size for i in range(m + 1) for key in ("R", "B"))
+    block = max(1, SCAN_BLOCK // (rows * nunk))
     dims = np.empty(npts, dtype=int)
-    for p in range(npts):
-        M = _assemble_map(cd, m, cache, p)
-        dims[p] = _kernel(M, rel_threshold, abs_floor)[0]
+    for start in range(0, npts, block):
+        sel = slice(start, start + block)
+        sv = np.linalg.svd(_assemble_block(cd, m, cache, sel), compute_uv=False)
+        dims[sel] = nunk - _ranks(sv, rel_threshold, abs_floor)
 
-    shape = grid.shape
-    dims_nd = dims.reshape(shape)
-    regular = np.ones(shape, dtype=bool)
-    pit = np.zeros(shape, dtype=bool)
-    for idx in np.ndindex(shape):
-        neigh = []
-        for ax in range(len(shape)):
-            for step in (-1, 1):
-                jdx = list(idx)
-                jdx[ax] += step
-                if 0 <= jdx[ax] < shape[ax]:
-                    neigh.append(dims_nd[tuple(jdx)])
-        if neigh:
-            regular[idx] = all(d == dims_nd[idx] for d in neigh)
-            pit[idx] = all(d > dims_nd[idx] for d in neigh)
+    regular, pit = _neighbour_flags(dims.reshape(grid.shape))
     return {
         "mode": "chart",
         "order_used": m,
         "certified": gs0.certified,
         "dims": dims.tolist(),
-        "shape": list(shape),
+        "shape": list(grid.shape),
         "regular": regular.ravel().tolist(),
         "semicontinuity_violations": int(np.sum(pit)),
         "max_dim_bound": (s.n + 1) ** 2,

@@ -276,6 +276,14 @@ class TestTransportInputs:
         assert input_error(*self.prolong(capsys, files, gen="gen_nan.toml"))
 
 
+OVERSIZED_GRIDS = [
+    "x:0:1:1000000000,y:0:1:1,z:0:1:1",
+    "x:0:1:1,y:0:1:1,z:0:1:" + "9" * 30,
+    "x:0:1:1000,y:0:1:1000,z:0:1:1000",
+    "x:0:1:101,y:0:1:100,z:0:1:100",
+]
+
+
 class TestPointAndGridInputs:
     """Malformed or non-finite points, grids and orders exit 2."""
 
@@ -298,6 +306,29 @@ class TestPointAndGridInputs:
     )
     def test_bad_grid(self, capsys, grid):
         assert input_error(*run(capsys, "scan", "heisenberg:1", f"--grid={grid}"))
+
+    @pytest.mark.parametrize("command", ["scan", "check", "verify-geometry"])
+    @pytest.mark.parametrize("grid", OVERSIZED_GRIDS)
+    def test_grid_over_the_point_bound(self, capsys, monkeypatch, command, grid):
+        import srkilling.cli as cli
+
+        class NoGridAllocation:
+            def __getattr__(self, name):
+                if name in ("linspace", "meshgrid"):
+                    raise AssertionError("grid allocated past the point bound")
+                return getattr(np, name)
+
+        monkeypatch.setattr(cli, "np", NoGridAllocation())
+        code, out = run(capsys, command, "heisenberg:1", f"--grid={grid}")
+        assert input_error(code, out)
+        assert "exceeds the bound" in json.loads(out)["error"]["message"]
+
+    def test_grid_at_the_point_bound_is_accepted(self, heis):
+        from srkilling.cli import MAX_GRID_POINTS, _parse_grid
+
+        assert MAX_GRID_POINTS == 100**3
+        grid = _parse_grid("x:0:1:100,y:0:1:100,z:0:1:100", heis)
+        assert grid.shape == (100, 100, 100)
 
     @pytest.mark.parametrize("command", ["dim", "scan", "curvature"])
     @pytest.mark.parametrize("order", ["x", "1.5", "-1"])

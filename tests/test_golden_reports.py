@@ -55,6 +55,16 @@ GOLDEN = [
         0,
         "78924742ef5e5c790e18f9a8c07af6439112f49f53b414c4a263df41904296f5",
     ),
+    (
+        ("scan", "su2:chart", "--grid", GRID_3),
+        0,
+        "92e74526e41417f414081d6620568b3aeb8738f369adb09c95561899e1cae4f1",
+    ),
+    (
+        ("scan", "heisenberg:1", "--grid", GRID_3, "--order", "1"),
+        0,
+        "26a65a0c8daf12c94c0967b48531c4b0d9c8e480b140ff6bf4b515f7d270d71b",
+    ),
 ]
 
 
