@@ -28,6 +28,7 @@ from .frame import (
 from .connection import (
     BudgetError,
     CheckRecord,
+    CurvatureData,
     NotSpecialError,
     compute_connection,
     curvature,
@@ -157,6 +158,18 @@ def _load(args) -> ContactStructure:
         raise InputError(str(e)) from e
 
 
+def _tower(args) -> tuple[ContactStructure, CurvatureData]:
+    """The structure of args and its curvature data."""
+    s = _load(args)
+    return s, curvature(compute_connection(s, tol=args.tol))
+
+
+def _at(args, s: ContactStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The --at point (the origin by default) and the points array holding it."""
+    q = _parse_point(args.at, s) if args.at else np.zeros(s.dim if s.coords else 0)
+    return q, (q[None, :] if s.coords else np.zeros((1, 0)))
+
+
 def _structure_header(s: ContactStructure) -> dict:
     return {
         "tool": "srkilling",
@@ -218,30 +231,18 @@ def cmd_check(args) -> int:
 def cmd_connection(args) -> int:
     s = _load(args)
     conn = compute_connection(s, tol=args.tol)
-    q = _parse_point(args.at, s) if args.at else (np.zeros(s.dim) if s.coords else np.zeros(0))
-    pts = q[None, :] if s.coords else np.zeros((1, 0))
-    h = s.h
-    gamma_h = [
-        [[float(s.eval_scalar(conn.gamma_h[a][j][k], pts)[0]) for k in range(h)] for j in range(h)]
-        for a in range(h)
-    ]
-    gamma_xi = [
-        [float(s.eval_scalar(conn.gamma_xi[j][k], pts)[0]) for k in range(h)] for j in range(h)
-    ]
+    q, pts = _at(args, s)
     report = _structure_header(s)
     report["at"] = q.tolist()
-    report["gamma_h"] = gamma_h
-    report["gamma_xi"] = gamma_xi
+    report["gamma_h"] = s.eval_table(conn.gamma_h, pts)[..., 0].tolist()
+    report["gamma_xi"] = s.eval_table(conn.gamma_xi, pts)[..., 0].tolist()
     report["pass"] = True
     return _finish(report, args)
 
 
 def cmd_curvature(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
-    q = _parse_point(args.at, s) if args.at else (np.zeros(s.dim) if s.coords else np.zeros(0))
-    pts = q[None, :] if s.coords else np.zeros((1, 0))
+    s, cd = _tower(args)
+    q, pts = _at(args, s)
     order = 0 if args.order in (None, "auto") else _parse_order(args.order)
     higher_derivatives(cd, order)
     Rv = eval_tensor(s, cd.R, pts)[..., 0]
@@ -257,9 +258,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_verify_geometry(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+    s, cd = _tower(args)
     pts = _sample_points(s, args)
     records = verify_geometry(cd, points=pts, tol=args.tol)
     report = _structure_header(s)
@@ -269,9 +268,7 @@ def cmd_verify_geometry(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+    s, cd = _tower(args)
     q = _parse_point(args.at, s) if args.at else (np.zeros(s.dim) if s.coords else None)
     order = _parse_order(args.order)
     gs = generator_space(cd, q, order=order, m_max=args.max_order)
@@ -288,9 +285,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_prolong(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+    s, cd = _tower(args)
     curve = load_curve_text(_read_text(args.curve[0]), s)
     gen = load_generator_text(_read_text(args.gen), s)
     res = transport(
@@ -312,8 +307,7 @@ def cmd_path_check(args) -> int:
     s = _load(args)
     if len(args.curve) != 2:
         raise InputError("path-check needs exactly two --curve files")
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+    cd = curvature(compute_connection(s, tol=args.tol))
     c1 = load_curve_text(_read_text(args.curve[0]), s)
     c2 = load_curve_text(_read_text(args.curve[1]), s)
     gen = load_generator_text(_read_text(args.gen), s)
@@ -326,9 +320,7 @@ def cmd_path_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+    s, cd = _tower(args)
     gen = load_generator_text(_read_text(args.gen), s)
     grid = _parse_grid(args.grid, s)
     field = reconstruct_field(cd, gen, grid, step=args.step)
@@ -361,9 +353,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+    s, cd = _tower(args)
     if not args.field:
         raise InputError("verify needs --field \"<expr>,...\"")
     try:
@@ -373,7 +363,7 @@ def cmd_verify(args) -> int:
     pts = _sample_points(s, args)
     records = verify_killing(cd, Z, points=pts, tol=args.field_tol)
     records += riemannian_extension_check(cd, Z, points=pts, tol=args.field_tol)
-    az = a_z_matrix(conn, Z, pts[0] if s.coords else None)
+    az = a_z_matrix(cd.connection, Z, pts[0] if s.coords else None)
     report = _structure_header(s)
     report["generator_at_first_point"] = {
         "X": az.gen.X.tolist(),
@@ -387,9 +377,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+    s, cd = _tower(args)
     grid = _parse_grid(args.grid, s) if args.grid else Grid(names=[], axes=[])
     order = _parse_order(args.order)
     rep = scan_regularity(cd, grid, order=order, m_max=args.max_order)
@@ -561,10 +549,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return args.fn(args)
-    except InputError as e:
-        _error_report(str(e), args)
-        return EXIT_INPUT
-    except (StructureError, ExprError, TransportInputError, BudgetError) as e:
+    except (InputError, StructureError, ExprError, TransportInputError, BudgetError) as e:
         _error_report(str(e), args)
         return EXIT_INPUT
     except NotSpecialError as e:

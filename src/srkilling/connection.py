@@ -50,31 +50,59 @@ class NotSpecialError(Exception):
 
 
 class BudgetError(MemoryError):
-    """A derivative order or tensor size over its configured bound; raised
-    before anything is allocated."""
+    """A derivative order, a stored tower or a dense array over its
+    configured bound; raised before the work over the bound is kept."""
 
 
-@dataclass
+@dataclass(repr=False)
 class HTensor:
-    """Horizontal tensor in frame components.
+    """Horizontal tensor in frame components, stored sparsely.
 
-    components: object ndarray of Expressions, shape (2n,)*rank; lower
-    slots lead, the n_upper upper slots trail.
+    entries maps an index, a tuple of rank frame indices 0..h-1, to its
+    Expression, for the components that are not literal zeros only, in C
+    order of the index; lower slots lead, the n_upper upper slots trail.
     """
 
-    components: np.ndarray
+    entries: dict
+    h: int
+    rank: int
     n_upper: int
 
+    @classmethod
+    def from_dense(cls, components: np.ndarray, n_upper: int) -> "HTensor":
+        """The tensor of an object array of Expressions, shape (h,)*rank."""
+        entries = {idx: e for idx, e in np.ndenumerate(components) if not _is_zero(e)}
+        return cls(entries, components.shape[0], components.ndim, n_upper)
+
     @property
-    def rank(self) -> int:
-        return self.components.ndim
+    def shape(self) -> tuple[int, ...]:
+        return (self.h,) * self.rank
 
     @property
     def n_lower(self) -> int:
         return self.rank - self.n_upper
 
+    def __getitem__(self, idx: tuple[int, ...]) -> Expression:
+        return self.entries.get(idx, ZERO)
 
-@dataclass
+    @property
+    def components(self) -> np.ndarray:
+        """Every component as a dense object array, zeros included: h^rank
+        entries, for inspection only."""
+        out = np.empty(self.shape, dtype=object)
+        out[...] = ZERO
+        for idx, e in self.entries.items():
+            out[idx] = e
+        return out
+
+    def __repr__(self) -> str:
+        return (
+            f"HTensor(h={self.h}, rank={self.rank}, n_upper={self.n_upper}, "
+            f"nonzero={len(self.entries)})"
+        )
+
+
+@dataclass(repr=False)
 class ConnectionData:
     structure: ContactStructure
     gamma_h: list  # gamma_h[a][j][k] = Gamma^k_aj, a,j,k in 0..2n-1
@@ -85,8 +113,12 @@ class ConnectionData:
         """Coefficient matrix for direction 0 (= xi) or 1..2n (= e_a)."""
         return self.gamma_xi if direction == 0 else self.gamma_h[direction - 1]
 
+    def __repr__(self) -> str:
+        # the expressions are left out: written as trees they can run to GBs
+        return f"ConnectionData(structure={self.structure.name[:40]!r}, h={self.structure.h})"
 
-@dataclass
+
+@dataclass(repr=False)
 class CurvatureData:
     """Curvature plus lazily extended derivative caches.
 
@@ -103,7 +135,7 @@ class CurvatureData:
     xi_R: list[HTensor] = field(default_factory=list)  # nabla_xi(nabla^i R)
     xi_dalpha: list[HTensor] = field(default_factory=list)
     max_order: int = 7  # generator spaces through m = 6 need nabla^7
-    max_components: int = 1_000_000
+    max_components: int = 1_000_000  # bound on stored() nonzero expressions
 
     @property
     def structure(self) -> ContactStructure:
@@ -112,6 +144,17 @@ class CurvatureData:
     @property
     def order(self) -> int:
         return len(self.nabla_R) - 1
+
+    def stored(self) -> int:
+        """Nonzero expressions stored over the tower and its xi-derivatives."""
+        tensors = self.nabla_R + self.nabla_dalpha + self.xi_R + self.xi_dalpha
+        return sum(len(T.entries) for T in tensors)
+
+    def __repr__(self) -> str:
+        return (
+            f"CurvatureData(structure={self.structure.name[:40]!r}, order={self.order}, "
+            f"stored={self.stored()})"
+        )
 
 
 @dataclass
@@ -198,30 +241,42 @@ def covariant_derivative(
     """(nabla_direction T) in frame components; direction 0 means xi.
 
     Each lower slot contracts -Gamma, each upper slot +Gamma, plus the
-    frame derivative of the scalar components.  Only the Gamma entries that
-    are not literal zeros are contracted: a zero entry contributes
-    ex.mul(ZERO, .) = ZERO, which the sum drops, so the result is the same.
+    frame derivative of the scalar components.  Only the stored entries of
+    T and the Gamma entries that are not literal zeros take part: a zero
+    factor contributes ex.mul(., ZERO) = ZERO, which the sum drops.  So the
+    indices visited are those of T's entries and their neighbours through a
+    nonzero Gamma, in C order, and each one sums its terms in the order of
+    the dense formula (slot r, then m), which builds the same expression.
     """
     s = conn.structure
     h = s.h
     g = conn.gamma(direction)
     lower = [[(m, g[i][m]) for m in range(h) if not _is_zero(g[i][m])] for i in range(h)]
     upper = [[(m, g[m][i]) for m in range(h) if not _is_zero(g[m][i])] for i in range(h)]
-    comps = T.components
-    out = np.empty_like(comps)
     n_lower = T.n_lower
-    rank = T.rank
-    for idx in np.ndindex(comps.shape):
-        acc = s.frame_derivative(comps[idx], direction)
-        for r in range(rank):
-            if r < n_lower:
-                for m, gm in lower[idx[r]]:
-                    acc = ex.sub(acc, ex.mul(gm, comps[idx[:r] + (m,) + idx[r + 1 :]]))
-            else:
-                for m, gm in upper[idx[r]]:
-                    acc = ex.add(acc, ex.mul(gm, comps[idx[:r] + (m,) + idx[r + 1 :]]))
-        out[idx] = ex.normalize(acc)
-    return HTensor(components=out, n_upper=T.n_upper)
+    pairs = [lower if r < n_lower else upper for r in range(T.rank)]
+    # reach[r][m]: the values i of slot r whose sum reads value m there
+    reach = [
+        [[i for i in range(h) if any(k == m for k, _ in p[i])] for m in range(h)] for p in pairs
+    ]
+    comps = T.entries
+    targets = set(comps)
+    for idx in comps:
+        for r, rr in enumerate(reach):
+            targets.update(idx[:r] + (i,) + idx[r + 1 :] for i in rr[idx[r]])
+    out = {}
+    for idx in sorted(targets):
+        acc = s.frame_derivative(comps.get(idx, ZERO), direction)
+        for r, p in enumerate(pairs):
+            op = ex.sub if r < n_lower else ex.add
+            for m, gm in p[idx[r]]:
+                c = comps.get(idx[:r] + (m,) + idx[r + 1 :])
+                if c is not None:
+                    acc = op(acc, ex.mul(gm, c))
+        acc = ex.normalize(acc)
+        if not _is_zero(acc):
+            out[idx] = acc
+    return HTensor(out, h, T.rank, T.n_upper)
 
 
 def _is_zero(e: Expression) -> bool:
@@ -231,9 +286,27 @@ def _is_zero(e: Expression) -> bool:
 def _extend_with_horizontal_slot(conn: ConnectionData, T: HTensor) -> HTensor:
     """nabla T with the new direction slot leading, horizontal only."""
     h = conn.structure.h
-    pieces = [covariant_derivative(conn, T, a + 1).components for a in range(h)]
-    comps = np.stack(pieces, axis=0)
-    return HTensor(components=comps, n_upper=T.n_upper)
+    entries = {}
+    for a in range(h):
+        for idx, e in covariant_derivative(conn, T, a + 1).entries.items():
+            entries[(a,) + idx] = e
+    return HTensor(entries, h, T.rank + 1, T.n_upper)
+
+
+def _curvature_terms(
+    conn: ConnectionData, a: int, b: int, j: int, k: int, c_ab: list
+) -> Expression:
+    """e_a(G^k_bj) - e_b(G^k_aj) + G^k_am G^m_bj - G^k_bm G^m_aj - c^m_ab G^k_mj
+    for directions a, b (0 = xi, 1..2n = e_1..e_2n), with c_ab[m] = c^m_ab:
+    R^k_ab,j up to its c^0_ab term."""
+    s = conn.structure
+    Ga, Gb, G = conn.gamma(a), conn.gamma(b), conn.gamma_h
+    acc = ex.sub(s.frame_derivative(Gb[j][k], a), s.frame_derivative(Ga[j][k], b))
+    for m in range(s.h):
+        acc = ex.add(acc, ex.mul(Ga[m][k], Gb[j][m]))
+        acc = ex.sub(acc, ex.mul(Gb[m][k], Ga[j][m]))
+        acc = ex.sub(acc, ex.mul(c_ab[m], G[m][j][k]))
+    return acc
 
 
 def curvature(conn: ConnectionData) -> CurvatureData:
@@ -241,9 +314,6 @@ def curvature(conn: ConnectionData) -> CurvatureData:
     - c^m_ab G^k_mj - c^0_ab G^k_0j, stored as [a,b,j,k]."""
     s = conn.structure
     h = s.h
-    G = conn.gamma_h
-    G0 = conn.gamma_xi
-    c_h = s.brackets.c_h
     c_0 = s.brackets.c_0
     comps = np.empty((h, h, h, h), dtype=object)
     comps[...] = ZERO
@@ -251,24 +321,12 @@ def curvature(conn: ConnectionData) -> CurvatureData:
         for b in range(a + 1, h):
             for j in range(h):
                 for k in range(h):
-                    acc = ex.sub(
-                        s.frame_derivative(G[b][j][k], a + 1),
-                        s.frame_derivative(G[a][j][k], b + 1),
-                    )
-                    for m in range(h):
-                        acc = ex.add(acc, ex.mul(G[a][m][k], G[b][j][m]))
-                        acc = ex.sub(acc, ex.mul(G[b][m][k], G[a][j][m]))
-                        acc = ex.sub(acc, ex.mul(c_h[a][b][m], G[m][j][k]))
-                    acc = ex.sub(acc, ex.mul(c_0[a][b], G0[j][k]))
-                    acc = ex.normalize(acc)
+                    acc = _curvature_terms(conn, a + 1, b + 1, j, k, s.brackets.c_h[a][b])
+                    acc = ex.normalize(ex.sub(acc, ex.mul(c_0[a][b], conn.gamma_xi[j][k])))
                     comps[a, b, j, k] = acc
                     comps[b, a, j, k] = ex.neg(acc)
-    R = HTensor(components=comps, n_upper=1)
-    B = np.empty((h, h), dtype=object)
-    for a in range(h):
-        for b in range(h):
-            B[a, b] = ex.neg(s.brackets.c_0[a][b])
-    dalpha = HTensor(components=B, n_upper=0)
+    R = HTensor.from_dense(comps, n_upper=1)
+    dalpha = HTensor.from_dense(np.array(s.dalpha_frame(), dtype=object), n_upper=0)
     cd = CurvatureData(connection=conn, R=R, dalpha=dalpha)
     higher_derivatives(cd, 0)
     return cd
@@ -277,16 +335,12 @@ def curvature(conn: ConnectionData) -> CurvatureData:
 def higher_derivatives(cd: CurvatureData, order: int) -> CurvatureData:
     """Extend the nabla^i caches through i <= order, plus the one-step
     xi-derivatives of every cached tensor.  New slots for i >= 1 take only
-    horizontal directions (the horizontal tensor algebra convention)."""
+    horizontal directions (the horizontal tensor algebra convention).  An
+    order whose tensors would take the stored nonzero expressions over
+    max_components is built but not kept: BudgetError."""
     if order > cd.max_order:
         raise BudgetError(
             f"derivative order {order} exceeds the configured bound {cd.max_order}"
-        )
-    h = cd.structure.h
-    if h ** (4 + order) > cd.max_components:
-        raise BudgetError(
-            f"nabla^{order} R would store {h ** (4 + order)} components, "
-            f"over the budget {cd.max_components}"
         )
     conn = cd.connection
     if not cd.nabla_R:
@@ -295,21 +349,29 @@ def higher_derivatives(cd: CurvatureData, order: int) -> CurvatureData:
         cd.xi_R.append(covariant_derivative(conn, cd.R, 0))
         cd.xi_dalpha.append(covariant_derivative(conn, cd.dalpha, 0))
     while cd.order < order:
-        cd.nabla_R.append(_extend_with_horizontal_slot(conn, cd.nabla_R[-1]))
-        cd.nabla_dalpha.append(_extend_with_horizontal_slot(conn, cd.nabla_dalpha[-1]))
-        cd.xi_R.append(covariant_derivative(conn, cd.nabla_R[-1], 0))
-        cd.xi_dalpha.append(covariant_derivative(conn, cd.nabla_dalpha[-1], 0))
+        dR = _extend_with_horizontal_slot(conn, cd.nabla_R[-1])
+        dB = _extend_with_horizontal_slot(conn, cd.nabla_dalpha[-1])
+        new = (dR, dB, covariant_derivative(conn, dR, 0), covariant_derivative(conn, dB, 0))
+        total = cd.stored() + sum(len(T.entries) for T in new)
+        if total > cd.max_components:
+            raise BudgetError(
+                f"nabla^{cd.order + 1} R would take the stored nonzero components to "
+                f"{total}, over the budget {cd.max_components}"
+            )
+        for tower, T in zip((cd.nabla_R, cd.nabla_dalpha, cd.xi_R, cd.xi_dalpha), new):
+            tower.append(T)
     return cd
 
 
 def eval_tensor(s: ContactStructure, T: HTensor, points: np.ndarray) -> np.ndarray:
-    """Numeric components at points: float array T.shape + (N,)."""
+    """Numeric components at points: float array T.shape + (N,).  The
+    stored entries go through one tape and are scattered into zeros."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = points.shape[0]
-    out = np.empty(T.components.shape + (npts,), dtype=float)
-    for idx in np.ndindex(T.components.shape):
-        out[idx] = s.eval_scalar(T.components[idx], points)
-    return out
+    out = np.zeros((T.h**T.rank, points.shape[0]))
+    if T.entries:
+        flat = np.ravel_multi_index(np.array(list(T.entries)).T, T.shape)
+        out[flat] = s.eval_table(list(T.entries.values()), points)
+    return out.reshape(T.shape + (points.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +429,13 @@ def verify_geometry(
     rec("bianchi_second", _max_abs([second]))
 
     # (d) R(xi, e_b) = 0 via the curvature formula with Z = xi
-    G0 = conn.gamma_xi
-    r_xi = []
-    for b in range(h):
-        for j in range(h):
-            for k in range(h):
-                acc = ex.sub(
-                    s.frame_derivative(conn.gamma_h[b][j][k], 0),
-                    s.frame_derivative(G0[j][k], b + 1),
-                )
-                for m in range(h):
-                    acc = ex.add(acc, ex.mul(G0[m][k], conn.gamma_h[b][j][m]))
-                    acc = ex.sub(acc, ex.mul(conn.gamma_h[b][m][k], G0[j][m]))
-                    acc = ex.sub(acc, ex.mul(s.brackets.c0_h[b][m], conn.gamma_h[m][j][k]))
-                r_xi.append(ex.normalize(acc))
+    c0_h = s.brackets.c0_h
+    r_xi = [
+        ex.normalize(_curvature_terms(conn, 0, b + 1, j, k, c0_h[b]))
+        for b in range(h)
+        for j in range(h)
+        for k in range(h)
+    ]
     rec("curvature_reeb", _max_abs(s.eval_scalar(e, points) for e in r_xi))
 
     # (e) skewness of R(Z,W) w.r.t. g: R^k_ab,j symmetric part in (j,k)

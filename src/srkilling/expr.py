@@ -14,6 +14,7 @@ agreement, never on canonical forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -235,27 +236,6 @@ def call(fn: str, arg: Expression) -> Expression:
     if fn not in FUNCTIONS:
         raise ExprError(f"unknown function {fn!r}")
     return Call(fn, arg)
-
-
-def simplify(e: Expression) -> Expression:
-    """Rebuild ``e`` bottom-up through the smart constructors."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(simplify(e.a), simplify(e.b))
-    if isinstance(e, Sub):
-        return sub(simplify(e.a), simplify(e.b))
-    if isinstance(e, Mul):
-        return mul(simplify(e.a), simplify(e.b))
-    if isinstance(e, Div):
-        return div(simplify(e.a), simplify(e.b))
-    if isinstance(e, Neg):
-        return neg(simplify(e.a))
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), e.exponent)
-    if isinstance(e, Call):
-        return call(e.fn, simplify(e.arg))
-    raise TypeError(f"not an Expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -644,88 +624,104 @@ def _np_rational_pow(u: np.ndarray, p: int, q: int) -> np.ndarray:
         return u ** (p / q)
 
 
-def compile_expression(e: Expression, var_order: list[str]):
-    """Compile to a vectorized function of len(var_order) numpy arrays.
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_NP_FNS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
-    Shared subexpressions (by object identity) are evaluated once.  The
-    returned function performs no finiteness checking; callers that need
-    the scalar-path error behavior should use :func:`evaluate`.
+
+def _unary(node: Expression):
+    """(numpy function, operand) of a Neg, Pow or Call node."""
+    if isinstance(node, Neg):
+        return operator.neg, node.a
+    if isinstance(node, Pow):
+        p, q = node.exponent.numerator, node.exponent.denominator
+        return (lambda u: _np_rational_pow(np.asarray(u, dtype=float), p, q)), node.base
+    fn = _NP_FNS[node.fn]
+    return (lambda u: fn(np.asarray(u, dtype=float))), node.arg
+
+
+def compile_expression(e: Expression | list[Expression], var_order: list[str]):
+    """Compile one expression, or a list of roots, into one tape: a
+    vectorized function of len(var_order) numpy arrays.
+
+    The tape holds each distinct node (by object identity) of all roots
+    once, so a subexpression the roots share is one slot, computed once; a
+    slot is released after its last use.  Each root is written to the
+    output as soon as it is computed, a constant root as a filled row.  With
+    a list of R roots the function returns an array (R,) + shape, with one
+    root the array shape: the shape of the input arrays, or (1,) when there
+    are none (lie mode: no coordinates, one point).  No finiteness check is
+    made; callers that need the scalar-path errors use :func:`evaluate`.
     """
+    single = isinstance(e, Expression)
+    roots = [e] if single else list(e)
     order: list[Expression] = []
+    index: dict[int, int] = {}
     seen: set[int] = set()
-
-    def visit(node: Expression) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            visit(node.a)
-            visit(node.b)
-        elif isinstance(node, Neg):
-            visit(node.a)
-        elif isinstance(node, Pow):
-            visit(node.base)
-        elif isinstance(node, Call):
-            visit(node.arg)
-        order.append(node)
-
-    visit(e)
-    index = {id(node): k for k, node in enumerate(order)}
+    for root in roots:  # post order, without recursion
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                index[id(node)] = len(order)
+                order.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((c, False) for c in reversed(_children(node)))
     var_pos = {name: k for k, name in enumerate(var_order)}
-    np_fns = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
-    steps = []
-    for node in order:
+    # Constants (numpy scalars, so that 0/0 is nan as on arrays) and
+    # variables are loaded before the loop.  An op is
+    # [function, target slot, operand a, operand b or -1, slots released
+    # after it, roots it writes]; a slot goes after the last op that reads
+    # it, or after its own op when nothing reads it.
+    consts: list[tuple[int, float]] = []
+    loads: list[tuple[int, int]] = []
+    ops: dict[int, list] = {}
+    for k, node in enumerate(order):
         if isinstance(node, Const):
-            steps.append(("const", _const_float(node.value), 0, 0))
+            consts.append((k, np.float64(_const_float(node.value))))
         elif isinstance(node, Var):
             if node.name not in var_pos:
                 raise EvalError(f"unbound variable {node.name!r}")
-            steps.append(("var", var_pos[node.name], 0, 0))
-        elif isinstance(node, Add):
-            steps.append(("add", index[id(node.a)], index[id(node.b)], 0))
-        elif isinstance(node, Sub):
-            steps.append(("sub", index[id(node.a)], index[id(node.b)], 0))
-        elif isinstance(node, Mul):
-            steps.append(("mul", index[id(node.a)], index[id(node.b)], 0))
-        elif isinstance(node, Div):
-            steps.append(("div", index[id(node.a)], index[id(node.b)], 0))
-        elif isinstance(node, Neg):
-            steps.append(("neg", index[id(node.a)], 0, 0))
-        elif isinstance(node, Pow):
-            steps.append(
-                ("pow", index[id(node.base)], node.exponent.numerator, node.exponent.denominator)
-            )
-        elif isinstance(node, Call):
-            steps.append(("call", index[id(node.arg)], np_fns[node.fn], 0))
+            loads.append((k, var_pos[node.name]))
+        elif type(node) in _BINARY:
+            ops[k] = [_BINARY[type(node)], k, index[id(node.a)], index[id(node.b)], [], []]
+        else:
+            fn, arg = _unary(node)
+            ops[k] = [fn, k, index[id(arg)], -1, [], []]
+    last_use = {slot: op for op in ops.values() for slot in op[1:4]}
+    last_use.pop(-1, None)
+    for slot, op in last_use.items():
+        op[4].append(slot)
+    loaded_roots = []  # (slot, rows) of roots that are constants or variables
+    for r, root in enumerate(roots):
+        k = index[id(root)]
+        if k in ops:
+            ops[k][5].append(r)
+        else:
+            loaded_roots.append((k, [r]))
+    steps = [tuple(op) for op in ops.values()]
+    nroots, nslots = len(roots), len(order)
 
     def fn(*arrays):
-        slots: list = [None] * len(steps)
-        for k, (op, a, b, c) in enumerate(steps):
-            if op == "const":
-                slots[k] = a
-            elif op == "var":
-                slots[k] = np.asarray(arrays[a], dtype=float)
-            elif op == "add":
-                slots[k] = slots[a] + slots[b]
-            elif op == "sub":
-                slots[k] = slots[a] - slots[b]
-            elif op == "mul":
-                slots[k] = slots[a] * slots[b]
-            elif op == "div":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    slots[k] = slots[a] / slots[b]
-            elif op == "neg":
-                slots[k] = -slots[a]
-            elif op == "pow":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    slots[k] = _np_rational_pow(np.asarray(slots[a], dtype=float), b, c)
-            elif op == "call":
-                slots[k] = b(np.asarray(slots[a], dtype=float))
-        out = slots[-1]
-        if np.ndim(out) == 0 and arrays and np.ndim(arrays[0]) > 0:
-            out = np.full(np.shape(arrays[0]), float(out))
-        return np.asarray(out, dtype=float)
+        shape = np.shape(arrays[0]) if arrays else (1,)
+        out = np.empty((nroots,) + shape)
+        slots: list = [None] * nslots
+        for k, value in consts:
+            slots[k] = value
+        for k, pos in loads:
+            slots[k] = np.asarray(arrays[pos], dtype=float)
+        for k, rows in loaded_roots:
+            out[rows] = slots[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for f, k, a, b, free, rows in steps:
+                v = slots[k] = f(slots[a]) if b < 0 else f(slots[a], slots[b])
+                for r in rows:
+                    out[r] = v
+                for slot in free:
+                    slots[slot] = None
+        return out[0] if single else out
 
     return fn
 
@@ -989,23 +985,3 @@ def _try_pow_division(num: Expression, den_pow: Expression) -> Expression | None
     if divided == k:
         return left
     return mul(left, pow_(den_pow.base, Fraction(-(k - divided))))
-
-
-def free_variables(e: Expression) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_variables(e.a) | free_variables(e.b)
-    if isinstance(e, Neg):
-        return free_variables(e.a)
-    if isinstance(e, Pow):
-        return free_variables(e.base)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    raise TypeError(f"not an Expression: {e!r}")
-
-
-def is_const(e: Expression) -> bool:
-    return isinstance(e, Const)

@@ -42,7 +42,6 @@ __all__ = [
     "structure_checks",
     "load_structure",
     "load_structure_text",
-    "builtin_names",
     "sample_box_points",
     "sym_det",
     "pfaffian_minors",
@@ -82,12 +81,13 @@ def _max_abs(arrays) -> float:
 
 
 def _evaluate(fn, points: np.ndarray) -> np.ndarray:
-    """A function compiled by expr.compile_expression at points (N, dim):
-    one value per point, also for a constant."""
+    """A tape compiled by expr.compile_expression at points (N, dim), the
+    point axis last.  In lie mode (no coordinates) the tape computes one
+    point, which stands for every point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.asarray(fn(*points.T), dtype=float)
-    if out.ndim == 0:
-        out = np.full(points.shape[0], float(out))
+    out = fn(*points.T)
+    if out.shape[-1] != points.shape[0]:
+        out = np.repeat(out, points.shape[0], axis=-1)
     return out
 
 
@@ -404,36 +404,31 @@ class ContactStructure:
 
     # -- numeric evaluation -------------------------------------------------
 
+    def _tape(self, roots: list[Expression]):
+        """The compiled tape of a list of roots, cached once per structure
+        under the identities of the roots."""
+        key = tuple(map(id, roots))
+        hit = self._compiled.get(key)
+        if hit is None or not all(map(operator.is_, hit[0], roots)):
+            hit = self._compiled[key] = (tuple(roots), ex.compile_expression(roots, self.coords))
+        return hit[1]
+
     def eval_scalar(self, e: Expression, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation of one expression at points (N, dim)."""
-        key = id(e)
-        hit = self._compiled.get(key)
-        if hit is None or hit[0] is not e:
-            hit = self._compiled[key] = (e, ex.compile_expression(e, self.coords))
-        return _evaluate(hit[1], points)
-
-    def eval_scalar_at(self, e: Expression, point) -> float:
-        return float(self.eval_scalar(e, np.asarray(point, dtype=float)[None, :])[0])
+        return self.eval_table(e, points)
 
     def eval_table(self, exprs, points: np.ndarray) -> np.ndarray:
-        """Evaluate a nested list structure of expressions; returns an array
-        with the list shape as leading axes and the point axis last."""
-        if isinstance(exprs, Expression):
-            return self.eval_scalar(exprs, points)
-        return np.stack([self.eval_table(sub, points) for sub in exprs])
+        """Evaluate an expression or a nested list structure of them through
+        one tape; returns an array with the list shape as leading axes and
+        the point axis last."""
+        table = np.array(exprs, dtype=object)
+        vals = _evaluate(self._tape(table.ravel().tolist()), points)
+        return vals.reshape(table.shape + vals.shape[-1:])
 
     def basis_matrix_at(self, points: np.ndarray) -> np.ndarray:
         """(N, dim, dim) arrays with columns e_1..e_2n, xi at each point."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = self.frame + [self.reeb]
-        vals = np.stack(
-            [
-                np.stack([self.eval_scalar(c, points) for c in vec], axis=-1)
-                for vec in cols
-            ],
-            axis=-1,
-        )
-        return vals
+        vals = self.eval_table(self.frame + [self.reeb], points)  # (column, row, N)
+        return np.ascontiguousarray(vals.transpose(2, 1, 0))
 
     # -- symbolic helpers ---------------------------------------------------
 
@@ -611,9 +606,19 @@ def structure_checks(s: ContactStructure, pts: np.ndarray) -> dict[str, float]:
     }
 
 
+# Points of the default special-certification set: the 5^dim grid up to
+# dim 7; above, where that grid would outgrow memory (5^11 points of 11
+# floats take 4.3 GB), the origin and a seeded sample in the box.
+MAX_SPECIAL_POINTS = 5**7
+
+
 def _default_special_grid(s: ContactStructure) -> np.ndarray:
     if s.mode == "lie":
         return np.zeros((1, 0))
+    if 5**s.dim > MAX_SPECIAL_POINTS:
+        return np.vstack(
+            [np.zeros((1, s.dim)), sample_box_points(s.dim, MAX_SPECIAL_POINTS - 1)]
+        )
     axes = [np.linspace(-1.0, 1.0, 5)] * s.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -903,17 +908,11 @@ def load_structure_text(text: str, name: str = "", seed: int = 0) -> ContactStru
 
 
 def _check_frame_rank(frame, coords, samples) -> None:
-    vals = np.stack(
-        [
-            np.stack([_evaluate(ex.compile_expression(c, coords), samples) for c in vec], axis=-1)
-            for vec in frame
-        ],
-        axis=1,
-    )  # (N, 2n, dim)
-    for row in vals:
-        sv = np.linalg.svd(row, compute_uv=False)
-        if sv[-1] < 1e-9:
-            raise StructureError("frame is linearly dependent at a sample point")
+    flat = ex.compile_expression([c for vec in frame for c in vec], coords)
+    vals = _evaluate(flat, samples).reshape(len(frame), len(coords), -1)  # (2n, dim, N)
+    sv = np.linalg.svd(vals.transpose(2, 0, 1), compute_uv=False)
+    if np.min(sv[:, -1]) < 1e-9:
+        raise StructureError("frame is linearly dependent at a sample point")
 
 
 # -- builtins ---------------------------------------------------------------
@@ -972,10 +971,6 @@ coords = x, y, z
 X1 = (1 + x^2 - y^2 - z^2)/4, (x*y + z)/2, (x*z - y)/2
 X2 = (x*y - z)/2, (1 - x^2 + y^2 - z^2)/4, (y*z + x)/2
 """
-
-
-def builtin_names() -> list[str]:
-    return ["heisenberg:<n>", "su2", "su2:chart"]
 
 
 def builtin_text(name: str) -> str | None:

@@ -92,6 +92,9 @@ MAX_STEPS = 10**6
 # Matrix entries (points x rows x unknowns) of the f_q stack one scan block
 # assembles and ranks; bounds the scan's memory whatever the grid size.
 SCAN_BLOCK = 2**16
+# Entries (rows x unknowns) of f_q at one point: 128 MB of floats.  Order 2
+# of heisenberg:4 (about 1.1e7 entries) fits, that of heisenberg:5 does not.
+MAX_FQ_ENTRIES = 2**24
 
 
 class TransportInputError(ValueError):
@@ -266,10 +269,9 @@ def a_z_matrix(conn: ConnectionData, Z: list[Expression], q) -> AZResult:
     q = _as_point(s, q)
     pts = q[None, :]
     zh, z0 = s.decompose(Z)
-    X = np.array([s.eval_scalar(e, pts)[0] for e in zh])
+    X = s.eval_table(zh, pts)[:, 0]
     c = float(s.eval_scalar(s.alpha_of(Z), pts)[0])
-    Af = a_z_field(conn, Z)
-    A_raw = np.array([[s.eval_scalar(Af[k][j], pts)[0] for j in range(s.h)] for k in range(s.h)])
+    A_raw = s.eval_table(a_z_field(conn, Z), pts)[..., 0]
     contact = _max_abs(s.eval_scalar(s.alpha_of(s.bracket(Z, e)), pts) for e in s.frame)
     skew = _max_abs([A_raw + A_raw.T])
     A = 0.5 * (A_raw - A_raw.T)  # exact for Killing Z; projection otherwise
@@ -322,17 +324,24 @@ def derivation_apply(
 # ---------------------------------------------------------------------------
 
 
-def _tensor_value_cache(cd: CurvatureData, m: int, points: np.ndarray) -> dict:
+def _tensor_value_cache(
+    cd: CurvatureData, m: int, points: np.ndarray, cache: dict | None = None
+) -> dict:
+    """Values at points of nabla^i T ("R", "B"), nabla^(i+1) T ("Rn", "Bn")
+    and nabla_xi nabla^i T ("Rxi", "Bxi") for T = R, dalpha and i <= m.
+    Extends cache in place when one is given: each tensor goes through
+    eval_tensor once, and ("Rn", i) is the array of ("R", i + 1)."""
     higher_derivatives(cd, m + 1)
     s = cd.structure
-    cache: dict = {}
-    for i in range(m + 1):
-        cache[("R", i)] = eval_tensor(s, cd.nabla_R[i], points)
-        cache[("Rn", i)] = eval_tensor(s, cd.nabla_R[i + 1], points)
-        cache[("Rxi", i)] = eval_tensor(s, cd.xi_R[i], points)
-        cache[("B", i)] = eval_tensor(s, cd.nabla_dalpha[i], points)
-        cache[("Bn", i)] = eval_tensor(s, cd.nabla_dalpha[i + 1], points)
-        cache[("Bxi", i)] = eval_tensor(s, cd.xi_dalpha[i], points)
+    cache = {} if cache is None else cache
+    for key, tower, xi_tower in (("R", cd.nabla_R, cd.xi_R), ("B", cd.nabla_dalpha, cd.xi_dalpha)):
+        for i in range(m + 2):
+            if (key, i) not in cache:
+                cache[(key, i)] = eval_tensor(s, tower[i], points)
+        for i in range(m + 1):
+            if (key + "xi", i) not in cache:
+                cache[(key + "xi", i)] = eval_tensor(s, xi_tower[i], points)
+            cache[(key + "n", i)] = cache[(key, i + 1)]
     return cache
 
 
@@ -395,6 +404,19 @@ def _kernel(M: np.ndarray, rel: float, floor: float) -> tuple[int, np.ndarray, n
     return ncols - rank, Vh[rank:], sv
 
 
+def _check_fq_size(n: int, m: int) -> None:
+    """BudgetError when f_q of order m at one point, rows x unknowns, would
+    have more than MAX_FQ_ENTRIES entries.  Row block i holds nabla^i R and
+    nabla^i dalpha: h^(4+i) + h^(2+i) rows."""
+    h = 2 * n
+    size = sum(h ** (4 + i) + h ** (2 + i) for i in range(m + 1)) * ambient_dimension(n)
+    if size > MAX_FQ_ENTRIES:
+        raise BudgetError(
+            f"f_q of order {m} would have {size} entries at a point, over the "
+            f"budget {MAX_FQ_ENTRIES}"
+        )
+
+
 def generator_space(
     cd: CurvatureData,
     q,
@@ -422,13 +444,17 @@ def generator_space(
             f"the configured bound {cd.max_order}"
         )
 
+    # auto needs order 2 at least: the certificate is three equal dims
+    _check_fq_size(s.n, target if not auto else min(target, 2))
     dims: list[int] = []
     kernel_basis: np.ndarray | None = None
     sv: np.ndarray = np.zeros(0)
     m_used = 0
     certified = False
+    cache: dict = {}
     for m in range(target + 1):
-        cache = _tensor_value_cache(cd, m, pts)
+        _check_fq_size(s.n, m)
+        _tensor_value_cache(cd, m, pts, cache)
         M = _assemble_map(cd, m, cache, 0)
         dim, kernel_basis, sv = _kernel(M, rel_threshold, abs_floor)
         dims.append(dim)
@@ -883,10 +909,10 @@ def verify_killing(
     Af = a_z_field(conn, Z)
     rec("a_skew", (ex.add(Af[k][j], Af[j][k]) for k in range(h) for j in range(k, h)))
 
-    A_tensor = HTensor(components=_matrix_to_tensor(Af, h), n_upper=1)
+    A_tensor = HTensor.from_dense(_matrix_to_tensor(Af, h), n_upper=1)
 
-    # (d) nabla_xi A_Z = 0
-    rec("a_parallel_xi", covariant_derivative(conn, A_tensor, 0).components.ravel())
+    # (d) nabla_xi A_Z = 0; the entries left out are literal zeros
+    rec("a_parallel_xi", covariant_derivative(conn, A_tensor, 0).entries.values())
 
     # (e) nabla_{e_a} A_Z = R(Z, e_a) = R(PZ, e_a)
     zh, z0 = s.decompose(Z)
@@ -897,8 +923,8 @@ def verify_killing(
             for k in range(h):
                 rz = ZERO
                 for b in range(h):
-                    rz = ex.add(rz, ex.mul(zh[b], cd.R.components[b, a, j, k]))
-                terms.append(ex.sub(da.components[j, k], rz))
+                    rz = ex.add(rz, ex.mul(zh[b], cd.R[b, a, j, k]))
+                terms.append(ex.sub(da[j, k], rz))
     rec("a_derivative_curvature", terms)
 
     # (f) nabla_V PZ + A_Z V for V = e_a and V = xi
@@ -971,13 +997,7 @@ def verify_killing_field(
     dA = np.stack([np.gradient(Ag, spac[i], axis=i) for i in range(dim)])
     dc = np.stack([np.gradient(cg, spac[i], axis=i) for i in range(dim)])
 
-    frame_vals = np.stack(
-        [
-            np.stack([s.eval_scalar(comp, points) for comp in vec], axis=-1)
-            for vec in s.frame
-        ],
-        axis=0,
-    ).reshape((h,) + shape + (dim,))
+    frame_vals = np.moveaxis(s.eval_table(s.frame, points), 1, -1).reshape((h,) + shape + (dim,))
     Gh, _, Rv, Bv = _connection_at(cd, points)
     Gh = Gh.reshape((h, h, h) + shape)
     Rv = Rv.reshape((h, h, h, h) + shape)
@@ -1062,13 +1082,8 @@ def pushforward_generator(
     s = cd.structure
     q = gen.q
     pts = q[None, :]
-    phi_q = np.array([s.eval_scalar(e, pts)[0] for e in phi])
-    jac = np.array(
-        [
-            [s.eval_scalar(ex.differentiate(phi[i], cname), pts)[0] for cname in s.coords]
-            for i in range(s.dim)
-        ]
-    )
+    phi_q = s.eval_table(phi, pts)[:, 0]
+    jac = s.eval_table([[ex.differentiate(f, c) for c in s.coords] for f in phi], pts)[..., 0]
     Mq = s.basis_matrix_at(pts)[0]
     Mphi = s.basis_matrix_at(phi_q[None, :])[0]
     T = np.linalg.solve(Mphi, jac @ Mq)

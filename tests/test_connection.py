@@ -99,7 +99,7 @@ class TestCovariantDerivative:
         for j in range(h):
             for k in range(h):
                 comps[j, k] = ex.ONE if j == k else ex.ZERO
-        delta = HTensor(components=comps, n_upper=1)
+        delta = HTensor.from_dense(comps, n_upper=1)
         for direction in range(h + 1):
             d = covariant_derivative(su2_cd.connection, delta, direction)
             assert all(str(c) == "0" for c in d.components.ravel())
