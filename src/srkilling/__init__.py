@@ -3,8 +3,6 @@ contact form and Reeb field, the canonical metric torsion-free connection
 and its curvature, isometry generator spaces, and numerical transport and
 reconstruction of infinitesimal isometries."""
 
-import types
-
 __version__ = "0.1.0"
 
 from .expr import (
@@ -59,8 +57,20 @@ from .killing import (
     verify_killing_field,
 )
 
-# the public names are the ones imported above
-__all__ = ["__version__"] + [
-    name for name, value in list(globals().items())
-    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+__all__ = [
+    "__version__",
+    # expr
+    "Expression", "ExprError", "ParseError", "EvalError", "parse_expression", "differentiate",
+    "evaluate", "compile_expression",
+    # frame
+    "ContactStructure", "Brackets", "SpecialReport", "StructureError", "OrientationError",
+    "NotContactError", "load_structure", "load_structure_text", "lie_bracket", "check_special",
+    # connection
+    "ConnectionData", "CurvatureData", "HTensor", "NotSpecialError", "BudgetError",
+    "compute_connection", "covariant_derivative", "curvature", "higher_derivatives",
+    "verify_geometry",
+    # killing
+    "Generator", "GeneratorSpace", "Curve", "Grid", "DiscreteField", "a_z_matrix",
+    "derivation_apply", "generator_space", "transport", "path_independence", "reconstruct_field",
+    "verify_killing", "verify_killing_field", "scan_regularity", "riemannian_extension_check",
 ]

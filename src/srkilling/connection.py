@@ -51,7 +51,20 @@ class NotSpecialError(Exception):
 
 class BudgetError(MemoryError):
     """A derivative order, a stored tower or a dense array over its
-    configured bound; raised before the work over the bound is kept."""
+    configured bound; raised before the memory over the bound is taken."""
+
+
+# Float entries of one dense array, a tensor at points or f_q at a point:
+# 128 MB.  f_q of order 2 fits for heisenberg:4 (1.1e7), not heisenberg:5.
+MAX_DENSE_ENTRIES = 2**24
+
+
+def check_dense(entries: int, what: str) -> None:
+    """BudgetError when a dense array of what is over MAX_DENSE_ENTRIES."""
+    if entries > MAX_DENSE_ENTRIES:
+        raise BudgetError(
+            f"{what} would have {entries} dense entries, over the budget {MAX_DENSE_ENTRIES}"
+        )
 
 
 @dataclass(repr=False)
@@ -89,8 +102,7 @@ class HTensor:
     def components(self) -> np.ndarray:
         """Every component as a dense object array, zeros included: h^rank
         entries, for inspection only."""
-        out = np.empty(self.shape, dtype=object)
-        out[...] = ZERO
+        out = np.full(self.shape, ZERO, dtype=object)
         for idx, e in self.entries.items():
             out[idx] = e
         return out
@@ -236,9 +248,10 @@ def _axiom_residuals(conn: ConnectionData, points: np.ndarray) -> tuple[float, f
 
 
 def covariant_derivative(
-    conn: ConnectionData, T: HTensor, direction: int
+    conn: ConnectionData, T: HTensor, direction: int, room: int | None = None
 ) -> HTensor:
     """(nabla_direction T) in frame components; direction 0 means xi.
+    BudgetError as soon as the result would hold more than room entries.
 
     Each lower slot contracts -Gamma, each upper slot +Gamma, plus the
     frame derivative of the scalar components.  Only the stored entries of
@@ -276,6 +289,8 @@ def covariant_derivative(
         acc = ex.normalize(acc)
         if not _is_zero(acc):
             out[idx] = acc
+            if room is not None and len(out) > room:
+                raise BudgetError(f"the stored nonzero components pass the budget at rank {T.rank}")
     return HTensor(out, h, T.rank, T.n_upper)
 
 
@@ -283,12 +298,13 @@ def _is_zero(e: Expression) -> bool:
     return isinstance(e, Const) and e.value == 0
 
 
-def _extend_with_horizontal_slot(conn: ConnectionData, T: HTensor) -> HTensor:
-    """nabla T with the new direction slot leading, horizontal only."""
+def _extend_with_horizontal_slot(conn: ConnectionData, T: HTensor, room: int) -> HTensor:
+    """nabla T with the new direction slot leading, horizontal only, of at
+    most room entries (BudgetError)."""
     h = conn.structure.h
     entries = {}
     for a in range(h):
-        for idx, e in covariant_derivative(conn, T, a + 1).entries.items():
+        for idx, e in covariant_derivative(conn, T, a + 1, room - len(entries)).entries.items():
             entries[(a,) + idx] = e
     return HTensor(entries, h, T.rank + 1, T.n_upper)
 
@@ -315,8 +331,7 @@ def curvature(conn: ConnectionData) -> CurvatureData:
     s = conn.structure
     h = s.h
     c_0 = s.brackets.c_0
-    comps = np.empty((h, h, h, h), dtype=object)
-    comps[...] = ZERO
+    comps = np.full((h, h, h, h), ZERO, dtype=object)
     for a in range(h):
         for b in range(a + 1, h):
             for j in range(h):
@@ -335,43 +350,42 @@ def curvature(conn: ConnectionData) -> CurvatureData:
 def higher_derivatives(cd: CurvatureData, order: int) -> CurvatureData:
     """Extend the nabla^i caches through i <= order, plus the one-step
     xi-derivatives of every cached tensor.  New slots for i >= 1 take only
-    horizontal directions (the horizontal tensor algebra convention).  An
-    order whose tensors would take the stored nonzero expressions over
-    max_components is built but not kept: BudgetError."""
+    horizontal directions (the horizontal tensor algebra convention).  The
+    stored nonzero expressions are counted as they are built: BudgetError
+    as soon as they would pass max_components, and the order is not kept."""
     if order > cd.max_order:
         raise BudgetError(
             f"derivative order {order} exceeds the configured bound {cd.max_order}"
         )
     conn = cd.connection
-    if not cd.nabla_R:
-        cd.nabla_R.append(cd.R)
-        cd.nabla_dalpha.append(cd.dalpha)
-        cd.xi_R.append(covariant_derivative(conn, cd.R, 0))
-        cd.xi_dalpha.append(covariant_derivative(conn, cd.dalpha, 0))
+    towers = (cd.nabla_R, cd.nabla_dalpha, cd.xi_R, cd.xi_dalpha)
     while cd.order < order:
-        dR = _extend_with_horizontal_slot(conn, cd.nabla_R[-1])
-        dB = _extend_with_horizontal_slot(conn, cd.nabla_dalpha[-1])
-        new = (dR, dB, covariant_derivative(conn, dR, 0), covariant_derivative(conn, dB, 0))
-        total = cd.stored() + sum(len(T.entries) for T in new)
-        if total > cd.max_components:
-            raise BudgetError(
-                f"nabla^{cd.order + 1} R would take the stored nonzero components to "
-                f"{total}, over the budget {cd.max_components}"
-            )
-        for tower, T in zip((cd.nabla_R, cd.nabla_dalpha, cd.xi_R, cd.xi_dalpha), new):
+        new = [] if cd.nabla_R else [cd.R, cd.dalpha]
+
+        def room() -> int:
+            return cd.max_components - cd.stored() - sum(len(T.entries) for T in new)
+
+        for T in cd.nabla_R[-1:] + cd.nabla_dalpha[-1:]:
+            new.append(_extend_with_horizontal_slot(conn, T, room()))
+        for T in new[:2]:
+            new.append(covariant_derivative(conn, T, 0, room()))
+        for tower, T in zip(towers, new):
             tower.append(T)
     return cd
 
 
 def eval_tensor(s: ContactStructure, T: HTensor, points: np.ndarray) -> np.ndarray:
-    """Numeric components at points: float array T.shape + (N,).  The
-    stored entries go through one tape and are scattered into zeros."""
+    """Numeric components at points: float array T.shape + (N,), refused
+    over MAX_DENSE_ENTRIES (BudgetError).  The stored entries go through
+    one tape and are scattered into zeros."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((T.h**T.rank, points.shape[0]))
+    npts = points.shape[0]
+    check_dense(T.h**T.rank * npts, f"a rank-{T.rank} tensor at {npts} points")
+    out = np.zeros((T.h**T.rank, npts))
     if T.entries:
         flat = np.ravel_multi_index(np.array(list(T.entries)).T, T.shape)
         out[flat] = s.eval_table(list(T.entries.values()), points)
-    return out.reshape(T.shape + (points.shape[0],))
+    return out.reshape(T.shape + (npts,))
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +412,7 @@ def verify_geometry(
     records: list[CheckRecord] = []
 
     def rec(name: str, residual: float) -> None:
-        records.append(
-            CheckRecord(
-                check=name,
-                max_residual=float(residual),
-                points_tested=npts,
-                pass_=bool(residual < tol),
-            )
-        )
+        records.append(CheckRecord(name, float(residual), npts, bool(residual < tol)))
 
     # (a) metricity and torsion
     metricity, torsion = _axiom_residuals(conn, points)
@@ -415,18 +422,12 @@ def verify_geometry(
     Rv = eval_tensor(s, cd.R, points)  # [a,b,j,k,N]
 
     # (b) first Bianchi: R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0
-    first = Rv + np.transpose(Rv, (1, 2, 0, 3, 4)) + np.transpose(Rv, (2, 0, 1, 3, 4))
-    rec("bianchi_first", _max_abs([first]))
+    rec("bianchi_first", _max_abs([_cyclic_sum(Rv)]))
 
     # (c) second Bianchi: (nabla_X R)(Y,Z) + cyclic = 0
     higher_derivatives(cd, 1)
     dRv = eval_tensor(s, cd.nabla_R[1], points)  # [v,a,b,j,k,N]
-    second = (
-        dRv
-        + np.transpose(dRv, (1, 2, 0, 3, 4, 5))
-        + np.transpose(dRv, (2, 0, 1, 3, 4, 5))
-    )
-    rec("bianchi_second", _max_abs([second]))
+    rec("bianchi_second", _max_abs([_cyclic_sum(dRv)]))
 
     # (d) R(xi, e_b) = 0 via the curvature formula with Z = xi
     c0_h = s.brackets.c0_h
@@ -444,11 +445,12 @@ def verify_geometry(
 
     # (f) cyclic identity for nabla dalpha
     dBv = eval_tensor(s, cd.nabla_dalpha[1], points)  # [v,a,b,N]
-    cyc = (
-        dBv
-        + np.transpose(dBv, (1, 2, 0, 3))
-        + np.transpose(dBv, (2, 0, 1, 3))
-    )
-    rec("dalpha_bianchi", _max_abs([cyc]))
+    rec("dalpha_bianchi", _max_abs([_cyclic_sum(dBv)]))
 
     return records
+
+
+def _cyclic_sum(T: np.ndarray) -> np.ndarray:
+    """T plus T with its first three axes cycled once and twice."""
+    rest = tuple(range(3, T.ndim))
+    return T + np.transpose(T, (1, 2, 0) + rest) + np.transpose(T, (2, 0, 1) + rest)

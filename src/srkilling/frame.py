@@ -42,6 +42,7 @@ __all__ = [
     "structure_checks",
     "load_structure",
     "load_structure_text",
+    "builtin_names",
     "sample_box_points",
     "sym_det",
     "pfaffian_minors",
@@ -607,18 +608,16 @@ def structure_checks(s: ContactStructure, pts: np.ndarray) -> dict[str, float]:
 
 
 # Points of the default special-certification set: the 5^dim grid up to
-# dim 7; above, where that grid would outgrow memory (5^11 points of 11
+# dim 9; above, where that grid would outgrow memory (5^11 points of 11
 # floats take 4.3 GB), the origin and a seeded sample in the box.
-MAX_SPECIAL_POINTS = 5**7
+MAX_SPECIAL_POINTS = 5**9
 
 
 def _default_special_grid(s: ContactStructure) -> np.ndarray:
     if s.mode == "lie":
         return np.zeros((1, 0))
     if 5**s.dim > MAX_SPECIAL_POINTS:
-        return np.vstack(
-            [np.zeros((1, s.dim)), sample_box_points(s.dim, MAX_SPECIAL_POINTS - 1)]
-        )
+        return np.vstack([np.zeros((1, s.dim)), sample_box_points(s.dim, MAX_SPECIAL_POINTS - 1)])
     axes = [np.linspace(-1.0, 1.0, 5)] * s.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -971,6 +970,10 @@ coords = x, y, z
 X1 = (1 + x^2 - y^2 - z^2)/4, (x*y + z)/2, (x*z - y)/2
 X2 = (x*y - z)/2, (1 - x^2 + y^2 - z^2)/4, (y*z + x)/2
 """
+
+
+def builtin_names() -> list[str]:
+    return ["heisenberg:<n>", "su2", "su2:chart"]
 
 
 def builtin_text(name: str) -> str | None:

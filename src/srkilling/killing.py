@@ -52,6 +52,7 @@ from .connection import (
     ConnectionData,
     CurvatureData,
     HTensor,
+    check_dense,
     covariant_derivative,
     eval_tensor,
     higher_derivatives,
@@ -92,9 +93,6 @@ MAX_STEPS = 10**6
 # Matrix entries (points x rows x unknowns) of the f_q stack one scan block
 # assembles and ranks; bounds the scan's memory whatever the grid size.
 SCAN_BLOCK = 2**16
-# Entries (rows x unknowns) of f_q at one point: 128 MB of floats.  Order 2
-# of heisenberg:4 (about 1.1e7 entries) fits, that of heisenberg:5 does not.
-MAX_FQ_ENTRIES = 2**24
 
 
 class TransportInputError(ValueError):
@@ -404,17 +402,10 @@ def _kernel(M: np.ndarray, rel: float, floor: float) -> tuple[int, np.ndarray, n
     return ncols - rank, Vh[rank:], sv
 
 
-def _check_fq_size(n: int, m: int) -> None:
-    """BudgetError when f_q of order m at one point, rows x unknowns, would
-    have more than MAX_FQ_ENTRIES entries.  Row block i holds nabla^i R and
-    nabla^i dalpha: h^(4+i) + h^(2+i) rows."""
-    h = 2 * n
-    size = sum(h ** (4 + i) + h ** (2 + i) for i in range(m + 1)) * ambient_dimension(n)
-    if size > MAX_FQ_ENTRIES:
-        raise BudgetError(
-            f"f_q of order {m} would have {size} entries at a point, over the "
-            f"budget {MAX_FQ_ENTRIES}"
-        )
+def _fq_rows(h: int, m: int) -> int:
+    """Rows of f_q of order m, as _assemble_block lays them out: block i
+    holds nabla^i R and nabla^i dalpha, h^(4+i) + h^(2+i) rows."""
+    return sum(h ** (4 + i) + h ** (2 + i) for i in range(m + 1))
 
 
 def generator_space(
@@ -444,8 +435,11 @@ def generator_space(
             f"the configured bound {cd.max_order}"
         )
 
-    # auto needs order 2 at least: the certificate is three equal dims
-    _check_fq_size(s.n, target if not auto else min(target, 2))
+    # before any tensor is evaluated; auto needs order 2 at least: the
+    # certificate is three equal dims
+    nunk = ambient_dimension(s.n)
+    first = min(target, 2) if auto else target
+    check_dense(_fq_rows(s.h, first) * nunk, f"f_q of order {first} at a point")
     dims: list[int] = []
     kernel_basis: np.ndarray | None = None
     sv: np.ndarray = np.zeros(0)
@@ -453,7 +447,7 @@ def generator_space(
     certified = False
     cache: dict = {}
     for m in range(target + 1):
-        _check_fq_size(s.n, m)
+        check_dense(_fq_rows(s.h, m) * nunk, f"f_q of order {m} at a point")
         _tensor_value_cache(cd, m, pts, cache)
         M = _assemble_map(cd, m, cache, 0)
         dim, kernel_basis, sv = _kernel(M, rel_threshold, abs_floor)
@@ -533,8 +527,7 @@ def scan_regularity(
     m = gs0.m_used
     cache = _tensor_value_cache(cd, m, points)
     nunk = ambient_dimension(s.n)
-    rows = sum(cache[(key, i)][..., 0].size for i in range(m + 1) for key in ("R", "B"))
-    block = max(1, SCAN_BLOCK // (rows * nunk))
+    block = max(1, SCAN_BLOCK // (_fq_rows(s.h, m) * nunk))
     dims = np.empty(npts, dtype=int)
     for start in range(0, npts, block):
         sel = slice(start, start + block)
@@ -909,7 +902,7 @@ def verify_killing(
     Af = a_z_field(conn, Z)
     rec("a_skew", (ex.add(Af[k][j], Af[j][k]) for k in range(h) for j in range(k, h)))
 
-    A_tensor = HTensor.from_dense(_matrix_to_tensor(Af, h), n_upper=1)
+    A_tensor = HTensor.from_dense(np.array(Af, dtype=object).T, n_upper=1)  # [lower j, upper k]
 
     # (d) nabla_xi A_Z = 0; the entries left out are literal zeros
     rec("a_parallel_xi", covariant_derivative(conn, A_tensor, 0).entries.values())
@@ -962,14 +955,6 @@ def _killing_metric_terms(dec: list, h: int) -> list[Expression]:
     return [ex.add(dec[i][0][j], dec[j][0][i]) for i in range(h) for j in range(i, h)]
 
 
-def _matrix_to_tensor(M: list[list[Expression]], h: int) -> np.ndarray:
-    out = np.empty((h, h), dtype=object)
-    for j in range(h):
-        for k in range(h):
-            out[j, k] = M[k][j]  # tensor stores [lower j, upper k]
-    return out
-
-
 def verify_killing_field(
     cd: CurvatureData,
     fieldv: DiscreteField,
@@ -1003,13 +988,8 @@ def verify_killing_field(
     Rv = Rv.reshape((h, h, h, h) + shape)
     Bv = Bv.reshape((h, h) + shape)
 
-    interior = np.ones(shape, dtype=bool)
-    for ax in range(dim):
-        sl = [slice(None)] * dim
-        sl[ax] = 0
-        interior[tuple(sl)] = False
-        sl[ax] = shape[ax] - 1
-        interior[tuple(sl)] = False
+    interior = np.zeros(shape, dtype=bool)
+    interior[(slice(1, -1),) * dim] = True
 
     res_x, res_a, res_c = [], [], []
     for a in range(h):
@@ -1064,14 +1044,7 @@ def riemannian_extension_check(
         + [dec[h][1]]
     )
     worst = _max_abs(s.eval_scalar(e, points) for e in terms)
-    return [
-        CheckRecord(
-            "riemannian_extension",
-            worst,
-            int(points.shape[0]),
-            bool(worst < tol),
-        )
-    ]
+    return [CheckRecord("riemannian_extension", worst, int(points.shape[0]), bool(worst < tol))]
 
 
 def pushforward_generator(

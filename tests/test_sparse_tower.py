@@ -15,17 +15,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srkilling import connection, frame, killing
 from srkilling import expr as ex
-from srkilling import killing
 from srkilling.cli import main
 from srkilling.connection import (
     BudgetError,
+    HTensor,
+    NotSpecialError,
     compute_connection,
+    covariant_derivative,
     curvature,
     eval_tensor,
     higher_derivatives,
 )
-from srkilling.frame import load_structure, load_structure_text
+from srkilling.frame import check_special, load_structure, load_structure_text
 from srkilling.killing import generator_space
 
 import tower_reference as ref
@@ -94,15 +97,82 @@ def test_heisenberg_5_is_refused_before_any_tensor_is_evaluated(monkeypatch):
     assert "budget" in rep["error"]["message"]
 
 
-def test_stored_nonzeros_are_bounded():
+def test_stored_nonzeros_are_bounded(monkeypatch):
+    """The count is checked as the entries are built: with room for 10 the
+    first direction of nabla^2 R (more than 10 entries) already stops the
+    order, before the other direction is differentiated."""
     cd = tower_of(lambda: load_structure_text(WARPED), 1)
     stored = cd.stored()
+    calls = []
+
+    def counted(conn, T, direction, room=None):
+        calls.append(direction)
+        return covariant_derivative(conn, T, direction, room)
+
+    monkeypatch.setattr(connection, "covariant_derivative", counted)
     cd.max_components = stored + 10
     with pytest.raises(BudgetError, match="stored nonzero"):
         higher_derivatives(cd, 2)
+    assert calls == [1]
     assert cd.order == 1 and cd.stored() == stored
     cd.max_components = 10**6
     assert higher_derivatives(cd, 2).order == 2
+    assert len(cd.nabla_R[2].entries) > 10
+
+
+@pytest.fixture
+def no_dense_over_budget(monkeypatch):
+    """np.zeros refuses any array over MAX_DENSE_ENTRIES: the budget must
+    stop such an array before it is allocated."""
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) > connection.MAX_DENSE_ENTRIES:
+            raise AssertionError(f"dense array of shape {shape} allocated")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)
+
+
+def test_eval_tensor_refuses_a_dense_array_over_the_budget(monkeypatch, no_dense_over_budget):
+    monkeypatch.setattr(connection, "MAX_DENSE_ENTRIES", 3 * 4096)
+    s = load_structure("heisenberg:1")
+    T = HTensor({(0,) * 12: ex.ONE}, 2, 12, 1)  # 4096 entries at each point
+    assert eval_tensor(s, T, np.zeros((3, 3))).shape == T.shape + (3,)
+    with pytest.raises(BudgetError, match="dense entries"):
+        eval_tensor(s, T, np.zeros((4, 3)))
+
+
+def test_curvature_report_reads_only_the_stored_entries(no_dense_over_budget):
+    """nabla^6 R of heisenberg:4 has 8^10 components at a point; the report
+    takes its max over the stored ones, all of them zero here."""
+    code, rep = run("curvature", "heisenberg:4", "--order", "6")
+    assert code == 0
+    assert rep["nabla_R_max_abs"] == [0.0] * 7
+
+
+def test_scan_refuses_tensor_values_over_the_budget(no_dense_over_budget):
+    """R of heisenberg:4 at the 3^9 points of the grid: 8^4 * 3^9 entries."""
+    axes = [f"{c}{i}:-1:1:3" for i in range(1, 5) for c in "xy"] + ["z:-1:1:3"]
+    code, rep = run("scan", "heisenberg:4", "--order", "0", "--grid", ",".join(axes))
+    assert code == 2
+    assert "rank-4 tensor at 19683 points" in rep["error"]["message"]
+
+
+def test_sampled_special_certification_catches_a_non_special_frame(monkeypatch):
+    """X2 = (0, 1 + x^3, x/2) makes the Reeb field Killing at the origin
+    only; the origin plus seeded points of the box find the defect."""
+    s = load_structure_text(
+        "[manifold]\nmode = chart\nn = 1\ncoords = x, y, z\n"
+        "[frame]\nX1 = 1, 0, -y/2\nX2 = 0, 1 + x^3, x/2\n"
+    )
+    assert check_special(s, points=np.zeros((1, 3))).special
+    monkeypatch.setattr(frame, "MAX_SPECIAL_POINTS", 5**2)
+    grid = frame._default_special_grid(s)
+    assert grid.shape == (25, 3) and not grid[0].any()
+    assert not check_special(s).special
+    with pytest.raises(NotSpecialError):
+        compute_connection(s)
 
 
 # ---------------------------------------------------------------------------
