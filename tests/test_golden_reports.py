@@ -1,5 +1,6 @@
 """Byte-identity guard: the sha256 and exit code of the stdout report of
-fixed CLI runs.  A refactor that keeps the numerics must leave every hash
+fixed CLI runs, the transport runs reading input files written into a
+temporary directory.  A refactor that keeps the numerics must leave every hash
 unchanged; a change that alters a report on purpose updates its hash and
 says why.  `dim` is left out: its singular values come from LAPACK and
 differ across platforms."""
@@ -73,5 +74,64 @@ def test_report_is_byte_identical(argv, code, digest):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         got = main(list(argv))
+    assert got == code
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+# Transport reports: the RK4 kernel's output, pinned to the bytes of the
+# dense-operator kernel it replaced.  Each input file is written into
+# tmp_path; "{name}" in argv stands for its path.
+TRANSPORT_FILES = {
+    "heis_gen.toml": "[generator]\nX = 0.5 -0.25\nA = 0.75\nc = 0.125\nat = 0.25, -0.5, 0.125\n",
+    "heis_curve.toml": "[curve]\nt_range = 0 1\ngamma = 1/4 + t/2, -1/2 + t^2/3, 1/8 + t*(1-t)\n",
+    "heis_straight.toml": "[curve]\nt_range = 0 1\ngamma = 1/4 + t/2, -1/2 + t/3, 1/8 + t/4\n",
+    "heis_bent.toml": "[curve]\nt_range = 0 1\ngamma = 1/4 + t/2, -1/2 + t^2/3, 1/8 + t^3/4\n",
+    "su2c_gen.toml": "[generator]\nX = 0.25 -0.5\nA = 0.375\nc = -0.75\nat = 0.125, -0.25, 0.0625\n",
+    "su2c_curve.toml": (
+        "[curve]\nt_range = 0 1.25\ngamma = 1/8 + t/3, -1/4 + t^2/5, 1/16 + t*(1-t)*sin(2*t)\n"
+    ),
+}
+
+GOLDEN_TRANSPORT = [
+    (
+        ("prolong", "heisenberg:1", "--curve", "{heis_curve.toml}", "--gen", "{heis_gen.toml}"),
+        0,
+        "578927117dcaf235cb99d4374351f938a13c14bc288ce7d1c2b1da8310dd8136",
+    ),
+    (
+        (
+            "path-check", "heisenberg:1", "--curve", "{heis_straight.toml}",
+            "--curve", "{heis_bent.toml}", "--gen", "{heis_gen.toml}",
+        ),
+        0,
+        "8d0c15ed7838d67e8b81b46e0f8aad0ed26b678002c6aa9be88d3b2c10cffe66",
+    ),
+    (
+        (
+            "reconstruct", "heisenberg:1", "--gen", "{heis_gen.toml}",
+            "--grid", GRID_3, "--step", "1e-2",
+        ),
+        0,
+        "a95b7ceda2b18d86f6a6c46a3216a4199669f758d9e098672ccb4033a93b28b4",
+    ),
+    (
+        ("prolong", "su2:chart", "--curve", "{su2c_curve.toml}", "--gen", "{su2c_gen.toml}"),
+        0,
+        "851adec45e0883e00b75940e0b2892ff1c624bba1de3a49a545941940765d5a4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN_TRANSPORT, ids=[" ".join(g[0][:2]) for g in GOLDEN_TRANSPORT]
+)
+def test_transport_report_is_byte_identical(tmp_path, argv, code, digest):
+    paths = {}
+    for name, text in TRANSPORT_FILES.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = main([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
     assert got == code
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
