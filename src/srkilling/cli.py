@@ -324,6 +324,8 @@ def cmd_reconstruct(args) -> int:
     cd = curvature(conn)
     gen = load_generator_text(_read_text(args.gen), s)
     grid = _parse_grid(args.grid, s)
+    if any(len(a) < 3 for a in grid.axes):  # before any transport runs
+        raise InputError("reconstruct's finite-difference checks need at least 3 points per axis")
     field = reconstruct_field(cd, gen, grid, step=args.step)
     payload = _structure_header(s)
     payload["grid"] = {
@@ -364,9 +366,11 @@ def cmd_verify(args) -> int:
     except (StructureError, ExprError) as e:
         raise InputError(str(e)) from e
     pts = _sample_points(s, args)
-    records = verify_killing(cd, Z, points=pts, tol=args.field_tol)
-    records += riemannian_extension_check(cd, Z, points=pts, tol=args.field_tol)
     az = a_z_matrix(conn, Z, pts[0] if s.coords else None)
+    # the other checks read az's brackets, so each bracket is built once
+    brackets = az.bracket_data
+    records = verify_killing(cd, Z, pts, args.field_tol, bracket_data=brackets)
+    records += riemannian_extension_check(cd, Z, pts, args.field_tol, bracket_data=brackets)
     report = _structure_header(s)
     report["generator_at_first_point"] = {
         "X": az.gen.X.tolist(),

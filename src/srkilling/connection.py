@@ -9,7 +9,7 @@ obtained by the Koszul trick from metricity (skewness of Gamma in its
 upper/lower horizontal pair) and zero torsion (antisymmetric part equals
 the structure functions); the vertical coefficients are forced by
 nabla_xi X = [xi, X].  Both axioms are re-verified numerically after
-construction (_axiom_residuals, which verify_geometry reports too).
+construction (_axiom_terms, which verify_geometry reports too).
 
 Curvature and the iterated covariant derivatives of R and dalpha live in
 the horizontal tensor algebra: every stored slot is a frame index 1..2n.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -162,6 +163,24 @@ class CurvatureData:
         tensors = self.nabla_R + self.nabla_dalpha + self.xi_R + self.xi_dalpha
         return sum(len(T.entries) for T in tensors)
 
+    @cached_property
+    def transport_coefficients(self) -> tuple[tuple[HTensor, ...], list[Expression]]:
+        """((Gamma_h [a, j, k], Gamma_xi [j, k], R, dalpha) stored as HTensor
+        stores a tensor, their entries in that order as one list of tape
+        roots): every coefficient of the prolongation system that is not a
+        literal zero."""
+        conn = self.connection
+        gammas = (np.array(conn.gamma_h, dtype=object), np.array(conn.gamma_xi, dtype=object))
+        tensors = tuple(HTensor.from_dense(g, n_upper=1) for g in gammas) + (self.R, self.dalpha)
+        return tensors, [e for T in tensors for e in T.entries.values()]
+
+    @cached_property
+    def identity_terms(self) -> tuple[list[Expression], ...]:
+        """The metricity, torsion and R(xi, .) residual expressions that
+        verify_geometry evaluates, built once, so the tape of each is
+        compiled once."""
+        return _axiom_terms(self.connection) + (_reeb_curvature_terms(self.connection),)
+
     def __repr__(self) -> str:
         return (
             f"CurvatureData(structure={self.structure.name[:40]!r}, order={self.order}, "
@@ -213,7 +232,8 @@ def compute_connection(
     ]
     gamma_xi = [[s.brackets.c0_h[j][k] for k in range(h)] for j in range(h)]
     conn = ConnectionData(structure=s, gamma_h=gamma_h, gamma_xi=gamma_xi, special_report=report)
-    worst = _max_abs(_axiom_residuals(conn, s.validation_points()))
+    pts = s.validation_points()
+    worst = _max_abs(s.eval_table(terms, pts) for terms in _axiom_terms(conn))
     if not worst < max(tol, 1e-9):
         raise AssertionError(
             f"internal error: connection axioms violated (residual {worst:.3e})"
@@ -221,29 +241,23 @@ def compute_connection(
     return conn
 
 
-def _axiom_residuals(conn: ConnectionData, points: np.ndarray) -> tuple[float, float]:
-    """(metricity, torsion) at points: max |Gamma^k_aj + Gamma^j_ak| over
-    the directions e_a and xi, and max |Gamma^k_aj - Gamma^k_ja - c^k_aj|."""
+def _axiom_terms(conn: ConnectionData) -> tuple[list[Expression], list[Expression]]:
+    """(metricity, torsion) residual expressions: Gamma^k_aj + Gamma^j_ak
+    over the directions xi and e_a, and Gamma^k_aj - Gamma^k_ja - c^k_aj."""
     s = conn.structure
     h = s.h
-    metricity = _max_abs(
-        s.eval_scalar(ex.add(g[j][k], g[k][j]), points)
+    metricity = [
+        ex.add(g[j][k], g[k][j])
         for g in map(conn.gamma, range(h + 1))
         for j in range(h)
         for k in range(h)
-    )
-    torsion = _max_abs(
-        s.eval_scalar(
-            ex.sub(
-                ex.sub(conn.gamma_h[a][j][k], conn.gamma_h[j][a][k]),
-                s.brackets.c_h[a][j][k],
-            ),
-            points,
-        )
+    ]
+    torsion = [
+        ex.sub(ex.sub(conn.gamma_h[a][j][k], conn.gamma_h[j][a][k]), s.brackets.c_h[a][j][k])
         for a in range(h)
         for j in range(h)
         for k in range(h)
-    )
+    ]
     return metricity, torsion
 
 
@@ -325,6 +339,19 @@ def _curvature_terms(
     return acc
 
 
+def _reeb_curvature_terms(conn: ConnectionData) -> list[Expression]:
+    """R(xi, e_b) e_j in components, [b, j, k] flattened, expanded from the
+    curvature formula with Z = xi."""
+    s = conn.structure
+    h = s.h
+    return [
+        ex.normalize(_curvature_terms(conn, 0, b + 1, j, k, s.brackets.c0_h[b]))
+        for b in range(h)
+        for j in range(h)
+        for k in range(h)
+    ]
+
+
 def curvature(conn: ConnectionData) -> CurvatureData:
     """R^k_ab,j = e_a(G^k_bj) - e_b(G^k_aj) + G^k_am G^m_bj - G^k_bm G^m_aj
     - c^m_ab G^k_mj - c^0_ab G^k_0j, stored as [a,b,j,k]."""
@@ -403,19 +430,20 @@ def verify_geometry(
     R(xi, .) = 0 expanded from the curvature formula, skewness of R, and
     the cyclic identity for nabla dalpha."""
     s = cd.structure
-    conn = cd.connection
     if points is None:
         points = s.validation_points(count=100)
     points = np.atleast_2d(points)
     npts = points.shape[0]
-    h = s.h
     records: list[CheckRecord] = []
 
     def rec(name: str, residual: float) -> None:
         records.append(CheckRecord(name, float(residual), npts, bool(residual < tol)))
 
-    # (a) metricity and torsion
-    metricity, torsion = _axiom_residuals(conn, points)
+    # (a) metricity and torsion, and (d) below; one expression at a time,
+    # so that one row of values is alive, not a list's
+    metricity, torsion, reeb = (
+        _max_abs(s.eval_scalar(e, points) for e in terms) for terms in cd.identity_terms
+    )
     rec("metricity", metricity)
     rec("torsion", torsion)
 
@@ -430,14 +458,7 @@ def verify_geometry(
     rec("bianchi_second", _max_abs([_cyclic_sum(dRv)]))
 
     # (d) R(xi, e_b) = 0 via the curvature formula with Z = xi
-    c0_h = s.brackets.c0_h
-    r_xi = [
-        ex.normalize(_curvature_terms(conn, 0, b + 1, j, k, c0_h[b]))
-        for b in range(h)
-        for j in range(h)
-        for k in range(h)
-    ]
-    rec("curvature_reeb", _max_abs(s.eval_scalar(e, points) for e in r_xi))
+    rec("curvature_reeb", reeb)
 
     # (e) skewness of R(Z,W) w.r.t. g: R^k_ab,j symmetric part in (j,k)
     skew = Rv + np.transpose(Rv, (0, 1, 3, 2, 4))

@@ -26,9 +26,13 @@ the matrix
     K1 = M(t),  K2 = M(t + h/2) (I + h/2 K1),
     K3 = M(t + h/2) (I + h/2 K2),  K4 = M(t + h) (I + h K3)
 
-(Hairer, Norsett & Wanner, Solving ODEs I, II.1).  The kernel builds M and
-P for every curve of a batch and every step of a block with batched matrix
-products, holding at most STAGE_BLOCK stage points, and then applies
+(Hairer, Norsett & Wanner, Solving ODEs I, II.1).  M is built from the
+coefficients that are not literal zeros only, the stored entries of
+Gamma_h, Gamma_xi, R and dalpha, which one compiled tape evaluates per block
+of stage points.  The kernel builds M and P for every curve of a batch and
+every step of a block with batched matrix products, holding at most
+STAGE_BLOCK stage points; a block starts at the previous block's last stage
+and reuses its M, so each stage point is evaluated once.  It then applies
 y <- P y step by step as y + (P - I) y, which rounds once per step as the
 serial loop did.  The full A is transported, so its drift from skew
 stays measurable.  Reconstruction transports a generator from a base point
@@ -235,6 +239,7 @@ class AZResult:
     contact_residual: float  # max_j |alpha([Z,e_j])(q)|
     skew_residual: float  # |A_raw + A_raw^T|, nonzero for non-Killing Z
     A_raw: np.ndarray
+    bracket_data: tuple  # Z's _bracket_data, for the other checks of Z
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +247,18 @@ class AZResult:
 # ---------------------------------------------------------------------------
 
 
-def a_z_field(conn: ConnectionData, Z: list[Expression]) -> list[list[Expression]]:
-    """Symbolic matrix field of A_Z: A[k][j] = <P[Z,e_j] - nabla_Z e_j, e_k>."""
+def a_z_field(
+    conn: ConnectionData, Z: list[Expression], bracket_data: tuple | None = None
+) -> list[list[Expression]]:
+    """Symbolic matrix field of A_Z: A[k][j] = <P[Z,e_j] - nabla_Z e_j, e_k>.
+    bracket_data is Z's _bracket_data when the caller holds it."""
     s = conn.structure
     h = s.h
     zh, z0 = s.decompose(Z)
+    _, dec = bracket_data or _bracket_data(s, Z)
     A = [[ZERO] * h for _ in range(h)]
     for j in range(h):
-        hor, _ = s.decompose(s.bracket(Z, s.frame[j]))
+        hor = dec[j][0]
         for k in range(h):
             acc = hor[k]
             for a in range(h):
@@ -267,14 +276,15 @@ def a_z_matrix(conn: ConnectionData, Z: list[Expression], q) -> AZResult:
     q = _as_point(s, q)
     pts = q[None, :]
     zh, z0 = s.decompose(Z)
+    bracket_data = _bracket_data(s, Z)
     X = s.eval_table(zh, pts)[:, 0]
     c = float(s.eval_scalar(s.alpha_of(Z), pts)[0])
-    A_raw = s.eval_table(a_z_field(conn, Z), pts)[..., 0]
-    contact = _max_abs(s.eval_scalar(s.alpha_of(s.bracket(Z, e)), pts) for e in s.frame)
+    A_raw = s.eval_table(a_z_field(conn, Z, bracket_data), pts)[..., 0]
+    contact = _max_abs(s.eval_scalar(s.alpha_of(b), pts) for b in bracket_data[0][: s.h])
     skew = _max_abs([A_raw + A_raw.T])
     A = 0.5 * (A_raw - A_raw.T)  # exact for Killing Z; projection otherwise
     gen = Generator(X=X, A=A, c=c, q=q if s.coords else None)
-    return AZResult(gen=gen, contact_residual=contact, skew_residual=skew, A_raw=A_raw)
+    return AZResult(gen, contact, skew, A_raw, bracket_data)
 
 
 def endomorphism_action(A: np.ndarray, values: np.ndarray, n_upper: int) -> np.ndarray:
@@ -590,23 +600,19 @@ def _skew_part(y: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     return out, np.abs(sym).reshape(len(y), -1).max(axis=1, initial=0.0)
 
 
-def _connection_at(cd: CurvatureData, points: np.ndarray):
-    """Gamma_h (h,h,h,N), Gamma_xi (h,h,N), R (h,h,h,h,N) and dalpha (h,h,N)
-    at points (N, dim), point axis last."""
-    s = cd.structure
-    conn = cd.connection
-    return (
-        s.eval_table(conn.gamma_h, points),
-        s.eval_table(conn.gamma_xi, points),
-        eval_tensor(s, cd.R, points),
-        eval_tensor(s, cd.dalpha, points),
-    )
-
-
 def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray):
     """The matrix M (S, d, d) of y' = M y at stage points pts (S, dim) with
     curve velocities vel (S, dim), and the frame+xi components v (S, dim)
-    of the velocities."""
+    of the velocities.
+
+    Only the coefficients that are not literal zeros take part: the stored
+    entries of Gamma_h, Gamma_xi, R and dalpha (cd.transport_coefficients),
+    evaluated through one tape.  Each entry adds its term to M for every
+    stage point at once.  M is bit for bit the dense einsum contraction,
+    signs of zeros included: every sum starts at +0.0 and takes its terms
+    in the index order of that contraction, as einsum does for two or more
+    points, and a left-out term would add +-0.0 to a partial sum that is
+    never -0.0."""
     s = cd.structure
     h = s.h
     basis = s.basis_matrix_at(pts)  # (S, dim, dim)
@@ -616,25 +622,40 @@ def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray):
         v = np.linalg.solve(basis, vel[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise ex.EvalError("frame degenerates along the curve") from None
-    Gh, G0, Rv, Bv = _connection_at(cd, pts)
-    for arr in (Gh, G0, Rv, Bv):
-        if not np.isfinite(arr).all():
-            raise ex.EvalError("connection data is not finite along the curve")
+    (Gh, G0, R, B), roots = cd.transport_coefficients
+    vals = s.eval_table(roots, pts)
+    if not np.isfinite(vals).all():
+        raise ex.EvalError("connection data is not finite along the curve")
+    Gh_v, G0_v, R_v, B_v = np.split(
+        vals, np.cumsum([len(Gh.entries), len(G0.entries), len(R.entries)])
+    )
     vh = v[:, :h]
+    npts, hh = len(pts), h * h
     # Gamma(v) as matrices acting on column vectors: G[s, k, j]
-    G = np.einsum("sa,ajks->skj", vh, Gh) + v[:, h, None, None] * G0.transpose(2, 1, 0)
-    npts, hh, eye = len(pts), h * h, np.eye(h)
+    G = np.zeros((npts, h, h))
+    for (a, j, k), g in zip(Gh.entries, Gh_v):
+        G[:, k, j] += vh[:, a] * g
+    for (j, k), g in zip(G0.entries, G0_v):
+        G[:, k, j] += v[:, h] * g
     M = np.zeros((npts, h + hh + 1, h + hh + 1))
-    # x' = -A v - Gamma(v) x
+    # x' = -A v - Gamma(v) x: x^k reads -(0 + v^j) from A[k, j], -0.0 from
+    # the rest of A.  A' = R(x, v) - Gamma(v) A + A Gamma(v), A row-major:
+    # its A block is I (x) Gamma(v)^T - Gamma(v) (x) I, zeros +0.0
     M[:, :h, :h] = -G
-    M[:, :h, h:-1] = -np.einsum("km,sj->skmj", eye, vh).reshape(npts, h, hh)
-    # A' = R(x, v) - Gamma(v) A + A Gamma(v), A row-major
-    M[:, h:-1, :h] = np.einsum("sb,abjks->skja", vh, Rv).reshape(npts, hh, h)
-    M[:, h:-1, h:-1] = (
-        np.einsum("km,snj->skjmn", eye, G) - np.einsum("skm,jn->skjmn", G, eye)
-    ).reshape(npts, hh, hh)
+    M[:, :h, h:-1] = -0.0
+    for k in range(h):
+        row = slice(h + k * h, h + (k + 1) * h)  # A[k, :]
+        M[:, k, row] = -(vh + 0.0)
+        M[:, row, row] = G.transpose(0, 2, 1)
+    for j in range(h):
+        M[:, h + j : -1 : h, h + j : -1 : h] -= G
+    for (a, b, j, k), r in zip(R.entries, R_v):
+        M[:, h + k * h + j, a] += vh[:, b] * r
     # c' = -dalpha(x, v)
-    M[:, -1, :h] = -np.einsum("abs,sb->sa", Bv, vh)
+    c = np.zeros((npts, h))
+    for (a, b), w in zip(B.entries, B_v):
+        c[:, a] += w * vh[:, b]
+    M[:, -1, :h] = -c
     return M, v
 
 
@@ -642,8 +663,10 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
     """Advance the states y (B, d) by nsteps RK4 steps of size hstep along B
     curves.  stages(rows, k0, k1) gives the points and velocities, each
     (b, k1 - k0, dim), of the curves in the slice rows at stage indices
-    k0..k1-1; stage k sits at t0 + k hstep / 2.  Returns the end states and
-    max |alpha(gamma')| over the stages of each curve."""
+    k0..k1-1; stage k sits at t0 + k hstep / 2.  A block's first stage is
+    the previous block's last, so its M is carried over and each stage
+    point is evaluated once.  Returns the end states and max |alpha(gamma')|
+    over the stages of each curve."""
     nb_total, d = y.shape
     h = cd.structure.h
     y = y.copy()
@@ -655,16 +678,21 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
         nb = rows.stop - b0
         per_block = (STAGE_BLOCK // nb - 1) // 2
         yb = y[rows]
+        last = None  # M at the last stage of the previous block
         for i0 in range(0, nsteps, per_block):
             k = min(per_block, nsteps - i0)
-            pts, vel = stages(rows, 2 * i0, 2 * (i0 + k) + 1)
+            k0 = 2 * i0 if last is None else 2 * i0 + 1
+            pts, vel = stages(rows, k0, 2 * (i0 + k) + 1)
             dim = pts.shape[-1]
             M, v = _operator(cd, pts.reshape(-1, dim), vel.reshape(-1, dim))
-            M = M.reshape(nb, 2 * k + 1, d, d)
-            viol[rows] = np.maximum(
-                viol[rows], np.abs(v[:, h]).reshape(nb, 2 * k + 1).max(axis=1)
-            )
-            M0, M1, M2 = M[:, 0:-1:2], M[:, 1::2], M[:, 2::2]
+            M = M.reshape(nb, -1, d, d)
+            viol[rows] = np.maximum(viol[rows], np.abs(v[:, h]).reshape(nb, -1).max(axis=1))
+            if last is None:
+                M0, M1, M2 = M[:, 0:-1:2], M[:, 1::2], M[:, 2::2]
+            else:
+                M1, M2 = M[:, 0::2], M[:, 1::2]
+                M0 = np.concatenate([last, M2[:, :-1]], axis=1)
+            last = M2[:, -1:].copy()
             K2 = M1 @ (eye + 0.5 * hstep * M0)
             K3 = M1 @ (eye + 0.5 * hstep * K2)
             K4 = M2 @ (eye + hstep * K3)
@@ -867,12 +895,14 @@ def verify_killing(
     Z: list[Expression],
     points: np.ndarray | None = None,
     tol: float = 1e-9,
+    bracket_data: tuple | None = None,
 ) -> list[CheckRecord]:
     """Eight residual checks for an expression-valued field:
     (a) contact condition, (b) the Killing equation on frame pairs,
     (c) skewness of A_Z, (d) nabla_xi A_Z, (e) nabla_{e_a} A_Z - R(Z,e_a),
     (f) nabla_V PZ + A_Z V for V in frame and xi, (g) [xi, Z],
-    (h) Lie_Z alpha on frame and xi arguments."""
+    (h) Lie_Z alpha on frame and xi arguments.  bracket_data is Z's
+    _bracket_data when the caller holds it."""
     s = cd.structure
     conn = cd.connection
     if points is None:
@@ -887,7 +917,8 @@ def verify_killing(
         records.append(CheckRecord(name, residual, npts, bool(residual < tol)))
 
     alphaZ = s.alpha_of(Z)
-    brackets, dec = _bracket_data(s, Z)
+    bracket_data = bracket_data or _bracket_data(s, Z)
+    brackets, dec = bracket_data
 
     # (a) contact: dalpha(Z, e_j) + e_j(alpha(Z))
     rec(
@@ -899,7 +930,7 @@ def verify_killing(
     rec("killing_metric", _killing_metric_terms(dec, h))
 
     # (c) skewness of A_Z
-    Af = a_z_field(conn, Z)
+    Af = a_z_field(conn, Z, bracket_data)
     rec("a_skew", (ex.add(Af[k][j], Af[j][k]) for k in range(h) for j in range(k, h)))
 
     A_tensor = HTensor.from_dense(np.array(Af, dtype=object).T, n_upper=1)  # [lower j, upper k]
@@ -944,7 +975,8 @@ def verify_killing(
 
 
 def _bracket_data(s: ContactStructure, Z: list[Expression]) -> tuple[list, list]:
-    """[Z, e_1], .., [Z, e_2n], [Z, xi] and their decompositions."""
+    """[Z, e_1], .., [Z, e_2n], [Z, xi] and their decompositions, which
+    verify_killing, riemannian_extension_check and a_z_matrix read."""
     brackets = [s.bracket(Z, V) for V in s.frame + [s.reeb]]
     return brackets, [s.decompose(b) for b in brackets]
 
@@ -983,10 +1015,9 @@ def verify_killing_field(
     dc = np.stack([np.gradient(cg, spac[i], axis=i) for i in range(dim)])
 
     frame_vals = np.moveaxis(s.eval_table(s.frame, points), 1, -1).reshape((h,) + shape + (dim,))
-    Gh, _, Rv, Bv = _connection_at(cd, points)
-    Gh = Gh.reshape((h, h, h) + shape)
-    Rv = Rv.reshape((h, h, h, h) + shape)
-    Bv = Bv.reshape((h, h) + shape)
+    Gh = s.eval_table(cd.connection.gamma_h, points).reshape((h, h, h) + shape)
+    Rv = eval_tensor(s, cd.R, points).reshape((h, h, h, h) + shape)
+    Bv = eval_tensor(s, cd.dalpha, points).reshape((h, h) + shape)
 
     interior = np.zeros(shape, dtype=bool)
     interior[(slice(1, -1),) * dim] = True
@@ -1028,16 +1059,17 @@ def riemannian_extension_check(
     Z: list[Expression],
     points: np.ndarray | None = None,
     tol: float = 1e-9,
+    bracket_data: tuple | None = None,
 ) -> list[CheckRecord]:
     """Killing residuals of the extended Riemannian metric (g on H, xi unit
     and orthogonal): Z<u,v> - <[Z,u],v> - <u,[Z,v]> over u,v in the frame
-    plus xi."""
+    plus xi.  bracket_data is Z's _bracket_data when the caller holds it."""
     s = cd.structure
     if points is None:
         points = s.validation_points(count=100)
     points = np.atleast_2d(points)
     h = s.h
-    _, dec = _bracket_data(s, Z)
+    _, dec = bracket_data or _bracket_data(s, Z)
     terms = (
         _killing_metric_terms(dec, h)
         + [ex.add(dec[i][1], dec[h][0][i]) for i in range(h)]

@@ -9,6 +9,10 @@ right-hand side of the prolongation system
     c' = -dalpha(x, v)
 
 directly.  Reconstruction repeats it per grid point along the two-leg path.
+
+dense_operator is the transport operator M of y' = M y as the batched kernel
+first built it: from dense Gamma, R and dalpha tables at every stage point,
+zeros included, contracted by einsum.
 """
 
 from __future__ import annotations
@@ -20,6 +24,43 @@ import numpy as np
 from srkilling import expr as ex
 from srkilling.connection import eval_tensor
 from srkilling.killing import Generator, segment_curve
+
+
+def dense_operator(cd, pts, vel):
+    """(M (S, d, d), v (S, dim)) at stage points pts with velocities vel,
+    from dense coefficient tables and five einsum contractions."""
+    s = cd.structure
+    h = s.h
+    basis = s.basis_matrix_at(pts)  # (S, dim, dim)
+    if not (np.isfinite(pts).all() and np.isfinite(vel).all() and np.isfinite(basis).all()):
+        raise ex.EvalError("curve leaves the evaluable domain of the structure")
+    try:
+        v = np.linalg.solve(basis, vel[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise ex.EvalError("frame degenerates along the curve") from None
+    Gh = s.eval_table(cd.connection.gamma_h, pts)
+    G0 = s.eval_table(cd.connection.gamma_xi, pts)
+    Rv = eval_tensor(s, cd.R, pts)
+    Bv = eval_tensor(s, cd.dalpha, pts)
+    for arr in (Gh, G0, Rv, Bv):
+        if not np.isfinite(arr).all():
+            raise ex.EvalError("connection data is not finite along the curve")
+    vh = v[:, :h]
+    # Gamma(v) as matrices acting on column vectors: G[s, k, j]
+    G = np.einsum("sa,ajks->skj", vh, Gh) + v[:, h, None, None] * G0.transpose(2, 1, 0)
+    npts, hh, eye = len(pts), h * h, np.eye(h)
+    M = np.zeros((npts, h + hh + 1, h + hh + 1))
+    # x' = -A v - Gamma(v) x
+    M[:, :h, :h] = -G
+    M[:, :h, h:-1] = -np.einsum("km,sj->skmj", eye, vh).reshape(npts, h, hh)
+    # A' = R(x, v) - Gamma(v) A + A Gamma(v), A row-major
+    M[:, h:-1, :h] = np.einsum("sb,abjks->skja", vh, Rv).reshape(npts, hh, h)
+    M[:, h:-1, h:-1] = (
+        np.einsum("km,snj->skjmn", eye, G) - np.einsum("skm,jn->skjmn", G, eye)
+    ).reshape(npts, hh, hh)
+    # c' = -dalpha(x, v)
+    M[:, -1, :h] = -np.einsum("abs,sb->sa", Bv, vh)
+    return M, v
 
 
 def stage_data(cd, curve, nsteps):

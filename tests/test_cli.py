@@ -4,7 +4,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from srkilling import killing
 from srkilling.cli import main
+from srkilling.frame import ContactStructure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -218,6 +220,38 @@ class TestTransportCommands:
 
 def input_error(code, out):
     return code == 2 and json.loads(out)["error"]["kind"] == "input_error"
+
+
+def test_reconstruct_grid_under_three_points_per_axis_runs_no_transport(
+    capsys, tmp_path, monkeypatch
+):
+    def no_transport(*args, **kwargs):
+        raise AssertionError("transport ran")
+
+    monkeypatch.setattr(killing, "_propagate", no_transport)
+    (tmp_path / "gen.toml").write_text(GEN_J)
+    code, out = run(
+        capsys, "reconstruct", "heisenberg:1", "--gen", str(tmp_path / "gen.toml"),
+        "--grid", "x:-1:1:2,y:-1:1:2,z:-1:1:2",
+    )
+    assert input_error(code, out)
+    assert "at least 3 points per axis" in json.loads(out)["error"]["message"]
+
+
+def test_verify_computes_each_bracket_once(capsys, monkeypatch):
+    pairs = []
+    original = ContactStructure.bracket
+
+    def counted(self, V, W):
+        pairs.append((tuple(map(str, V)), tuple(map(str, W))))
+        return original(self, V, W)
+
+    monkeypatch.setattr(ContactStructure, "bracket", counted)
+    y1 = "(1 + x^2 - y^2 - z^2)/4, (x*y - z)/2, (x*z + y)/2"
+    code, _ = run(capsys, "verify", "su2:chart", "--field", y1)
+    assert code == 0
+    # [Z, e_1], [Z, e_2], [Z, xi] and [xi, Z]
+    assert len(pairs) == len(set(pairs)) == 4
 
 
 class TestTransportInputs:

@@ -12,7 +12,7 @@ from srkilling.connection import (
     higher_derivatives,
     verify_geometry,
 )
-from srkilling.frame import load_structure_text, sample_box_points
+from srkilling.frame import load_structure, load_structure_text, sample_box_points
 from srkilling.killing import a_z_matrix, derivation_apply
 
 from conftest import HEIS_KILLING, SU2C_KILLING, field
@@ -187,6 +187,15 @@ class TestVerifyGeometry:
         }
         for r in records:
             assert r.pass_, f"{r.check}: {r.max_residual}"
+
+    def test_repeated_calls_compile_no_new_tape(self):
+        cd = curvature(compute_connection(load_structure("su2:chart")))
+        compiled = cd.structure._compiled
+        verify_geometry(cd)
+        before = len(compiled)
+        for _ in range(4):
+            verify_geometry(cd)
+        assert len(compiled) == before
 
     def test_fault_injection_fails_metricity(self, su2):
         cd = curvature(compute_connection(su2))

@@ -1,7 +1,9 @@
-"""The batched RK4 kernel against the serial per-curve loop it replaced.
+"""The batched RK4 kernel against the serial per-curve loop it replaced,
+and its operator against the dense einsum operator.
 
 The kernel forms each step's propagator before applying it, so it sums in
-another order than the serial loop; the two agree to within 1e-12.
+another order than the serial loop; the two agree to within 1e-12.  The
+operator M is bit for bit the dense one.
 """
 
 import numpy as np
@@ -9,7 +11,14 @@ import pytest
 
 from srkilling import expr as ex
 from srkilling import killing
-from srkilling.frame import ContactStructure
+from srkilling.connection import (
+    ConnectionData,
+    CurvatureData,
+    HTensor,
+    compute_connection,
+    curvature,
+)
+from srkilling.frame import ContactStructure, load_structure
 from srkilling.killing import (
     Curve,
     Generator,
@@ -21,7 +30,7 @@ from srkilling.killing import (
 )
 
 from conftest import SU2C_KILLING, field
-from rk4_reference import serial_reconstruct, serial_transport
+from rk4_reference import dense_operator, serial_reconstruct, serial_transport
 
 TOL = 1e-12
 XYZ = ["x", "y", "z"]
@@ -127,3 +136,137 @@ def test_block_bounds_stage_points_per_call(heis_cd, monkeypatch, block):
     monkeypatch.undo()
     whole, _ = killing._segment_transport(heis_cd, y, starts, ends, 40)
     assert np.max(np.abs(y_end - whole)) < TOL
+
+
+# ---------------------------------------------------------------------------
+# The sparse operator against the dense einsum operator it replaced.
+# ---------------------------------------------------------------------------
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", ["heisenberg:1", "heisenberg:2", "su2:chart"])
+def test_operator_is_bitwise_the_dense_operator(name):
+    cd = curvature(compute_connection(load_structure(name)))
+    rng = np.random.default_rng(9)
+    dim = cd.structure.dim
+    for npts in (2, 37):
+        pts = rng.uniform(-1, 1, (npts, dim))
+        vel = rng.uniform(-1, 1, (npts, dim))
+        vel[::3, 0] = 0.0  # zero and negative-zero velocity components
+        vel[1::3, -1] = -0.0
+        M, v = killing._operator(cd, pts, vel)
+        M_ref, v_ref = dense_operator(cd, pts, vel)
+        assert_bitwise(M, M_ref)
+        assert_bitwise(v, v_ref)
+
+
+class TableStructure:
+    """A stand-in structure whose coefficient "expressions" are names of
+    fixed value rows: every entry of Gamma, R and dalpha is stored, so each
+    sum of the operator has all h of its terms."""
+
+    def __init__(self, h, values, basis):
+        self.h, self.dim, self.values, self.basis = h, h + 1, values, basis
+
+    def eval_table(self, exprs, pts):
+        table = np.array(exprs, dtype=object)
+        rows = np.array([self.values[e] for e in table.ravel()])
+        return rows.reshape(table.shape + (len(pts),))
+
+    def basis_matrix_at(self, pts):
+        return self.basis
+
+
+def table_data(h, npts, seed, basis=None):
+    rng = np.random.default_rng(seed)
+
+    def names(prefix, rank):
+        return np.array(
+            [f"{prefix}{idx}" for idx in np.ndindex(*(h,) * rank)], dtype=object
+        ).reshape((h,) * rank)
+
+    gh, g0, R, B = names("gh", 3), names("g0", 2), names("R", 4), names("B", 2)
+    values = {}
+    for e in [*gh.ravel(), *g0.ravel(), *R.ravel(), *B.ravel()]:
+        # magnitudes over 16 decades, so the order of a sum shows in its bits
+        row = rng.standard_normal(npts) * 10.0 ** rng.integers(-8, 8, npts)
+        row[rng.random(npts) < 0.2] = 0.0
+        row[rng.random(npts) < 0.2] = -0.0
+        values[e] = row
+    if basis is None:
+        basis = np.linalg.qr(rng.standard_normal((npts, h + 1, h + 1)))[0]
+    s = TableStructure(h, values, basis)
+    conn = ConnectionData(s, gh.tolist(), g0.tolist(), None)
+    cd = CurvatureData(conn, HTensor.from_dense(R, 1), HTensor.from_dense(B, 0))
+    vel = rng.standard_normal((npts, h + 1)) * 10.0 ** rng.integers(-8, 8, (npts, h + 1))
+    vel[rng.random((npts, h + 1)) < 0.2] = 0.0
+    vel[rng.random((npts, h + 1)) < 0.2] = -0.0
+    return cd, rng.uniform(-1, 1, (npts, h + 1)), vel
+
+
+@pytest.mark.parametrize("h", [2, 4, 6])
+def test_operator_sums_in_the_dense_order(h):
+    # every coefficient stored and nonzero at most points: the sums over
+    # a and b run over all h terms, which for h >= 4 fixes their order; with
+    # the identity frame, v is vel, signed zeros included
+    identity = np.broadcast_to(np.eye(h + 1), (64, h + 1, h + 1))
+    for npts, basis in ((2, None), (3, None), (64, None), (64, identity)):
+        cd, pts, vel = table_data(h, npts, seed=h + npts, basis=basis)
+        if basis is not None:
+            assert np.signbit(vel[vel == 0]).any() and np.signbit(-vel[vel == 0]).any()
+        assert len(cd.transport_coefficients[1]) == h**3 + h**2 + h**4 + h**2
+        M, v = killing._operator(cd, pts, vel)
+        M_ref, v_ref = dense_operator(cd, pts, vel)
+        assert_bitwise(M, M_ref)
+        assert_bitwise(v, v_ref)
+
+
+def test_operator_refuses_what_it_cannot_evaluate(heis_cd):
+    pts = np.zeros((3, 3))
+    vel = np.ones((3, 3))
+    pts[1, 2] = np.nan
+    with pytest.raises(ex.EvalError, match="evaluable domain"):
+        killing._operator(heis_cd, pts, vel)
+    cd, pts, vel = table_data(2, 4, seed=1, basis=np.zeros((4, 3, 3)))
+    with pytest.raises(ex.EvalError, match="frame degenerates"):
+        killing._operator(cd, pts, vel)
+    cd, pts, vel = table_data(2, 4, seed=1)
+    cd.structure.values["R(1, 0, 1, 1)"][2] = np.inf
+    with pytest.raises(ex.EvalError, match="connection data is not finite"):
+        killing._operator(cd, pts, vel)
+
+
+def test_each_stage_point_is_evaluated_once(heis_cd, monkeypatch):
+    calls = []
+    original = ContactStructure.basis_matrix_at
+
+    def counted(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(ContactStructure, "basis_matrix_at", counted)
+    monkeypatch.setattr(killing, "STAGE_BLOCK", 64)
+    rng = np.random.default_rng(10)
+    starts = rng.uniform(-1, 1, (5, 3))
+    y = np.stack([killing._pack_state(random_gen(rng, p)) for p in starts])
+    killing._segment_transport(heis_cd, y, starts, starts + 0.5, 40)
+    assert len(calls) > 1  # several blocks per curve
+    assert sum(calls) == 5 * (2 * 40 + 1)
+
+
+def test_transport_adds_no_tape_the_second_time(su2c_cd):
+    s = su2c_cd.structure
+    gen = a_z_matrix(su2c_cd.connection, field(SU2C_KILLING["Y1"]), np.zeros(3)).gen
+    grid = Grid(names=XYZ, axes=[np.linspace(-0.25, 0.25, 3)] * 3)
+    curve = tcurve(["t/2", "t^2/3", "t*(1-t)"])
+    transport(su2c_cd, gen, curve, step=1e-2)
+    reconstruct_field(su2c_cd, gen, grid, step=1e-1)
+    before = len(s._compiled)
+    transport(su2c_cd, gen, curve, step=1e-2)
+    reconstruct_field(su2c_cd, gen, grid, step=1e-1)
+    assert len(s._compiled) == before
