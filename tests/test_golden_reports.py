@@ -2,12 +2,14 @@
 fixed CLI runs, the transport runs reading input files written into a
 temporary directory.  A refactor that keeps the numerics must leave every hash
 unchanged; a change that alters a report on purpose updates its hash and
-says why.  `dim` is left out: its singular values come from LAPACK and
-differ across platforms."""
+says why.  `dim` reports are pinned without their singular values, which
+come from LAPACK and differ across platforms."""
 
 import contextlib
 import hashlib
 import io
+import json
+import re
 
 import pytest
 
@@ -135,3 +137,179 @@ def test_transport_report_is_byte_identical(tmp_path, argv, code, digest):
         got = main([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
     assert got == code
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+# Output paths other than the stdout report, and the reports of runs that
+# end in an input error (exit 2) or a failed check (exit 3).  "{name}" in
+# argv stands for the path of TRANSPORT_FILES[name] or EDGE_FILES[name] in
+# tmp_path and "{out}" for tmp_path/"out"; every such path in the output is
+# written back as its placeholder before hashing, so no digest depends on the
+# temporary directory.  Each case pins the stdout digest and, with --out, the
+# digest of the file written.
+EDGE_FILES = {
+    "warped.toml": (
+        "[manifold]\nmode = chart\nn = 1\ncoords = x, y, z\n"
+        "[frame]\nX1 = 1, 0, -y/2\nX2 = 0, 1 + x^2, x*(1 + x^2)/2\n"
+    ),
+    "vertical.toml": "[curve]\nt_range = 0 1\ngamma = 1/4, -1/2, 1/8 + t\n",
+    # a rotation in the x1, y2 plane: outside i(q0) (residual 7.071e-01)
+    "heis2_gen.toml": "[generator]\nX = 0 0 0 0\nA = 0; 0 0; 1 0 0\nc = 0\nat = 0, 0, 0, 0, 0\n",
+}
+
+EMPTY = hashlib.sha256(b"").hexdigest()  # no output
+GRID_3_5 = "x1:-1:1:3,y1:-1:1:3,x2:-1:1:3,y2:-1:1:3,z:-1:1:3"
+
+GOLDEN_EDGE = [
+    (
+        ("check", "su2", "--pretty"),
+        0,
+        "c272bfc3c92f3bf14f0abaf2e67e6868fc7736c42c5595c01be5c8f6915a3454",
+        None,
+    ),
+    (
+        ("check", "su2", "--out", "{out}"),
+        0,
+        EMPTY,
+        "bfa9645502b3a973e6cee17de0d0b177926539c969c1cd3a667e73e105b36e8f",
+    ),
+    (
+        (
+            "reconstruct", "heisenberg:1", "--gen", "{heis_gen.toml}", "--grid", GRID_3,
+            "--step", "1e-2", "--out", "{out}",
+        ),
+        0,
+        "1a1df7672e1faa6ae6eab00121c78299c3982a476f073673dbc076df0b7afceb",
+        "a95b7ceda2b18d86f6a6c46a3216a4199669f758d9e098672ccb4033a93b28b4",
+    ),
+    (
+        ("check", "nosuch.toml"),
+        2,
+        "c40f2ea4fc2922c10445453c32a986c6332f0dd4e5dd980d392c1bb0dd53013f",
+        None,
+    ),
+    (
+        ("dim", "heisenberg:1", "--at", "1,2"),
+        2,
+        "e05979bfe17ca4cccb5957ebf99da24f188f5edd723323196f836399e501b593",
+        None,
+    ),
+    (
+        ("check", "{warped.toml}"),
+        3,
+        "8895aa23e69a680640cbb75749e3a00f25b5010caf32a22c6e67130137fa4461",
+        None,
+    ),
+    (
+        ("verify", "heisenberg:1", "--field", "1, 0, 0"),
+        3,
+        "70b33c38e97bb4ad802d7715bb9de55a79ca12304ecf155ecf2f41daffcf7526",
+        None,
+    ),
+    (
+        (
+            "prolong", "heisenberg:1", "--curve", "{vertical.toml}", "--gen",
+            "{heis_gen.toml}", "--require-horizontal",
+        ),
+        3,
+        "1c6a5d2b38275e7e255ef6688424d2efbeaf3f9d1ec80264474278cca7b0f7e0",
+        None,
+    ),
+    (
+        ("reconstruct", "heisenberg:2", "--gen", "{heis2_gen.toml}", "--grid", GRID_3_5),
+        3,
+        "66bc1704950dcbac447da740983c7e0f3b6f1eb9bf363cde1b5d148496938b98",
+        None,
+    ),
+    # two faults each: the one checked first is reported
+    (
+        ("path-check", "nosuch.toml", "--curve", "{heis_curve.toml}", "--gen", "x"),
+        2,
+        "c40f2ea4fc2922c10445453c32a986c6332f0dd4e5dd980d392c1bb0dd53013f",
+        None,
+    ),
+    (
+        ("reconstruct", "heisenberg:1", "--gen", "{nosuch.toml}", "--grid", "x:-1:1:2"),
+        2,
+        "827143252de74b1af132b48ce087aef38a35ac5f8d83c5f55e1b3d02ec0ed425",
+        None,
+    ),
+    (
+        ("verify", "{warped.toml}"),
+        3,
+        "dc96b4ff6dde1dd19d75b5a4c2e01ace7d06553e075125503a4d004aa97abc9e",
+        None,
+    ),
+]
+
+
+def _run_with_files(tmp_path, argv):
+    """(exit code, stdout, the file at {out} or None), every tmp path in the
+    output written back as its placeholder."""
+    files = {**TRANSPORT_FILES, **EDGE_FILES}
+    paths = {"out": str(tmp_path / "out")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths.update({name: str(tmp_path / name) for name in [*files, "nosuch.toml"]})
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = main([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
+
+    def placeholders(text):
+        for name, path in paths.items():
+            text = text.replace(path, "{" + name + "}")
+        return text
+
+    out = tmp_path / "out"
+    written = placeholders(out.read_text()) if out.exists() else None
+    return got, placeholders(buf.getvalue()), written
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest,out_digest", GOLDEN_EDGE, ids=[" ".join(g[0]) for g in GOLDEN_EDGE]
+)
+def test_edge_report_is_byte_identical(tmp_path, argv, code, digest, out_digest):
+    got, stdout, written = _run_with_files(tmp_path, argv)
+    assert got == code
+    assert _sha(stdout) == digest
+    assert (written if out_digest is None else _sha(written)) == out_digest
+
+
+# dim reports without their singular values, which LAPACK makes
+# platform-dependent; "at" is null for a lie structure without --at and []
+# with one.
+GOLDEN_DIM = [
+    (
+        ("dim", "su2"),
+        "f8f502ef66435247b02d15632598ce8904470528bab594c5ec9c34a0ea069025",
+        None,
+    ),
+    (
+        ("dim", "su2", "--at", "0,0,0"),
+        "e1f8fe59cdf0e1818e6e9904c4c976f55b6dcce68fd65ad83e91070e301ed3be",
+        [],
+    ),
+    (
+        ("dim", "heisenberg:1"),
+        "2fa5d085bbf7802eaeb06df2374af93a621cb9573995e56f62c7a20eace4779d",
+        [0.0, 0.0, 0.0],
+    ),
+    (
+        ("dim", "su2:chart", "--at", "0.3,-0.2,0.1"),
+        "efec0375310aeb2099166f0e37364feedd6f5112187737f2049acd06f4b5f852",
+        [0.3, -0.2, 0.1],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest,at", GOLDEN_DIM, ids=[" ".join(g[0]) for g in GOLDEN_DIM])
+def test_dim_report_is_byte_identical_but_singular_values(argv, digest, at):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    text = buf.getvalue()
+    assert json.loads(text)["at"] == at
+    assert _sha(re.sub(r'"singular_values": \[[^\]]*\],', "", text)) == digest
