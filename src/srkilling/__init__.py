@@ -17,10 +17,11 @@ from .expr import (
 )
 from .frame import (
     Brackets,
+    CheckFailure,
+    CheckRecord,
     ContactStructure,
     NotContactError,
     OrientationError,
-    SpecialReport,
     StructureError,
     check_special,
     lie_bracket,
@@ -63,8 +64,9 @@ __all__ = [
     "Expression", "ExprError", "ParseError", "EvalError", "parse_expression", "differentiate",
     "evaluate", "compile_expression",
     # frame
-    "ContactStructure", "Brackets", "SpecialReport", "StructureError", "OrientationError",
-    "NotContactError", "load_structure", "load_structure_text", "lie_bracket", "check_special",
+    "ContactStructure", "Brackets", "CheckRecord", "CheckFailure", "StructureError",
+    "OrientationError", "NotContactError", "load_structure", "load_structure_text", "lie_bracket",
+    "check_special",
     # connection
     "ConnectionData", "CurvatureData", "HTensor", "NotSpecialError", "BudgetError",
     "compute_connection", "covariant_derivative", "curvature", "higher_derivatives",

@@ -3,7 +3,7 @@ deterministic JSON reporting.
 
 Exit codes: 0 when every check passes, 2 on input errors (unreadable or
 malformed files, bad arguments), 3 when a computation ran but a check
-failed.
+failed (CheckFailure).  Any other error is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 from . import __version__
 from .expr import ExprError
 from .frame import (
+    CheckFailure,
+    CheckRecord,
     ContactStructure,
     StructureError,
     _max_abs,
@@ -27,8 +29,7 @@ from .frame import (
 )
 from .connection import (
     BudgetError,
-    CheckRecord,
-    NotSpecialError,
+    CurvatureData,
     compute_connection,
     curvature,
     eval_tensor,
@@ -149,12 +150,16 @@ def _sample_points(s: ContactStructure, args, count: int = 100) -> np.ndarray:
     )
 
 
-def _load(args) -> ContactStructure:
-    source = args.structure
-    try:
-        return load_structure(source, seed=args.seed)
-    except (StructureError, ExprError) as e:
-        raise InputError(str(e)) from e
+def _at(s: ContactStructure, args) -> np.ndarray:
+    """The --at point; by default the chart origin, or no coordinates in lie
+    mode."""
+    return _parse_point(args.at, s) if args.at else np.zeros(len(s.coords))
+
+
+def _curvature(s: ContactStructure, args) -> CurvatureData:
+    """Curvature data of the canonical connection; NotSpecialError when s
+    is not special."""
+    return curvature(compute_connection(s, tol=args.tol))
 
 
 def _structure_header(s: ContactStructure) -> dict:
@@ -178,225 +183,167 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path!r}: {e}") from None
 
 
-def _finish(report: dict, args) -> int:
-    ok = report.get("pass", True)
-    text = render_pretty(report) if args.pretty else to_json(report)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK if ok else EXIT_CHECK
+def _checks(records: list[CheckRecord]) -> dict:
+    return {"checks": check_records_payload(records), "pass": all(r.pass_ for r in records)}
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands: each returns the body of its report, which main writes after
+# the structure header.
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args) -> int:
-    s = _load(args)
+def cmd_check(s: ContactStructure, args) -> dict:
     pts = _sample_points(s, args)
     npts = int(pts.shape[0])
     res = structure_checks(s, pts)
-    rep = check_special(s, points=pts, tol=args.tol)
+    special = check_special(s, points=pts, tol=args.tol)
     records = [
         CheckRecord("normalization", res["normalization"], npts, res["normalization"] < args.tol),
         CheckRecord("reeb_identities", res["reeb"], npts, res["reeb"] < max(args.tol, 1e-8)),
-        CheckRecord("special_bracket_horizontal", rep.r1, rep.points, rep.r1 < args.tol),
-        CheckRecord("special_reeb_killing", rep.r2, rep.points, rep.r2 < args.tol),
+        *special,
     ]
-    report = _structure_header(s)
-    report["checks"] = check_records_payload(records)
-    report["special"] = bool(rep.special)
-    report["orientation_sign"] = s.orientation_sign
-    report["pass"] = all(r.pass_ for r in records)
-    return _finish(report, args)
+    return {
+        "checks": check_records_payload(records),
+        "special": all(r.pass_ for r in special),
+        "orientation_sign": s.orientation_sign,
+        "pass": all(r.pass_ for r in records),
+    }
 
 
-def cmd_connection(args) -> int:
-    s = _load(args)
+def cmd_connection(s: ContactStructure, args) -> dict:
     conn = compute_connection(s, tol=args.tol)
-    q = _parse_point(args.at, s) if args.at else (np.zeros(s.dim) if s.coords else np.zeros(0))
-    pts = q[None, :] if s.coords else np.zeros((1, 0))
-    report = _structure_header(s)
-    report["at"] = q.tolist()
-    report["gamma_h"] = s.eval_table(conn.gamma_h, pts)[..., 0].tolist()
-    report["gamma_xi"] = s.eval_table(conn.gamma_xi, pts)[..., 0].tolist()
-    report["pass"] = True
-    return _finish(report, args)
+    q = _at(s, args)
+    pts = q[None, :]
+    return {
+        "at": q.tolist(),
+        "gamma_h": s.eval_table(conn.gamma_h, pts)[..., 0].tolist(),
+        "gamma_xi": s.eval_table(conn.gamma_xi, pts)[..., 0].tolist(),
+        "pass": True,
+    }
 
 
-def cmd_curvature(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
-    q = _parse_point(args.at, s) if args.at else (np.zeros(s.dim) if s.coords else np.zeros(0))
-    pts = q[None, :] if s.coords else np.zeros((1, 0))
+def cmd_curvature(s: ContactStructure, args) -> dict:
+    cd = _curvature(s, args)
+    q = _at(s, args)
+    pts = q[None, :]
     order = 0 if args.order in (None, "auto") else _parse_order(args.order)
     higher_derivatives(cd, order)
     Rv = eval_tensor(s, cd.R, pts)[..., 0]
-    report = _structure_header(s)
-    report["at"] = q.tolist()
-    report["R"] = Rv.tolist()
-    report["max_abs_R"] = _max_abs([Rv])
-    # over the stored entries only: the others are zeros
-    report["nabla_R_max_abs"] = [
-        _max_abs([s.eval_table(list(T.entries.values()), pts)]) for T in cd.nabla_R[: order + 1]
-    ]
-    report["pass"] = True
-    return _finish(report, args)
+    return {
+        "at": q.tolist(),
+        "R": Rv.tolist(),
+        "max_abs_R": _max_abs([Rv]),
+        # over the stored entries only: the others are zeros
+        "nabla_R_max_abs": [
+            _max_abs([s.eval_table(list(T.entries.values()), pts)])
+            for T in cd.nabla_R[: order + 1]
+        ],
+        "pass": True,
+    }
 
 
-def cmd_verify_geometry(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
-    pts = _sample_points(s, args)
-    records = verify_geometry(cd, points=pts, tol=args.tol)
-    report = _structure_header(s)
-    report["checks"] = check_records_payload(records)
-    report["pass"] = all(r.pass_ for r in records)
-    return _finish(report, args)
+def cmd_verify_geometry(s: ContactStructure, args) -> dict:
+    cd = _curvature(s, args)
+    return _checks(verify_geometry(cd, points=_sample_points(s, args), tol=args.tol))
 
 
-def cmd_dim(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
-    q = _parse_point(args.at, s) if args.at else (np.zeros(s.dim) if s.coords else None)
-    order = _parse_order(args.order)
-    gs = generator_space(cd, q, order=order, m_max=args.max_order)
-    report = _structure_header(s)
-    report["at"] = q.tolist() if q is not None else None
-    report["dims"] = gs.dims
-    report["dim_i"] = gs.dim
-    report["certified"] = gs.certified
-    report["m_used"] = gs.m_used
-    report["singular_values"] = [float(v) for v in gs.singular_values]
-    report["dim_bound"] = (s.n + 1) ** 2
-    report["pass"] = bool(gs.dim <= (s.n + 1) ** 2)
-    return _finish(report, args)
+def cmd_dim(s: ContactStructure, args) -> dict:
+    cd = _curvature(s, args)
+    q = _at(s, args)
+    gs = generator_space(cd, q, order=_parse_order(args.order), m_max=args.max_order)
+    bound = (s.n + 1) ** 2
+    return {
+        "at": q.tolist() if s.coords or args.at else None,
+        "dims": gs.dims,
+        "dim_i": gs.dim,
+        "certified": gs.certified,
+        "m_used": gs.m_used,
+        "singular_values": [float(v) for v in gs.singular_values],
+        "dim_bound": bound,
+        "pass": bool(gs.dim <= bound),
+    }
 
 
-def cmd_prolong(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+def cmd_prolong(s: ContactStructure, args) -> dict:
+    cd = _curvature(s, args)
     curve = load_curve_text(_read_text(args.curve[0]), s)
     gen = load_generator_text(_read_text(args.gen), s)
     res = transport(
         cd, gen, curve, step=args.step, require_horizontal=args.require_horizontal
     )
-    report = _structure_header(s)
-    report["endpoint"] = res.gen.q.tolist()
-    report["X"] = res.gen.X.tolist()
-    report["A"] = res.gen.A.tolist()
-    report["c"] = res.gen.c
-    report["skew_drift"] = res.skew_drift
-    report["steps"] = res.steps
-    report["max_alpha_velocity"] = res.horizontal_violation
-    report["pass"] = bool(res.skew_drift < 1e-8)
-    return _finish(report, args)
+    return {
+        "endpoint": res.gen.q.tolist(),
+        "X": res.gen.X.tolist(),
+        "A": res.gen.A.tolist(),
+        "c": res.gen.c,
+        "skew_drift": res.skew_drift,
+        "steps": res.steps,
+        "max_alpha_velocity": res.horizontal_violation,
+        "pass": bool(res.skew_drift < 1e-8),
+    }
 
 
-def cmd_path_check(args) -> int:
-    s = _load(args)
+def cmd_path_check(s: ContactStructure, args) -> dict:
     if len(args.curve) != 2:
         raise InputError("path-check needs exactly two --curve files")
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
-    c1 = load_curve_text(_read_text(args.curve[0]), s)
-    c2 = load_curve_text(_read_text(args.curve[1]), s)
+    cd = _curvature(s, args)
+    c1, c2 = (load_curve_text(_read_text(path), s) for path in args.curve)
     gen = load_generator_text(_read_text(args.gen), s)
-    rep = path_independence(cd, gen, c1, c2, step=args.step)
-    report = _structure_header(s)
-    report["deviation"] = rep["deviation"]
-    report["tolerance"] = args.tol if args.tol != 1e-10 else 1e-6
-    report["pass"] = bool(rep["deviation"] < report["tolerance"])
-    return _finish(report, args)
+    deviation = path_independence(cd, gen, c1, c2, step=args.step)["deviation"]
+    tol = args.tol if args.tol != 1e-10 else 1e-6
+    return {"deviation": deviation, "tolerance": tol, "pass": bool(deviation < tol)}
 
 
-def cmd_reconstruct(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+def cmd_reconstruct(s: ContactStructure, args) -> dict:
+    cd = _curvature(s, args)
     gen = load_generator_text(_read_text(args.gen), s)
     grid = _parse_grid(args.grid, s)
     if any(len(a) < 3 for a in grid.axes):  # before any transport runs
         raise InputError("reconstruct's finite-difference checks need at least 3 points per axis")
     field = reconstruct_field(cd, gen, grid, step=args.step)
-    payload = _structure_header(s)
-    payload["grid"] = {
-        "names": grid.names,
-        "axes": [a.tolist() for a in grid.axes],
+    return {
+        "grid": {"names": grid.names, "axes": [a.tolist() for a in grid.axes]},
+        "points": grid.points.tolist(),
+        "X": field.X.tolist(),
+        "c": field.c.tolist(),
+        "A": field.A.tolist(),
+        "Z_coords": field.Z_coords.tolist(),
+        **_checks(verify_killing_field(cd, field)),
     }
-    payload["points"] = grid.points.tolist()
-    payload["X"] = field.X.tolist()
-    payload["c"] = field.c.tolist()
-    payload["A"] = field.A.tolist()
-    payload["Z_coords"] = field.Z_coords.tolist()
-    records = verify_killing_field(cd, field)
-    payload["checks"] = check_records_payload(records)
-    payload["pass"] = all(r.pass_ for r in records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(to_json(payload, pretty=args.pretty))
-        summary = {
-            "out": args.out,
-            "grid_points": int(grid.points.shape[0]),
-            "checks": payload["checks"],
-            "pass": payload["pass"],
-        }
-        sys.stdout.write(render_pretty(summary) if args.pretty else to_json(summary))
-        return EXIT_OK if payload["pass"] else EXIT_CHECK
-    args.out = None
-    return _finish(payload, args)
 
 
-def cmd_verify(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+def cmd_verify(s: ContactStructure, args) -> dict:
+    tol = _parse_number(args.field_tol, "--field-tol")
+    cd = _curvature(s, args)
     if not args.field:
         raise InputError("verify needs --field \"<expr>,...\"")
-    try:
-        Z = s.parse_field(args.field)
-    except (StructureError, ExprError) as e:
-        raise InputError(str(e)) from e
+    Z = s.parse_field(args.field)
     pts = _sample_points(s, args)
-    az = a_z_matrix(conn, Z, pts[0] if s.coords else None)
+    az = a_z_matrix(cd.connection, Z, pts[0] if s.coords else None)
     # the other checks read az's brackets, so each bracket is built once
     brackets = az.bracket_data
-    records = verify_killing(cd, Z, pts, args.field_tol, bracket_data=brackets)
-    records += riemannian_extension_check(cd, Z, pts, args.field_tol, bracket_data=brackets)
-    report = _structure_header(s)
-    report["generator_at_first_point"] = {
-        "X": az.gen.X.tolist(),
-        "A": az.gen.A.tolist(),
-        "c": az.gen.c,
-        "contact_residual": az.contact_residual,
+    records = verify_killing(cd, Z, pts, tol, bracket_data=brackets)
+    records += riemannian_extension_check(cd, Z, pts, tol, bracket_data=brackets)
+    return {
+        "generator_at_first_point": {
+            "X": az.gen.X.tolist(),
+            "A": az.gen.A.tolist(),
+            "c": az.gen.c,
+            "contact_residual": az.contact_residual,
+        },
+        **_checks(records),
     }
-    report["checks"] = check_records_payload(records)
-    report["pass"] = all(r.pass_ for r in records)
-    return _finish(report, args)
 
 
-def cmd_scan(args) -> int:
-    s = _load(args)
-    conn = compute_connection(s, tol=args.tol)
-    cd = curvature(conn)
+def cmd_scan(s: ContactStructure, args) -> dict:
+    cd = _curvature(s, args)
     grid = _parse_grid(args.grid, s) if args.grid else Grid(names=[], axes=[])
-    order = _parse_order(args.order)
-    rep = scan_regularity(cd, grid, order=order, m_max=args.max_order)
-    report = _structure_header(s)
-    report.update(rep)
+    rep = scan_regularity(cd, grid, order=_parse_order(args.order), m_max=args.max_order)
     ok = rep.get("semicontinuity_violations", 0) == 0
     if rep.get("dims"):
         ok = ok and max(rep["dims"]) <= (s.n + 1) ** 2
-    report["pass"] = bool(ok)
-    return _finish(report, args)
+    return {**rep, "pass": bool(ok)}
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"srkilling {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, structure: bool = True):
-        if structure:
-            p.add_argument(
-                "structure",
-                nargs="?",
-                help="builtin name (heisenberg:<n>, su2, su2:chart) or definition file",
-            )
-        p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
+    def common(p: argparse.ArgumentParser):
+        p.add_argument(
+            "structure",
+            nargs="?",
+            help="builtin name (heisenberg:<n>, su2, su2:chart) or definition file",
+        )
+        p.add_argument("--tol", default="1e-10", help="residual tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for sample points")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--pretty", action="store_true", help="human-readable tables")
@@ -533,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--field", help="comma-separated coordinate components")
     p.add_argument("--grid", help="sample grid spec")
-    p.add_argument("--field-tol", type=float, default=1e-9, help="check tolerance")
+    p.add_argument("--field-tol", default="1e-9", help="check tolerance")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser(
@@ -551,25 +497,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "structure") and not args.structure:
-        _error_report("missing structure argument", args)
-        return EXIT_INPUT
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except InputError as e:
+        if not args.structure:
+            raise InputError("missing structure argument")
+        s = load_structure(args.structure, seed=args.seed)
+        args.tol = _parse_number(args.tol, "--tol")
+        report = {**_structure_header(s), **args.fn(s, args)}
+    except (InputError, StructureError, ExprError, TransportInputError, BudgetError) as e:
         _error_report(str(e), args)
         return EXIT_INPUT
-    except (StructureError, ExprError, TransportInputError, BudgetError) as e:
-        _error_report(str(e), args)
-        return EXIT_INPUT
-    except NotSpecialError as e:
+    except CheckFailure as e:
         _error_report(str(e), args, kind="check_failure")
         return EXIT_CHECK
-    except (ValueError,) as e:
-        _error_report(str(e), args, kind="check_failure")
-        return EXIT_CHECK
+    _write(report, args)
+    return EXIT_OK if report["pass"] else EXIT_CHECK
+
+
+def _write(report: dict, args) -> None:
+    """The report to --out or stdout.  reconstruct --out writes its field
+    file as JSON, indented with --pretty, and a summary of it to stdout."""
+    render = render_pretty if args.pretty else to_json
+    if not args.out:
+        sys.stdout.write(render(report))
+        return
+    field_file = args.command == "reconstruct"
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(to_json(report, pretty=args.pretty) if field_file else render(report))
+    if field_file:
+        summary = {
+            "out": args.out,
+            "grid_points": len(report["points"]),
+            "checks": report["checks"],
+            "pass": report["pass"],
+        }
+        sys.stdout.write(render(summary))
 
 
 def _error_report(message: str, args, kind: str = "input_error") -> None:

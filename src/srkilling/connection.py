@@ -27,7 +27,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expression, Const, ZERO
-from .frame import ContactStructure, _max_abs, check_special
+from .frame import CheckFailure, CheckRecord, ContactStructure, _max_abs, check_special
 
 __all__ = [
     "ConnectionData",
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-class NotSpecialError(Exception):
+class NotSpecialError(CheckFailure):
     """The structure failed the special certification; the canonical
     connection of the special theory does not apply."""
 
@@ -120,7 +120,6 @@ class ConnectionData:
     structure: ContactStructure
     gamma_h: list  # gamma_h[a][j][k] = Gamma^k_aj, a,j,k in 0..2n-1
     gamma_xi: list  # gamma_xi[j][k] = Gamma^k_0j
-    special_report: object
 
     def gamma(self, direction: int) -> list:
         """Coefficient matrix for direction 0 (= xi) or 1..2n (= e_a)."""
@@ -188,31 +187,16 @@ class CurvatureData:
         )
 
 
-@dataclass
-class CheckRecord:
-    check: str
-    max_residual: float
-    points_tested: int
-    pass_: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "max_residual": self.max_residual,
-            "points_tested": self.points_tested,
-            "pass": self.pass_,
-        }
-
-
 def compute_connection(
     s: ContactStructure, tol: float = 1e-10, points: np.ndarray | None = None
 ) -> ConnectionData:
     """Koszul construction of the canonical connection; refuses structures
     that fail check_special, and re-verifies metricity and zero torsion."""
-    report = check_special(s, points=points, tol=tol)
-    if not report.special:
+    special = check_special(s, points=points, tol=tol)
+    if not all(r.pass_ for r in special):
+        r1, r2 = (r.max_residual for r in special)
         raise NotSpecialError(
-            f"structure is not special (r1={report.r1:.3e}, r2={report.r2:.3e}); "
+            f"structure is not special (r1={r1:.3e}, r2={r2:.3e}); "
             "the canonical connection requires the Reeb field to be Killing"
         )
     h = s.h
@@ -231,9 +215,9 @@ def compute_connection(
         for a in range(h)
     ]
     gamma_xi = [[s.brackets.c0_h[j][k] for k in range(h)] for j in range(h)]
-    conn = ConnectionData(structure=s, gamma_h=gamma_h, gamma_xi=gamma_xi, special_report=report)
+    conn = ConnectionData(structure=s, gamma_h=gamma_h, gamma_xi=gamma_xi)
     pts = s.validation_points()
-    worst = _max_abs(s.eval_table(terms, pts) for terms in _axiom_terms(conn))
+    worst = _max_abs(s.eval_scalar(terms, pts) for terms in _axiom_terms(conn))
     if not worst < max(tol, 1e-9):
         raise AssertionError(
             f"internal error: connection axioms violated (residual {worst:.3e})"
@@ -442,7 +426,7 @@ def verify_geometry(
     # (a) metricity and torsion, and (d) below; one expression at a time,
     # so that one row of values is alive, not a list's
     metricity, torsion, reeb = (
-        _max_abs(s.eval_scalar(e, points) for e in terms) for terms in cd.identity_terms
+        _max_abs(s.eval_table(e, points) for e in terms) for terms in cd.identity_terms
     )
     rec("metricity", metricity)
     rec("torsion", torsion)

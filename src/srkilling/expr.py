@@ -985,19 +985,3 @@ def _try_pow_division(num: Expression, den_pow: Expression) -> Expression | None
     if divided == k:
         return left
     return mul(left, pow_(den_pow.base, Fraction(-(k - divided))))
-
-
-def free_variables(e: Expression) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_variables(e.a) | free_variables(e.b)
-    if isinstance(e, Neg):
-        return free_variables(e.a)
-    if isinstance(e, Pow):
-        return free_variables(e.base)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    raise TypeError(f"not an Expression: {e!r}")

@@ -30,7 +30,8 @@ from .expr import Expression, Const, ZERO, ONE
 __all__ = [
     "ContactStructure",
     "Brackets",
-    "SpecialReport",
+    "CheckRecord",
+    "CheckFailure",
     "StructureError",
     "OrientationError",
     "NotContactError",
@@ -42,7 +43,6 @@ __all__ = [
     "structure_checks",
     "load_structure",
     "load_structure_text",
-    "builtin_names",
     "sample_box_points",
     "sym_det",
     "pfaffian_minors",
@@ -62,13 +62,34 @@ class NotContactError(StructureError):
     """The horizontal distribution fails the contact condition."""
 
 
+class CheckFailure(ValueError):
+    """A computation ran and one of its checks failed: the report is a
+    check failure (CLI exit 3), not an input error."""
+
+
+@dataclass
+class CheckRecord:
+    check: str
+    max_residual: float
+    points_tested: int
+    pass_: bool
+
+    def as_dict(self) -> dict:
+        return {
+            "check": self.check,
+            "max_residual": self.max_residual,
+            "points_tested": self.points_tested,
+            "pass": self.pass_,
+        }
+
+
 DEFAULT_TOL = 1e-10
 
 
-def sample_box_points(dim: int, count: int, seed: int = 0, radius: float = 1.0) -> np.ndarray:
-    """Seeded uniform sample in [-radius, radius]^dim, for validation grids."""
+def sample_box_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
+    """Seeded uniform sample in [-1, 1]^dim, for validation grids."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-radius, radius, size=(count, dim))
+    return rng.uniform(-1.0, 1.0, size=(count, dim))
 
 
 def _max_abs(arrays) -> float:
@@ -250,7 +271,6 @@ def normalize_contact_form(
     coords: list[str],
     n: int,
     samples: np.ndarray,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[list[Expression], int, _NormalizationData]:
     """Normalized contact form: alpha = v^(-1/n) * alpha0 with
     v = wedge^n dalpha0(e_1..e_2n).
@@ -304,7 +324,6 @@ def compute_reeb(
     coords: list[str],
     n: int,
     samples: np.ndarray,
-    tol: float = DEFAULT_TOL,
 ) -> list[Expression]:
     """Reeb field from the kernel of E, by Pfaffians.
 
@@ -365,18 +384,6 @@ class Brackets:
 
 
 @dataclass
-class SpecialReport:
-    r1: float  # max |alpha([xi,e_j])| over samples
-    r2: float  # max |<[xi,e_i],e_j> + <e_i,[xi,e_j]>| over samples
-    points: int
-    tol: float
-
-    @property
-    def special(self) -> bool:
-        return self.r1 < self.tol and self.r2 < self.tol
-
-
-@dataclass
 class ContactStructure:
     n: int
     mode: str  # "chart" | "lie"
@@ -414,16 +421,23 @@ class ContactStructure:
             hit = self._compiled[key] = (tuple(roots), ex.compile_expression(roots, self.coords))
         return hit[1]
 
-    def eval_scalar(self, e: Expression, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation of one expression at points (N, dim)."""
-        return self.eval_table(e, points)
-
     def eval_table(self, exprs, points: np.ndarray) -> np.ndarray:
         """Evaluate an expression or a nested list structure of them through
-        one tape; returns an array with the list shape as leading axes and
-        the point axis last."""
+        one tape, cached for the structure; returns an array with the list
+        shape as leading axes and the point axis last.  For the expressions
+        the structure or its curvature data hold."""
+        return self._eval(self._tape, exprs, points)
+
+    def eval_scalar(self, exprs, points: np.ndarray) -> np.ndarray:
+        """eval_table through a tape compiled for this call only.  For the
+        expressions a call builds for itself: cached under their ids, their
+        tapes would stay in the cache and never be hit again."""
+        return self._eval(lambda roots: ex.compile_expression(roots, self.coords), exprs, points)
+
+    @staticmethod
+    def _eval(tape, exprs, points: np.ndarray) -> np.ndarray:
         table = np.array(exprs, dtype=object)
-        vals = _evaluate(self._tape(table.ravel().tolist()), points)
+        vals = _evaluate(tape(table.ravel().tolist()), points)
         return vals.reshape(table.shape + vals.shape[-1:])
 
     def basis_matrix_at(self, points: np.ndarray) -> np.ndarray:
@@ -570,24 +584,29 @@ def structure_functions(s: ContactStructure) -> Brackets:
 
 def check_special(
     s: ContactStructure, points: np.ndarray | None = None, tol: float = DEFAULT_TOL
-) -> SpecialReport:
-    """Is the Reeb field an infinitesimal isometry?
+) -> list[CheckRecord]:
+    """Is the Reeb field an infinitesimal isometry?  The structure is
+    special when both records pass.
 
-    r1: the brackets [xi,e_j] stay horizontal (alpha component vanishes).
-    r2: the Lie derivative of the frame metric along xi vanishes; in the
-    orthonormal frame this is skewness of the matrix c^k_0j.
+    special_bracket_horizontal: the brackets [xi,e_j] stay horizontal
+    (alpha component vanishes).  special_reeb_killing: the Lie derivative of
+    the frame metric along xi vanishes; in the orthonormal frame this is
+    skewness of the matrix c^k_0j.
     """
     if points is None:
         points = _default_special_grid(s)
     b = s.brackets
-    r1 = _max_abs(s.eval_scalar(c, points) for c in b.c0_0)
+    r1 = _max_abs(s.eval_table(c, points) for c in b.c0_0)
     r2 = _max_abs(
         s.eval_scalar(ex.add(b.c0_h[i][j], b.c0_h[j][i]), points)
         for i in range(s.h)
         for j in range(i, s.h)
     )
     npts = 1 if s.mode == "lie" else int(np.atleast_2d(points).shape[0])
-    return SpecialReport(r1=r1, r2=r2, points=npts, tol=tol)
+    return [
+        CheckRecord("special_bracket_horizontal", r1, npts, r1 < tol),
+        CheckRecord("special_reeb_killing", r2, npts, r2 < tol),
+    ]
 
 
 def structure_checks(s: ContactStructure, pts: np.ndarray) -> dict[str, float]:
@@ -595,7 +614,7 @@ def structure_checks(s: ContactStructure, pts: np.ndarray) -> dict[str, float]:
     "alpha_frame" of alpha(e_i) = 0, "normalization" of
     wedge^n dalpha(e_1..e_2n) = 1, and "reeb" of alpha(xi) = 1 together with
     dalpha(xi, .) = 0."""
-    Bv = s.eval_table(s.dalpha_frame(), pts)  # (2n, 2n, N)
+    Bv = s.eval_scalar(s.dalpha_frame(), pts)  # (2n, 2n, N)
     unit = [[ONE if i == j else ZERO for i in range(s.dim)] for j in range(s.dim)]
     return {
         "alpha_frame": _max_abs(s.eval_scalar(s.alpha_of(vec), pts) for vec in s.frame),
@@ -653,16 +672,15 @@ def _lie_build(n: int, constants: dict[tuple[int, int, int], Fraction], text: st
     alpha = [Fraction(0)] * dim
     alpha[dim - 1] = f
 
-    # Reeb: alpha(xi) = 1 and alpha([xi, e_j]) = 0 for all j; solved exactly.
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for j in range(dim):
-        rows.append([f * C[k][j][dim - 1] for k in range(dim)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(0)] * (dim - 1) + [f])
-    rhs.append(Fraction(1))
-    # least-squares-free exact solve: pick dim independent rows
-    xi = _solve_consistent(rows, rhs, dim)
+    # basis matrix of dalpha: dalpha(e_i,e_j) = -alpha([e_i,e_j])
+    E = [[-f * C[i][j][dim - 1] for j in range(dim)] for i in range(dim)]
+    # Reeb by the Pfaffian formula of compute_reeb, exactly: xi = k / alpha(k)
+    # with k_i = (-1)^i Pf(E without i); alpha(k) = f k_2n = f^(n+1) Pf(B0) != 0
+    pf = pfaffian_minors(E)
+    full = tuple(range(dim))
+    k = [(-1) ** i * pf(full[:i] + full[i + 1 :]) for i in range(dim)]
+    alpha_k = sum(a * k_i for a, k_i in zip(alpha, k))
+    xi = [k_i / alpha_k for k_i in k]
 
     def bracket_with_xi(j: int) -> list[Fraction]:
         return [sum((xi[k] * C[k][j][m] for k in range(dim)), Fraction(0)) for m in range(dim)]
@@ -686,8 +704,6 @@ def _lie_build(n: int, constants: dict[tuple[int, int, int], Fraction], text: st
             c0_h[j][k] = Const(w[k] - a_comp * xi[k])
 
     frame = [[ONE if i == j else ZERO for i in range(dim)] for j in range(h)]
-    # full basis matrix of dalpha: dalpha(e_i,e_j) = -alpha([e_i,e_j])
-    E_full = [[Const(-f * C[i][j][dim - 1]) for j in range(dim)] for i in range(dim)]
     s = ContactStructure(
         n=n,
         mode="lie",
@@ -699,7 +715,7 @@ def _lie_build(n: int, constants: dict[tuple[int, int, int], Fraction], text: st
         brackets=Brackets(c_h=c_h, c_0=c_0, c0_h=c0_h, c0_0=c0_0),
         source_text=text,
         name=name,
-        E=E_full,
+        E=[[Const(e) for e in row] for row in E],
         dalpha_scale=ONE,
     )
     return s
@@ -745,36 +761,6 @@ def _iroot(m: int, n: int) -> int | None:
         if cand > 0 and cand**n == m:
             return cand
     return None
-
-
-def _solve_consistent(rows: list[list[Fraction]], rhs: list[Fraction], dim: int) -> list[Fraction]:
-    """Solve an overdetermined but consistent exact system."""
-    # forward eliminate over all rows, tracking pivots
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(dim):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    if r < dim:
-        raise StructureError("Reeb system is singular in lie mode (not contact?)")
-    for i in range(r, len(aug)):
-        if aug[i][dim] != 0:
-            raise StructureError("inconsistent Reeb system in lie mode")
-    sol = [Fraction(0)] * dim
-    for row_idx, col in enumerate(pivots):
-        sol[col] = aug[row_idx][dim]
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -970,10 +956,6 @@ coords = x, y, z
 X1 = (1 + x^2 - y^2 - z^2)/4, (x*y + z)/2, (x*z - y)/2
 X2 = (x*y - z)/2, (1 - x^2 + y^2 - z^2)/4, (y*z + x)/2
 """
-
-
-def builtin_names() -> list[str]:
-    return ["heisenberg:<n>", "su2", "su2:chart"]
 
 
 def builtin_text(name: str) -> str | None:

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expression, Const, ZERO
-from .frame import ContactStructure, StructureError, _max_abs, split_components
+from .frame import CheckFailure, ContactStructure, StructureError, _max_abs, split_components
 from .connection import (
     BudgetError,
     ConnectionData,
@@ -97,6 +97,14 @@ MAX_STEPS = 10**6
 # Matrix entries (points x rows x unknowns) of the f_q stack one scan block
 # assembles and ranks; bounds the scan's memory whatever the grid size.
 SCAN_BLOCK = 2**16
+# Singular values at or below this count as zero whatever the relative
+# threshold of a rank decision.
+ABS_FLOOR = 1e-12
+# Largest relative distance from span(i(q0)) of a generator reconstruct_field
+# extends.
+MEMBERSHIP_TOL = 1e-8
+# Largest |alpha(gamma')| of a curve that transport accepts as horizontal.
+HORIZONTAL_TOL = 1e-9
 
 
 class TransportInputError(ValueError):
@@ -164,8 +172,6 @@ class GeneratorSpace:
     basis: list[Generator]
     singular_values: np.ndarray
     certified: bool
-    rel_threshold: float
-    abs_floor: float
 
     @property
     def dim(self) -> int:
@@ -238,7 +244,6 @@ class AZResult:
     gen: Generator  # with A projected to skew
     contact_residual: float  # max_j |alpha([Z,e_j])(q)|
     skew_residual: float  # |A_raw + A_raw^T|, nonzero for non-Killing Z
-    A_raw: np.ndarray
     bracket_data: tuple  # Z's _bracket_data, for the other checks of Z
 
 
@@ -277,14 +282,14 @@ def a_z_matrix(conn: ConnectionData, Z: list[Expression], q) -> AZResult:
     pts = q[None, :]
     zh, z0 = s.decompose(Z)
     bracket_data = _bracket_data(s, Z)
-    X = s.eval_table(zh, pts)[:, 0]
+    X = s.eval_scalar(zh, pts)[:, 0]
     c = float(s.eval_scalar(s.alpha_of(Z), pts)[0])
-    A_raw = s.eval_table(a_z_field(conn, Z, bracket_data), pts)[..., 0]
+    A_raw = s.eval_scalar(a_z_field(conn, Z, bracket_data), pts)[..., 0]
     contact = _max_abs(s.eval_scalar(s.alpha_of(b), pts) for b in bracket_data[0][: s.h])
     skew = _max_abs([A_raw + A_raw.T])
     A = 0.5 * (A_raw - A_raw.T)  # exact for Killing Z; projection otherwise
     gen = Generator(X=X, A=A, c=c, q=q if s.coords else None)
-    return AZResult(gen, contact, skew, A_raw, bracket_data)
+    return AZResult(gen, contact, skew, bracket_data)
 
 
 def endomorphism_action(A: np.ndarray, values: np.ndarray, n_upper: int) -> np.ndarray:
@@ -395,20 +400,20 @@ def _assemble_map(cd: CurvatureData, m: int, cache: dict, p: int) -> np.ndarray:
     return _assemble_block(cd, m, cache, slice(p, p + 1))[0]
 
 
-def _ranks(sv: np.ndarray, rel: float, floor: float) -> np.ndarray:
+def _ranks(sv: np.ndarray, rel: float) -> np.ndarray:
     """Numerical ranks of singular value rows (..., k), largest first: the
-    count above max(rel * largest, floor)."""
-    thresh = np.maximum(rel * sv[..., 0], floor)
+    count above max(rel * largest, ABS_FLOOR)."""
+    thresh = np.maximum(rel * sv[..., 0], ABS_FLOOR)
     return np.sum(sv > thresh[..., None], axis=-1)
 
 
-def _kernel(M: np.ndarray, rel: float, floor: float) -> tuple[int, np.ndarray, np.ndarray]:
+def _kernel(M: np.ndarray, rel: float) -> tuple[int, np.ndarray, np.ndarray]:
     """(kernel dim, orthonormal kernel basis rows, singular values)."""
     ncols = M.shape[1]
     if M.shape[0] < ncols:
         M = np.vstack([M, np.zeros((ncols - M.shape[0], ncols))])
     _, sv, Vh = np.linalg.svd(M, full_matrices=False)
-    rank = int(_ranks(sv, rel, floor))
+    rank = int(_ranks(sv, rel))
     return ncols - rank, Vh[rank:], sv
 
 
@@ -423,7 +428,6 @@ def generator_space(
     q,
     order: int | str = "auto",
     rel_threshold: float = 1e-9,
-    abs_floor: float = 1e-12,
     m_max: int = 6,
 ) -> GeneratorSpace:
     """Compute i_m(q): dims for m = 0.., the kernel basis at the final
@@ -432,7 +436,7 @@ def generator_space(
     certificate reflects the dims computed up to it.  Each order assembles
     f_q with the scan's assembler at the single point q and takes a full
     SVD: the rank counts singular values above max(rel_threshold * largest,
-    abs_floor) and the kernel basis is the trailing right singular
+    ABS_FLOOR) and the kernel basis is the trailing right singular
     vectors."""
     s = cd.structure
     q = _as_point(s, q) if s.coords else None
@@ -460,7 +464,7 @@ def generator_space(
         check_dense(_fq_rows(s.h, m) * nunk, f"f_q of order {m} at a point")
         _tensor_value_cache(cd, m, pts, cache)
         M = _assemble_map(cd, m, cache, 0)
-        dim, kernel_basis, sv = _kernel(M, rel_threshold, abs_floor)
+        dim, kernel_basis, sv = _kernel(M, rel_threshold)
         dims.append(dim)
         m_used = m
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
@@ -475,8 +479,6 @@ def generator_space(
         basis=basis,
         singular_values=sv,
         certified=certified,
-        rel_threshold=rel_threshold,
-        abs_floor=abs_floor,
     )
 
 
@@ -503,7 +505,6 @@ def scan_regularity(
     grid: Grid,
     order: int | str = "auto",
     rel_threshold: float = 1e-9,
-    abs_floor: float = 1e-12,
     m_max: int = 6,
 ) -> dict:
     """dim i(q) over a grid, regularity flags (all neighbors share the
@@ -518,7 +519,7 @@ def scan_regularity(
     rule of generator_space."""
     s = cd.structure
     if s.mode == "lie":
-        gs = generator_space(cd, None, order, rel_threshold, abs_floor, m_max)
+        gs = generator_space(cd, None, order, rel_threshold, m_max)
         return {
             "mode": "lie",
             "dims": [gs.dim],
@@ -533,7 +534,7 @@ def scan_regularity(
         return {"mode": "chart", "dims": [], "regular": [], "semicontinuity_violations": 0}
 
     # stabilization order is probed at the first point, then reused
-    gs0 = generator_space(cd, points[0], order, rel_threshold, abs_floor, m_max)
+    gs0 = generator_space(cd, points[0], order, rel_threshold, m_max)
     m = gs0.m_used
     cache = _tensor_value_cache(cd, m, points)
     nunk = ambient_dimension(s.n)
@@ -542,7 +543,7 @@ def scan_regularity(
     for start in range(0, npts, block):
         sel = slice(start, start + block)
         sv = np.linalg.svd(_assemble_block(cd, m, cache, sel), compute_uv=False)
-        dims[sel] = nunk - _ranks(sv, rel_threshold, abs_floor)
+        dims[sel] = nunk - _ranks(sv, rel_threshold)
 
     regular, pit = _neighbour_flags(dims.reshape(grid.shape))
     return {
@@ -737,7 +738,6 @@ def transport(
     curve: Curve,
     step: float = 1e-3,
     require_horizontal: bool = False,
-    horizontal_tol: float = 1e-9,
 ) -> TransportResult:
     """Integrate the prolongation system along the curve.
 
@@ -759,8 +759,8 @@ def transport(
         cd, _pack_state(gen)[None], _curve_stages(curve, nsteps), nsteps, span / nsteps
     )
     viol = float(viol[0])
-    if require_horizontal and viol > horizontal_tol:
-        raise ValueError(
+    if require_horizontal and viol > HORIZONTAL_TOL:
+        raise CheckFailure(
             f"curve is not horizontal: max |alpha(gamma')| = {viol:.3e}"
         )
     h = s.h
@@ -830,7 +830,6 @@ def reconstruct_field(
     gen: Generator,
     grid: Grid,
     step: float = 1e-3,
-    membership_tol: float = 1e-8,
 ) -> DiscreteField:
     """Transport gen from its base point to every grid point along the
     two-leg path q0 -> (q0 with the vertical coordinate of q) -> q, and
@@ -850,8 +849,8 @@ def reconstruct_field(
     nsteps = _step_count(1.0, step)
     space = generator_space(cd, gen.q)
     res = space.membership_residual(gen)
-    if res > membership_tol:
-        raise ValueError(
+    if res > MEMBERSHIP_TOL:
+        raise CheckFailure(
             f"generator is not in the computed i(q0) (residual {res:.3e}); "
             "only such generators extend to Killing fields"
         )
@@ -1087,8 +1086,8 @@ def pushforward_generator(
     s = cd.structure
     q = gen.q
     pts = q[None, :]
-    phi_q = s.eval_table(phi, pts)[:, 0]
-    jac = s.eval_table([[ex.differentiate(f, c) for c in s.coords] for f in phi], pts)[..., 0]
+    phi_q = s.eval_scalar(phi, pts)[:, 0]
+    jac = s.eval_scalar([[ex.differentiate(f, c) for c in s.coords] for f in phi], pts)[..., 0]
     Mq = s.basis_matrix_at(pts)[0]
     Mphi = s.basis_matrix_at(phi_q[None, :])[0]
     T = np.linalg.solve(Mphi, jac @ Mq)
@@ -1156,7 +1155,10 @@ def load_generator_text(text: str, s: ContactStructure) -> Generator:
             f"A needs {len(expected)} strictly-lower-triangle rows separated by ';'"
         )
     for i, row in enumerate(rows, start=1):
-        vals = [float(v) for v in row.replace(",", " ").split()]
+        try:
+            vals = [float(v) for v in row.replace(",", " ").split()]
+        except ValueError as e:
+            raise StructureError(f"bad [generator] section: {e}") from None
         if len(vals) != i:
             raise StructureError(f"A row {i} needs {i} entries")
         if not np.isfinite(vals).all():

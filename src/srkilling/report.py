@@ -65,7 +65,7 @@ def _emit(obj, parts: list[str], indent: int | None, level: int) -> None:
         parts.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
-                parts.append("," if indent is None else ",")
+                parts.append(",")
             parts.append(pad)
             parts.append(f'"{_escape(str(k))}": ')
             _emit(v, parts, indent, level + 1)

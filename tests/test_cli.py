@@ -491,3 +491,38 @@ class TestLieModeSL2:
         assert R[0, 1, 0, 1] == 1.0
         code, out = run(capsys, "dim", str(f))
         assert json.loads(out)["dim_i"] == 4
+
+
+class TestExitCodes:
+    def test_unexpected_error_is_not_a_check_failure(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["dim", "heisenberg:1"])
+
+    def test_generator_a_not_a_number_is_an_input_error(self, capsys, tmp_path):
+        (tmp_path / "curve.toml").write_text(CURVE_Y)
+        (tmp_path / "gen.toml").write_text(GEN_Y1.replace("A = 0", "A = abc"))
+        code, out = run(
+            capsys, "prolong", "heisenberg:1", "--curve", str(tmp_path / "curve.toml"),
+            "--gen", str(tmp_path / "gen.toml"),
+        )
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input_error"
+        assert "could not convert string to float" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "heisenberg:1", "--tol", "nan"),
+            ("verify", "heisenberg:1", "--field", "-y, x, 0", "--field-tol", "inf"),
+        ],
+    )
+    def test_non_finite_tolerance_is_an_input_error(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input_error" and "is not finite" in err["message"]

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ class TestReeb:
     def test_su2_reeb_is_minus_e3(self, su2):
         assert [str(r) for r in su2.reeb] == ["0", "0", "-1"]
 
+    @pytest.mark.parametrize(
+        "n,brackets,xi",
+        [
+            (1, "c 1 2 3 = 1\nc 2 3 1 = 1\nc 1 3 2 = -1\n", [0, 0, -1]),  # su2
+            (1, "c 1 2 3 = 1\nc 1 3 3 = 1\n", [0, 1, -1]),
+            (2, "c 1 2 5 = 1\nc 3 4 5 = 2\n", [0, 0, 0, 0, 2]),
+        ],
+    )
+    def test_lie_reeb_is_exact(self, n, brackets, xi):
+        # by hand: alpha = f e^(2n+1) with f = v^(-1/n), v = n! Pf(B0), and
+        # xi solves alpha(xi) = 1, alpha([xi, e_j]) = 0; for the second
+        # algebra f = -1, [xi, e_1] = -(xi^2 + xi^3) e_3, [xi, e_2] = xi^1 e_3
+        s = load_structure_text(f"[manifold]\nmode = lie\nn = {n}\n[brackets]\n{brackets}")
+        assert [r.value for r in s.reeb] == [Fraction(v) for v in xi]
+
     def test_n_zero_rejected(self):
         text = """
 [manifold]
@@ -250,12 +266,14 @@ class TestProjection:
 
 class TestSpecial:
     def test_heisenberg_special(self, heis):
-        rep = check_special(heis)
-        assert rep.special and rep.r1 == 0.0 and rep.r2 == 0.0
+        records = check_special(heis)
+        assert [(r.check, r.max_residual, r.pass_) for r in records] == [
+            ("special_bracket_horizontal", 0.0, True),
+            ("special_reeb_killing", 0.0, True),
+        ]
 
     def test_su2_special_by_skewness(self, su2):
-        rep = check_special(su2)
-        assert rep.special
+        assert all(r.pass_ for r in check_special(su2))
         c0 = np.array(
             [[float(ex.evaluate(su2.brackets.c0_h[j][k], {})) for k in range(2)] for j in range(2)]
         )
@@ -273,9 +291,9 @@ X1 = 1, 0, -y/2
 X2 = 0, 1 + x^2, x*(1 + x^2)/2
 """
         s = load_structure_text(text)
-        rep = check_special(s)
-        assert not rep.special
-        assert rep.r2 >= 0.1
+        _, reeb_killing = check_special(s)
+        assert not reeb_killing.pass_
+        assert reeb_killing.max_residual >= 0.1
 
         # independent oracle: Lie derivative of the horizontal cometric
         # h^ij = sum_a e_a^i e_a^j along the computed Reeb field

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from srkilling import expr as ex
-from srkilling.frame import StructureError, sample_box_points
+from srkilling.connection import NotSpecialError, compute_connection, curvature
+from srkilling.frame import (
+    CheckFailure,
+    StructureError,
+    check_special,
+    load_structure,
+    sample_box_points,
+    structure_checks,
+)
 from srkilling.killing import (
     Curve,
     Generator,
@@ -517,3 +525,48 @@ at = 0, 0, 0
 """
         with pytest.raises(StructureError):
             load_generator_text(text, heis)
+
+
+class TestCheckFailures:
+    def test_hierarchy(self):
+        assert issubclass(CheckFailure, ValueError)
+        assert issubclass(NotSpecialError, CheckFailure)
+
+    def test_non_horizontal_curve(self, heis_cd):
+        gen = Generator(X=[1, 0], A=np.zeros((2, 2)), c=0.0, q=ORIGIN)
+        with pytest.raises(CheckFailure, match="not horizontal"):
+            transport(heis_cd, gen, tcurve(["0", "0", "t"]), require_horizontal=True)
+
+    def test_generator_outside_i_q0(self):
+        # a rotation in the x1, y2 plane of heisenberg:2 is not in u(2)
+        cd = curvature(compute_connection(load_structure("heisenberg:2")))
+        A = np.zeros((4, 4))
+        A[3, 0], A[0, 3] = 1.0, -1.0
+        gen = Generator(X=np.zeros(4), A=A, c=0.0, q=np.zeros(5))
+        grid = Grid(names=["x1", "y1", "x2", "y2", "z"], axes=[np.linspace(-1, 1, 3)] * 5)
+        with pytest.raises(CheckFailure, match="not in the computed"):
+            reconstruct_field(cd, gen, grid)
+
+
+def _compiled_growth(s, call) -> int:
+    """Entries call() adds to the tape cache of s on its fifth run."""
+    call()
+    before = len(s._compiled)
+    for _ in range(4):
+        call()
+    return len(s._compiled) - before
+
+
+@pytest.mark.parametrize(
+    "name", ["verify_killing", "riemannian_extension_check", "a_z_matrix", "special"]
+)
+def test_repeated_checks_compile_no_new_tape(su2c_cd, name):
+    s = su2c_cd.structure
+    Z = field(SU2C_KILLING["Y1"])
+    call = {
+        "verify_killing": lambda: verify_killing(su2c_cd, Z),
+        "riemannian_extension_check": lambda: riemannian_extension_check(su2c_cd, Z),
+        "a_z_matrix": lambda: a_z_matrix(su2c_cd.connection, Z, ORIGIN),
+        "special": lambda: (check_special(s), structure_checks(s, s.validation_points())),
+    }[name]
+    assert _compiled_growth(s, call) == 0

@@ -201,7 +201,7 @@ def table_data(h, npts, seed, basis=None):
     if basis is None:
         basis = np.linalg.qr(rng.standard_normal((npts, h + 1, h + 1)))[0]
     s = TableStructure(h, values, basis)
-    conn = ConnectionData(s, gh.tolist(), g0.tolist(), None)
+    conn = ConnectionData(s, gh.tolist(), g0.tolist())
     cd = CurvatureData(conn, HTensor.from_dense(R, 1), HTensor.from_dense(B, 0))
     vel = rng.standard_normal((npts, h + 1)) * 10.0 ** rng.integers(-8, 8, (npts, h + 1))
     vel[rng.random((npts, h + 1)) < 0.2] = 0.0
