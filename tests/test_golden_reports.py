@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+import pathlib
 import re
 
 import pytest
@@ -17,11 +18,16 @@ from srkilling.cli import main
 
 GRID_3 = "x:-1:1:3,y:-1:1:3,z:-1:1:3"
 
+# GOLDEN and GOLDEN_DIM run in tests/data, so a structure file there is
+# named, in argv and in the report, by its base name.
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
 GOLDEN = [
     (("check", "su2"), 0, "bfa9645502b3a973e6cee17de0d0b177926539c969c1cd3a667e73e105b36e8f"),
     (("check", "su2:chart"), 0, "6ed8cd5c999b027a4b31dce71bd5e50c2a2b2f3622be54508b20fea4b9058554"),
     (("check", "heisenberg:1"), 0, "06fdfbcde2801763cf3b93575f0bb2bcc9118539c5a6549b23eaaabff537bda3"),
     (("check", "heisenberg:2"), 0, "5dfda34c77a4f7edab986ab02c90d43f146f8aa62588fc7371764ae0bd2b71dc"),
+    (("check", "heisenberg:3"), 0, "bb886dbce2808e9451e262e4ddc142ab18659e400873dbc4452561a12bc4c00e"),
     (
         ("connection", "su2:chart", "--at", "0.3,-0.2,0.1"),
         0,
@@ -31,6 +37,12 @@ GOLDEN = [
         ("curvature", "su2:chart", "--order", "2"),
         0,
         "0b8975caac912205449fe61816d352ec4340c20b408c3df8dcd9098277e85447",
+    ),
+    # a non-polynomial frame: its load divides polynomials exactly
+    (
+        ("curvature", "rational_heisenberg.toml", "--order", "2", "--at", "0.25,-0.5,0.125"),
+        0,
+        "4f149482493723260759da50f868e87ab74bb812998a77b8a999dbe9a9f2653e",
     ),
     (("verify-geometry", "su2"), 0, "4ef22acd37c5b96cd9f1bcbbb0c7483423bff6601ba38c49516d6abce7461adb"),
     (
@@ -72,7 +84,8 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
-def test_report_is_byte_identical(argv, code, digest):
+def test_report_is_byte_identical(monkeypatch, argv, code, digest):
+    monkeypatch.chdir(DATA)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         got = main(list(argv))
@@ -302,11 +315,17 @@ GOLDEN_DIM = [
         "efec0375310aeb2099166f0e37364feedd6f5112187737f2049acd06f4b5f852",
         [0.3, -0.2, 0.1],
     ),
+    (
+        ("dim", "rational_heisenberg.toml", "--at", "0.25,-0.5,0.125"),
+        "da7925202382cff8509f8356a7d1d8a12b96b3258914fe2ef00af94659da2368",
+        [0.25, -0.5, 0.125],
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv,digest,at", GOLDEN_DIM, ids=[" ".join(g[0]) for g in GOLDEN_DIM])
-def test_dim_report_is_byte_identical_but_singular_values(argv, digest, at):
+def test_dim_report_is_byte_identical_but_singular_values(monkeypatch, argv, digest, at):
+    monkeypatch.chdir(DATA)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(list(argv)) == 0
