@@ -120,10 +120,20 @@ class ConnectionData:
     structure: ContactStructure
     gamma_h: list  # gamma_h[a][j][k] = Gamma^k_aj, a,j,k in 0..2n-1
     gamma_xi: list  # gamma_xi[j][k] = Gamma^k_0j
+    _axioms: tuple = field(default=((), None), compare=False)  # (Gamma entries, axiom_terms)
 
     def gamma(self, direction: int) -> list:
         """Coefficient matrix for direction 0 (= xi) or 1..2n (= e_a)."""
         return self.gamma_xi if direction == 0 else self.gamma_h[direction - 1]
+
+    @property
+    def axiom_terms(self) -> tuple[list[Expression], list[Expression]]:
+        """_axiom_terms, built once for compute_connection and verify_geometry,
+        and again only after an entry of Gamma is replaced (fault injection)."""
+        gammas = [e for g in map(self.gamma, range(self.structure.h + 1)) for row in g for e in row]
+        if self._axioms[0] != gammas:
+            self._axioms = gammas, _axiom_terms(self)
+        return self._axioms[1]
 
     def __repr__(self) -> str:
         # the expressions are left out: written as trees they can run to GBs
@@ -178,7 +188,7 @@ class CurvatureData:
         """The metricity, torsion and R(xi, .) residual expressions that
         verify_geometry evaluates, built once, so the tape of each is
         compiled once."""
-        return _axiom_terms(self.connection) + (_reeb_curvature_terms(self.connection),)
+        return self.connection.axiom_terms + (_reeb_curvature_terms(self.connection),)
 
     def __repr__(self) -> str:
         return (
@@ -217,7 +227,7 @@ def compute_connection(
     gamma_xi = [[s.brackets.c0_h[j][k] for k in range(h)] for j in range(h)]
     conn = ConnectionData(structure=s, gamma_h=gamma_h, gamma_xi=gamma_xi)
     pts = s.validation_points()
-    worst = _max_abs(s.eval_scalar(terms, pts) for terms in _axiom_terms(conn))
+    worst = _max_abs(s.eval_scalar(terms, pts) for terms in conn.axiom_terms)
     if not worst < max(tol, 1e-9):
         raise AssertionError(
             f"internal error: connection axioms violated (residual {worst:.3e})"

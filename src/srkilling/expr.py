@@ -151,40 +151,39 @@ def var(name: str) -> Var:
 
 
 def add(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+    # literal zeros are tested first: they need no Fraction arithmetic
     if isinstance(a, Const) and a.value == 0:
         return b
     if isinstance(b, Const) and b.value == 0:
         return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value + b.value)
     return Add(a, b)
 
 
 def sub(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
     if isinstance(b, Const) and b.value == 0:
         return a
     if isinstance(a, Const) and a.value == 0:
         return neg(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value - b.value)
     if a is b:
         return ZERO
     return Sub(a, b)
 
 
 def mul(a: Expression, b: Expression) -> Expression:
+    if isinstance(a, Const) and a.value == 0 or isinstance(b, Const) and b.value == 0:
+        return ZERO
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
     if isinstance(a, Const):
-        if a.value == 0:
-            return ZERO
         if a.value == 1:
             return b
         if a.value == -1:
             return neg(b)
     if isinstance(b, Const):
-        if b.value == 0:
-            return ZERO
         if b.value == 1:
             return a
         if b.value == -1:
@@ -733,123 +732,150 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
 # form and attempts exact division for P/Q and P * Q^-k patterns.  This is
 # what keeps Christoffel data of polynomial frames literally zero instead of
 # zero-valued expression thickets.
+#
+# A Poly is {monomial: integer numerator} over one positive denominator
+# den, their gcd divided out.  A monomial is one int holding the exponent of
+# variable v in the _FIELD_BITS-wide bit field at _FIELD[v] (one entry per
+# distinct name, the next free field on first sight), so the monomial of a
+# product is a sum of ints.  deg bounds the total degree: a product whose
+# bound passes _FIELD_MASK could carry into the next field and gives None,
+# so as_poly falls back to rebuilding node by node, which evaluates the
+# same.  Monomials become exponent tuples over the sorted names only where
+# order matters: poly_to_expr and the lex leading terms of poly_div_exact.
 # ---------------------------------------------------------------------------
+
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_FIELD: dict[str, int] = {}
 
 
 class Poly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms", "den", "deg")
 
-    def __init__(self, vars: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]):
-        self.vars = vars
-        self.terms = {k: v for k, v in terms.items() if v != 0}
+    def __init__(self, terms: dict[int, int], den: int = 1, deg: int = 0):
+        """terms holds no zero numerator; their gcd with den is divided out here."""
+        g = math.gcd(den, *terms.values()) if den != 1 else 1
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+        self.terms, self.den, self.deg = terms, den // g, deg
 
     @staticmethod
     def constant(c: Fraction) -> "Poly":
-        return Poly((), {(): c} if c != 0 else {})
+        return Poly({0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(name: str) -> "Poly":
-        return Poly((name,), {(1,): Fraction(1)})
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in k) for k in self.terms)
+        return Poly({1 << _FIELD.setdefault(name, _FIELD_BITS * len(_FIELD)): 1}, 1, 1)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
 
-def _poly_align(p: Poly, q: Poly) -> tuple[tuple[str, ...], dict, dict]:
-    if p.vars == q.vars:
-        return p.vars, p.terms, q.terms
-    names = tuple(sorted(set(p.vars) | set(q.vars)))
-
-    def remap(poly: Poly) -> dict:
-        idx = [names.index(v) for v in poly.vars]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k, c in poly.terms.items():
-            kk = [0] * len(names)
-            for pos, e in zip(idx, k):
-                kk[pos] = e
-            out[tuple(kk)] = c
-        return out
-
-    return names, remap(p), remap(q)
+def _poly_scale(p: Poly, c: Fraction) -> Poly:
+    return Poly({m: v * c.numerator for m, v in p.terms.items()}, p.den * c.denominator, p.deg)
 
 
 def _poly_add(p: Poly, q: Poly, sign: int = 1) -> Poly:
-    names, tp, tq = _poly_align(p, q)
-    out = dict(tp)
-    for k, c in tq.items():
-        out[k] = out.get(k, Fraction(0)) + sign * c
-    return Poly(names, out)
+    g = math.gcd(p.den, q.den)
+    fp, fq = q.den // g, sign * (p.den // g)
+    out = {m: c * fp for m, c in p.terms.items()}
+    for m, c in q.terms.items():
+        out[m] = out.get(m, 0) + c * fq
+    return Poly({m: c for m, c in out.items() if c}, p.den * fp, max(p.deg, q.deg))
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    names, tp, tq = _poly_align(p, q)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for k1, c1 in tp.items():
-        for k2, c2 in tq.items():
-            k = tuple(a + b for a, b in zip(k1, k2))
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return Poly(names, out)
+def _poly_mul(p: Poly, q: Poly) -> Poly | None:
+    deg = p.deg + q.deg
+    if deg > _FIELD_MASK:
+        return None
+    out: dict[int, int] = {}
+    get = out.get
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return Poly({m: c for m, c in out.items() if c}, p.den * q.den, deg)
 
 
-def _poly_pow(p: Poly, n: int) -> Poly:
-    result = Poly.constant(Fraction(1))
+def _poly_pow(p: Poly, n: int) -> Poly | None:
+    if p.deg * n > _FIELD_MASK:
+        return None
+    if len(p.terms) == 1:
+        ((m, c),) = p.terms.items()
+        return Poly({m * n: c**n}, p.den**n, p.deg * n)
+    result = Poly({0: 1})
     base = p
     while n:
         if n & 1:
             result = _poly_mul(result, base)
-        base_next = _poly_mul(base, base) if n > 1 else base
-        base = base_next
+        base = _poly_mul(base, base) if n > 1 else base
         n >>= 1
     return result
 
 
+def _fields(*polys: Poly) -> tuple[list[str], list[int]]:
+    """Sorted names of the variables the polynomials use, and their offsets."""
+    used = 0
+    for p in polys:
+        for m in p.terms:
+            used |= m
+    names = sorted(v for v, shift in _FIELD.items() if used >> shift & _FIELD_MASK)
+    return names, [_FIELD[v] for v in names]
+
+
+def _decode(m: int, shifts: list[int]) -> tuple[int, ...]:
+    return tuple(m >> s & _FIELD_MASK for s in shifts)
+
+
 def poly_div_exact(p: Poly, q: Poly) -> Poly | None:
-    """Quotient p/q when the division is exact, else None (lex order)."""
+    """Quotient p/q when the division is exact, else None (lex order).  The
+    numerators of q are divided by their gcd c; by Gauss's lemma an exact
+    quotient by that primitive polynomial has integer coefficients."""
     if not q.terms:
         return None
-    names, tp, tq = _poly_align(p, q)
-    rem = dict(tp)
+    c = math.gcd(*q.terms.values())
+    names, shifts = _fields(p, q)
+    rem = {_decode(m, shifts): v for m, v in p.terms.items()}
+    tq = {_decode(m, shifts): v // c for m, v in q.terms.items()}
     lt_q = max(tq)
     cq = tq[lt_q]
-    quo: dict[tuple[int, ...], Fraction] = {}
+    quo: dict[int, int] = {}
     while rem:
         lt_r = max(rem)
         mono = tuple(a - b for a, b in zip(lt_r, lt_q))
-        if any(e < 0 for e in mono):
+        coeff, r = divmod(rem[lt_r], cq)
+        if r or any(e < 0 for e in mono):
             return None
-        coeff = rem[lt_r] / cq
-        quo[mono] = quo.get(mono, Fraction(0)) + coeff
-        for k, c in tq.items():
+        quo[sum(e << s for e, s in zip(mono, shifts))] = coeff
+        for k, v in tq.items():
             kk = tuple(a + b for a, b in zip(mono, k))
-            nv = rem.get(kk, Fraction(0)) - coeff * c
+            nv = rem.get(kk, 0) - coeff * v
             if nv == 0:
                 rem.pop(kk, None)
             else:
                 rem[kk] = nv
-    return Poly(names, quo)
+    return Poly({m: v * q.den for m, v in quo.items()}, p.den * c, p.deg)
 
 
 def poly_to_expr(p: Poly) -> Expression:
     if not p.terms:
         return ZERO
+    names, shifts = _fields(p)
     parts: list[Expression] = []
-    for k in sorted(p.terms, reverse=True):
-        c = p.terms[k]
+    for k, m in sorted(((_decode(m, shifts), m) for m in p.terms), reverse=True):
+        num = p.terms[m]
         term: Expression | None = None
-        for name, e in zip(p.vars, k):
+        for name, e in zip(names, k):
             if e == 0:
                 continue
             fac = Var(name) if e == 1 else Pow(Var(name), Fraction(e))
             term = fac if term is None else Mul(term, fac)
         if term is None:
-            term = Const(c)
-        elif c == -1:
+            term = Const(Fraction(num, p.den))
+        elif num == -p.den:
             term = Neg(term)
-        elif c != 1:
-            term = Mul(Const(c), term)
+        elif num != p.den:
+            term = Mul(Const(Fraction(num, p.den)), term)
         parts.append(term)
     # balanced sum keeps tree depth logarithmic in the monomial count
     while len(parts) > 1:
@@ -892,14 +918,14 @@ def _as_poly(e: Expression) -> Poly | None:
         return _poly_mul(a, b) if a is not None and b is not None else None
     if isinstance(e, Neg):
         a = as_poly(e.a)
-        return _poly_mul(Poly.constant(Fraction(-1)), a) if a is not None else None
+        return _poly_scale(a, Fraction(-1)) if a is not None else None
     if isinstance(e, Div):
         a, b = as_poly(e.a), as_poly(e.b)
         if a is None or b is None:
             return None
-        if b.is_constant():
+        if b.terms.keys() <= {0}:
             c = b.constant_value()
-            return _poly_mul(Poly.constant(Fraction(1) / c), a) if c != 0 else None
+            return _poly_scale(a, 1 / c) if c != 0 else None
         return poly_div_exact(a, b)
     if isinstance(e, Pow):
         r = e.exponent

@@ -1,6 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+from srkilling import connection
 from srkilling import expr as ex
 from srkilling.connection import (
     HTensor,
@@ -12,6 +16,7 @@ from srkilling.connection import (
     higher_derivatives,
     verify_geometry,
 )
+from srkilling.cli import main
 from srkilling.frame import load_structure, load_structure_text, sample_box_points
 from srkilling.killing import a_z_matrix, derivation_apply
 
@@ -196,6 +201,21 @@ class TestVerifyGeometry:
         for _ in range(4):
             verify_geometry(cd)
         assert len(compiled) == before
+
+    def test_axiom_terms_are_built_once_per_run(self, monkeypatch):
+        """compute_connection and verify_geometry read one list of metricity
+        and torsion terms."""
+        calls = []
+
+        def counted(conn):
+            calls.append(conn)
+            return build(conn)
+
+        build = connection._axiom_terms
+        monkeypatch.setattr(connection, "_axiom_terms", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify-geometry", "su2:chart"]) == 0
+        assert len(calls) == 1
 
     def test_fault_injection_fails_metricity(self, su2):
         cd = curvature(compute_connection(su2))

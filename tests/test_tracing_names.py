@@ -24,6 +24,13 @@ def test_every_traced_name_exists():
         assert attr in vars(getattr(importlib.import_module(module), cls)), span
 
 
+def test_every_traced_cache_is_a_dict_of_expr():
+    # the tracer reads len() of each as expr.*_cache_entries
+    expr = importlib.import_module("srkilling.expr")
+    for metric, name in _listed("CACHES").items():
+        assert isinstance(getattr(expr, name, None), dict), metric
+
+
 def test_cli_binds_eval_tensor():
     # perfbench/test_perfbench.py reads srkilling.cli.eval_tensor
     import srkilling.cli as cli
