@@ -6,6 +6,7 @@ import pytest
 
 from srkilling import connection
 from srkilling import expr as ex
+from srkilling.cli import main
 from srkilling.connection import (
     HTensor,
     NotSpecialError,
@@ -16,7 +17,6 @@ from srkilling.connection import (
     higher_derivatives,
     verify_geometry,
 )
-from srkilling.cli import main
 from srkilling.frame import load_structure, load_structure_text, sample_box_points
 from srkilling.killing import a_z_matrix, derivation_apply
 
