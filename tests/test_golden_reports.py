@@ -17,6 +17,10 @@ import pytest
 from srkilling.cli import main
 
 GRID_3 = "x:-1:1:3,y:-1:1:3,z:-1:1:3"
+GRID_33 = "x:-1:1.25:33,y:-0.75:1:33,z:-1:1:33"
+# the Heisenberg Killing field a (d/dx + y/2 d/dz) + b (d/dy - x/2 d/dz) + k d/dz
+# + r (-y d/dx + x d/dy) with (a, b, k, r) = (1/2, -1/4, 1/8, 3/4)
+HEIS_Z = "(1/2) - (3/4)*y, (-1/4) + (3/4)*x, (1/2)*y/2 - (-1/4)*x/2 + (1/8)"
 
 # GOLDEN and GOLDEN_DIM run in tests/data, so a structure file there is
 # named, in argv and in the report, by its base name.
@@ -79,6 +83,44 @@ GOLDEN = [
         ("scan", "heisenberg:1", "--grid", GRID_3, "--order", "1"),
         0,
         "26a65a0c8daf12c94c0967b48531c4b0d9c8e480b140ff6bf4b515f7d270d71b",
+    ),
+    # grids of several point blocks each: residuals are folded across the
+    # blocks, and a tensor grid's points come from its axes block by block
+    (
+        ("verify-geometry", "heisenberg:1", "--grid", GRID_33),
+        0,
+        "211302faa7b0659d2299bc81ab070d1b3adf564f9f9791f002e22b8850080f4a",
+    ),
+    (
+        ("verify-geometry", "su2:chart", "--grid", GRID_33),
+        0,
+        "03bff52898ec4ff805af09344f5231833e67100caec168a055ef3b242bdebac5",
+    ),
+    (
+        ("check", "heisenberg:1", "--grid", GRID_33, "--seed", "5"),
+        0,
+        "b82c94ab6e5806cdee5c7ed082f88f8a97adac425d3bab19f0f876aacb038f7b",
+    ),
+    (
+        ("check", "su2:chart", "--grid", GRID_33),
+        0,
+        "0abb50799af300ff613e53467383150f523341670221c466a425b53a1e4d1605",
+    ),
+    (
+        ("verify", "heisenberg:1", "--field", HEIS_Z, "--grid", GRID_33),
+        0,
+        "a2c2fa5cde4aacf833f3909032686282cb46d24d313818295273799fbac896ea",
+    ),
+    (
+        ("scan", "heisenberg:1", "--grid", "x:-1:1:7,y:-0.5:1:7,z:-1:1:7"),
+        0,
+        "1c10ef5ae75fd8564936e7979b4fe482171a72ecd0c7b8fdb1e5d3d768165631",
+    ),
+    # the 5^7 points of the default special certification
+    (
+        ("connection", "heisenberg:3"),
+        0,
+        "d9f952d083a909d302bf4f269c72f81b0840461f05f48226da8e175560d373f1",
     ),
 ]
 
