@@ -140,11 +140,13 @@ def _parse_order(text: str) -> int | str:
     return order
 
 
-def _sample_points(s: ContactStructure, args, count: int = 100) -> np.ndarray:
+def _sample_points(s: ContactStructure, args, count: int = 100):
+    """The --grid (a Grid, whose points the checks take block by block), or
+    the origin and count seeded points of the box."""
     if s.mode == "lie":
         return np.zeros((1, 0))
     if getattr(args, "grid", None):
-        return _parse_grid(args.grid, s).points
+        return _parse_grid(args.grid, s)
     return np.vstack(
         [np.zeros((1, s.dim)), sample_box_points(s.dim, count, seed=args.seed)]
     )
@@ -195,7 +197,7 @@ def _checks(records: list[CheckRecord]) -> dict:
 
 def cmd_check(s: ContactStructure, args) -> dict:
     pts = _sample_points(s, args)
-    npts = int(pts.shape[0])
+    npts = len(pts)
     res = structure_checks(s, pts)
     special = check_special(s, points=pts, tol=args.tol)
     records = [

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expression, Const, ZERO
-from .frame import CheckFailure, CheckRecord, ContactStructure, _max_abs, check_special
+from .frame import CheckFailure, CheckRecord, ContactStructure, _max_abs, as_points
+from .frame import check_special, fold_max_abs
 
 __all__ = [
     "ConnectionData",
@@ -227,7 +228,9 @@ def compute_connection(
     gamma_xi = [[s.brackets.c0_h[j][k] for k in range(h)] for j in range(h)]
     conn = ConnectionData(structure=s, gamma_h=gamma_h, gamma_xi=gamma_xi)
     pts = s.validation_points()
-    worst = _max_abs(s.eval_scalar(terms, pts) for terms in conn.axiom_terms)
+    # the cached tapes of the lists the connection holds: verify_geometry
+    # evaluates them again
+    worst = _max_abs(s.eval_table(terms, pts) for terms in conn.axiom_terms)
     if not worst < max(tol, 1e-9):
         raise AssertionError(
             f"internal error: connection axioms violated (residual {worst:.3e})"
@@ -414,55 +417,37 @@ def eval_tensor(s: ContactStructure, T: HTensor, points: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def verify_geometry(
-    cd: CurvatureData,
-    points: np.ndarray | None = None,
-    tol: float = 1e-10,
-) -> list[CheckRecord]:
-    """Max residuals of the geometric identity suite over sample points:
-    metricity/torsion of Gamma, both horizontal Bianchi identities,
-    R(xi, .) = 0 expanded from the curvature formula, skewness of R, and
-    the cyclic identity for nabla dalpha."""
+def verify_geometry(cd: CurvatureData, points=None, tol: float = 1e-10) -> list[CheckRecord]:
+    """Max residuals of the geometric identity suite over sample points (an
+    (N, dim) array or a Grid), block by block: metricity/torsion of Gamma,
+    both horizontal Bianchi identities, R(xi, .) = 0 expanded from the
+    curvature formula, skewness of R, and the cyclic identity for
+    nabla dalpha."""
     s = cd.structure
-    if points is None:
-        points = s.validation_points(count=100)
-    points = np.atleast_2d(points)
-    npts = points.shape[0]
-    records: list[CheckRecord] = []
-
-    def rec(name: str, residual: float) -> None:
-        records.append(CheckRecord(name, float(residual), npts, bool(residual < tol)))
-
-    # (a) metricity and torsion, and (d) below; one expression at a time,
-    # so that one row of values is alive, not a list's
-    metricity, torsion, reeb = (
-        _max_abs(s.eval_table(e, points) for e in terms) for terms in cd.identity_terms
-    )
-    rec("metricity", metricity)
-    rec("torsion", torsion)
-
-    Rv = eval_tensor(s, cd.R, points)  # [a,b,j,k,N]
-
-    # (b) first Bianchi: R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0
-    rec("bianchi_first", _max_abs([_cyclic_sum(Rv)]))
-
-    # (c) second Bianchi: (nabla_X R)(Y,Z) + cyclic = 0
+    points = as_points(s.validation_points(count=100) if points is None else points)
     higher_derivatives(cd, 1)
-    dRv = eval_tensor(s, cd.nabla_R[1], points)  # [v,a,b,j,k,N]
-    rec("bianchi_second", _max_abs([_cyclic_sum(dRv)]))
+    # (a) metricity and torsion, and (d) R(xi, e_b) = 0 via the curvature
+    # formula with Z = xi, each list through its cached tape
+    tapes = [s.evaluator(terms) for terms in cd.identity_terms]
 
-    # (d) R(xi, e_b) = 0 via the curvature formula with Z = xi
-    rec("curvature_reeb", reeb)
+    def residuals(pts: np.ndarray) -> dict[str, list[np.ndarray]]:
+        metricity, torsion, reeb = (f(pts) for f in tapes)
+        Rv = eval_tensor(s, cd.R, pts)  # [a,b,j,k,N]
+        dRv = eval_tensor(s, cd.nabla_R[1], pts)  # [v,a,b,j,k,N]
+        dBv = eval_tensor(s, cd.nabla_dalpha[1], pts)  # [v,a,b,N]
+        return {
+            "metricity": [metricity],
+            "torsion": [torsion],
+            "bianchi_first": [_cyclic_sum(Rv)],  # (b) R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0
+            "bianchi_second": [_cyclic_sum(dRv)],  # (c) (nabla_X R)(Y,Z) + cyclic = 0
+            "curvature_reeb": [reeb],
+            # (e) skewness of R(Z,W) w.r.t. g: R^k_ab,j symmetric part in (j,k)
+            "curvature_skew": [Rv + np.transpose(Rv, (0, 1, 3, 2, 4))],
+            "dalpha_bianchi": [_cyclic_sum(dBv)],  # (f) cyclic identity for nabla dalpha
+        }
 
-    # (e) skewness of R(Z,W) w.r.t. g: R^k_ab,j symmetric part in (j,k)
-    skew = Rv + np.transpose(Rv, (0, 1, 3, 2, 4))
-    rec("curvature_skew", _max_abs([skew]))
-
-    # (f) cyclic identity for nabla dalpha
-    dBv = eval_tensor(s, cd.nabla_dalpha[1], points)  # [v,a,b,N]
-    rec("dalpha_bianchi", _max_abs([_cyclic_sum(dBv)]))
-
-    return records
+    worst = fold_max_abs(points, s.h**5, residuals)
+    return [CheckRecord(name, r, len(points), bool(r < tol)) for name, r in worst.items()]
 
 
 def _cyclic_sum(T: np.ndarray) -> np.ndarray:

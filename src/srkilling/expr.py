@@ -151,10 +151,11 @@ def var(name: str) -> Var:
 
 
 def add(a: Expression, b: Expression) -> Expression:
-    # literal zeros are tested first: they need no Fraction arithmetic
-    if isinstance(a, Const) and a.value == 0:
+    # literal zeros are tested first, by truthiness: they need no Fraction
+    # arithmetic, and Fraction.__eq__ would cost more than the test
+    if isinstance(a, Const) and not a.value:
         return b
-    if isinstance(b, Const) and b.value == 0:
+    if isinstance(b, Const) and not b.value:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
@@ -162,9 +163,9 @@ def add(a: Expression, b: Expression) -> Expression:
 
 
 def sub(a: Expression, b: Expression) -> Expression:
-    if isinstance(b, Const) and b.value == 0:
+    if isinstance(b, Const) and not b.value:
         return a
-    if isinstance(a, Const) and a.value == 0:
+    if isinstance(a, Const) and not a.value:
         return neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
@@ -174,7 +175,7 @@ def sub(a: Expression, b: Expression) -> Expression:
 
 
 def mul(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Const) and a.value == 0 or isinstance(b, Const) and b.value == 0:
+    if isinstance(a, Const) and not a.value or isinstance(b, Const) and not b.value:
         return ZERO
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)

@@ -30,6 +30,7 @@ from .expr import Expression, Const, ZERO, ONE
 __all__ = [
     "ContactStructure",
     "Brackets",
+    "Grid",
     "CheckRecord",
     "CheckFailure",
     "StructureError",
@@ -84,6 +85,11 @@ class CheckRecord:
 
 
 DEFAULT_TOL = 1e-10
+# Float entries that the largest array of one block of points may hold: a
+# check over a point set runs block by block (point_blocks).  A point counts
+# as at least POINT_ENTRIES floats (coordinates, grid indices, value rows).
+BLOCK_ENTRIES = 2**16
+POINT_ENTRIES = 16
 
 
 def sample_box_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
@@ -100,6 +106,77 @@ def _max_abs(arrays) -> float:
     for vals in arrays:
         worst = float(np.max(np.abs(vals), initial=worst))
     return worst
+
+
+@dataclass
+class Grid:
+    """The tensor grid of the axes, in C order.  Indexed like the (N, dim)
+    array of its points, by an int or a slice, it makes just those points
+    from the axes (np.unravel_index), so no check holds the whole grid."""
+
+    names: list[str]
+    axes: list[np.ndarray]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(a) for a in self.axes)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape) if self.axes else 0
+
+    def __getitem__(self, sel) -> np.ndarray:
+        r = range(len(self))[sel]
+        flat = np.arange(r.start, r.stop, r.step) if isinstance(r, range) else r
+        idx = np.unravel_index(flat, self.shape)
+        return np.stack([a[i] for a, i in zip(self.axes, idx)], axis=-1)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Every point, (N, dim)."""
+        return self[:] if len(self) else np.zeros((0, len(self.axes)))
+
+    @property
+    def spacings(self) -> list[float]:
+        return [float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in self.axes]
+
+
+def as_points(points):
+    """points as a Grid or an (N, dim) float array: both take len and slices."""
+    return points if isinstance(points, Grid) else np.atleast_2d(np.asarray(points, dtype=float))
+
+
+def point_blocks(npts: int, per_point: int):
+    """Consecutive slices over npts points, of BLOCK_ENTRIES // max(per_point,
+    POINT_ENTRIES) points (at least one): an array of per_point floats a
+    point stays within BLOCK_ENTRIES on every block of more than one point."""
+    size = max(1, BLOCK_ENTRIES // max(per_point, POINT_ENTRIES))
+    return (slice(i, min(i + size, npts)) for i in range(0, npts, size))
+
+
+def fold_max_abs(points, per_point: int, residuals) -> dict[str, float]:
+    """Max residuals over points (as_points), block by block: residuals(pts)
+    maps each check to its arrays at a block's points, and _max_abs (exact,
+    NaN-keeping, so blind to the blocks) folds them.  A block's arrays are
+    named only inside the comprehension: they go before the next block's."""
+    points = as_points(points)
+    worst: dict[str, float] = {}
+    for sel in point_blocks(len(points), per_point):
+        worst = {
+            name: _max_abs([*arrays, worst.get(name, 0.0)])
+            for name, arrays in residuals(points[sel]).items()
+        }
+    return worst
+
+
+def residual_records(s: ContactStructure, checks: dict, points, tol: float) -> list[CheckRecord]:
+    """A record for each name -> residual expressions of checks: each list
+    goes through one tape compiled for this call, and its max |value| is
+    folded over the blocks of points (as_points)."""
+    points = as_points(points)
+    tapes = {name: s.evaluator(terms, cached=False) for name, terms in checks.items()}
+    per_point = max(map(len, checks.values()))
+    worst = fold_max_abs(points, per_point, lambda p: {k: [f(p)] for k, f in tapes.items()})
+    return [CheckRecord(name, r, len(points), bool(r < tol)) for name, r in worst.items()]
 
 
 def _evaluate(fn, points: np.ndarray) -> np.ndarray:
@@ -154,7 +231,7 @@ def pfaffian_minors(A):
         Pf = sum_p (-1)^(p+1) A[idx[0]][idx[p]] Pf(idx without 0 and p),
     memoized on idx, so all Pfaffian minors of one matrix share their
     subterms.  Entries may be Expressions (built with the smart
-    constructors) or numbers (Fraction, float).
+    constructors) or numbers (Fraction, float, arrays).
     """
     if isinstance(A[0][0], Expression):
         add, sub, mul = ex.add, ex.sub, ex.mul
@@ -163,17 +240,19 @@ def pfaffian_minors(A):
         add, sub, mul = operator.add, operator.sub, operator.mul
         memo = {(): 1}
 
-    def pf(idx: tuple[int, ...]):
+    def pf(idx: tuple[int, ...], rec):
         hit = memo.get(idx)
         if hit is None:
             i = idx[0]
             for p in range(1, len(idx)):
-                term = mul(A[i][idx[p]], pf(idx[1:p] + idx[p + 1 :]))
+                term = mul(A[i][idx[p]], rec(idx[1:p] + idx[p + 1 :], rec))
                 hit = term if p == 1 else (add if p % 2 else sub)(hit, term)
             memo[idx] = hit
         return hit
 
-    return pf
+    # pf reaches itself through an argument, not its closure: no reference
+    # cycle holds the memo, so a numeric A's arrays go as soon as pf does
+    return lambda idx: pf(idx, pf)
 
 
 def wedge_power(B, n: int):
@@ -426,19 +505,26 @@ class ContactStructure:
         one tape, cached for the structure; returns an array with the list
         shape as leading axes and the point axis last.  For the expressions
         the structure or its curvature data hold."""
-        return self._eval(self._tape, exprs, points)
+        return self.evaluator(exprs)(points)
 
     def eval_scalar(self, exprs, points: np.ndarray) -> np.ndarray:
         """eval_table through a tape compiled for this call only.  For the
         expressions a call builds for itself: cached under their ids, their
         tapes would stay in the cache and never be hit again."""
-        return self._eval(lambda roots: ex.compile_expression(roots, self.coords), exprs, points)
+        return self.evaluator(exprs, cached=False)(points)
 
-    @staticmethod
-    def _eval(tape, exprs, points: np.ndarray) -> np.ndarray:
+    def evaluator(self, exprs, cached: bool = True):
+        """points -> eval_table (or, not cached, eval_scalar) of exprs at
+        points, through one tape compiled here: for block by block."""
         table = np.array(exprs, dtype=object)
-        vals = _evaluate(tape(table.ravel().tolist()), points)
-        return vals.reshape(table.shape + vals.shape[-1:])
+        roots = table.ravel().tolist()
+        tape = self._tape(roots) if cached else ex.compile_expression(roots, self.coords)
+
+        def values(points: np.ndarray) -> np.ndarray:
+            vals = _evaluate(tape, points)
+            return vals.reshape(table.shape + vals.shape[-1:])
+
+        return values
 
     def basis_matrix_at(self, points: np.ndarray) -> np.ndarray:
         """(N, dim, dim) arrays with columns e_1..e_2n, xi at each point."""
@@ -582,64 +668,59 @@ def structure_functions(s: ContactStructure) -> Brackets:
     return Brackets(c_h=c_h, c_0=c_0, c0_h=c0_h, c0_0=c0_0)
 
 
-def check_special(
-    s: ContactStructure, points: np.ndarray | None = None, tol: float = DEFAULT_TOL
-) -> list[CheckRecord]:
+def check_special(s: ContactStructure, points=None, tol: float = DEFAULT_TOL) -> list[CheckRecord]:
     """Is the Reeb field an infinitesimal isometry?  The structure is
-    special when both records pass.
+    special when both records pass.  points: an (N, dim) array or a Grid,
+    by default the certification grid.
 
     special_bracket_horizontal: the brackets [xi,e_j] stay horizontal
     (alpha component vanishes).  special_reeb_killing: the Lie derivative of
     the frame metric along xi vanishes; in the orthonormal frame this is
     skewness of the matrix c^k_0j.
     """
-    if points is None:
+    if s.mode == "lie":
+        points = np.zeros((1, 0))  # constants: one point stands for all
+    elif points is None:
         points = _default_special_grid(s)
     b = s.brackets
-    r1 = _max_abs(s.eval_table(c, points) for c in b.c0_0)
-    r2 = _max_abs(
-        s.eval_scalar(ex.add(b.c0_h[i][j], b.c0_h[j][i]), points)
-        for i in range(s.h)
-        for j in range(i, s.h)
-    )
-    npts = 1 if s.mode == "lie" else int(np.atleast_2d(points).shape[0])
-    return [
-        CheckRecord("special_bracket_horizontal", r1, npts, r1 < tol),
-        CheckRecord("special_reeb_killing", r2, npts, r2 < tol),
-    ]
+    sums = [ex.add(b.c0_h[i][j], b.c0_h[j][i]) for i in range(s.h) for j in range(i, s.h)]
+    checks = {"special_bracket_horizontal": b.c0_0, "special_reeb_killing": sums}
+    return residual_records(s, checks, points, tol)
 
 
-def structure_checks(s: ContactStructure, pts: np.ndarray) -> dict[str, float]:
-    """Max residuals at pts of the identities the normalization guarantees:
-    "alpha_frame" of alpha(e_i) = 0, "normalization" of
-    wedge^n dalpha(e_1..e_2n) = 1, and "reeb" of alpha(xi) = 1 together with
-    dalpha(xi, .) = 0."""
-    Bv = s.eval_scalar(s.dalpha_frame(), pts)  # (2n, 2n, N)
+def structure_checks(s: ContactStructure, pts) -> dict[str, float]:
+    """Max residuals at pts (an (N, dim) array or a Grid) of the identities
+    the normalization guarantees: "alpha_frame" of alpha(e_i) = 0,
+    "normalization" of wedge^n dalpha(e_1..e_2n) = 1, and "reeb" of
+    alpha(xi) = 1 together with dalpha(xi, .) = 0."""
     unit = [[ONE if i == j else ZERO for i in range(s.dim)] for j in range(s.dim)]
-    return {
-        "alpha_frame": _max_abs(s.eval_scalar(s.alpha_of(vec), pts) for vec in s.frame),
-        "normalization": _max_abs([wedge_power(Bv, s.n) - 1.0]),
-        "reeb": _max_abs(
-            [s.eval_scalar(s.alpha_of(s.reeb), pts) - 1.0]
-            + [s.eval_scalar(s.dalpha_on(s.reeb, e), pts) for e in unit]
-        ),
-    }
+    alpha_frame = s.evaluator([s.alpha_of(vec) for vec in s.frame], cached=False)
+    dalpha = s.evaluator(s.dalpha_frame(), cached=False)  # (2n, 2n, N)
+    reeb = s.evaluator(
+        [s.alpha_of(s.reeb)] + [s.dalpha_on(s.reeb, e) for e in unit], cached=False
+    )
+
+    def residuals(p: np.ndarray) -> dict[str, list[np.ndarray]]:
+        r = reeb(p)
+        return {
+            "alpha_frame": [alpha_frame(p)],
+            "normalization": [wedge_power(dalpha(p), s.n) - 1.0],
+            "reeb": [r[0] - 1.0, r[1:]],
+        }
+
+    return fold_max_abs(pts, s.dim * s.dim, residuals)
 
 
 # Points of the default special-certification set: the 5^dim grid up to
-# dim 9; above, where that grid would outgrow memory (5^11 points of 11
-# floats take 4.3 GB), the origin and a seeded sample in the box.
+# dim 9, made block by block; above, where that grid would take minutes
+# (5^11 = 4.9e7 points), the origin and a seeded sample in the box.
 MAX_SPECIAL_POINTS = 5**9
 
 
-def _default_special_grid(s: ContactStructure) -> np.ndarray:
-    if s.mode == "lie":
-        return np.zeros((1, 0))
+def _default_special_grid(s: ContactStructure):
     if 5**s.dim > MAX_SPECIAL_POINTS:
         return np.vstack([np.zeros((1, s.dim)), sample_box_points(s.dim, MAX_SPECIAL_POINTS - 1)])
-    axes = [np.linspace(-1.0, 1.0, 5)] * s.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return Grid(list(s.coords), [np.linspace(-1.0, 1.0, 5)] * s.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ alpha(Z)) at q.  The generator space i_m(q) is the kernel of the linear
 map sending (X, A, c) to the values of (nabla_{X + c xi} + A) applied to
 nabla^i R and nabla^i dalpha for i <= m; it is computed by SVD with a
 relative threshold, and the order m is raised until the dimension
-sequence stabilizes twice.  A scan assembles the map for a block of grid
-points at once and ranks the whole stack with one SVD call.
+sequence stabilizes twice.  A scan evaluates the tensors for a block of
+grid points at once, assembles the map at each point of the block and
+ranks the whole stack with one SVD call.
 
 Transport integrates the linear system
 
@@ -50,7 +51,8 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expression, Const, ZERO
-from .frame import CheckFailure, ContactStructure, StructureError, _max_abs, split_components
+from .frame import CheckFailure, ContactStructure, Grid, StructureError, _max_abs
+from .frame import point_blocks, residual_records, split_components
 from .connection import (
     BudgetError,
     ConnectionData,
@@ -94,9 +96,6 @@ SKEW_TOL = 1e-12
 STAGE_BLOCK = 2048
 # Steps one curve may take; a finer step is rejected as an input error.
 MAX_STEPS = 10**6
-# Matrix entries (points x rows x unknowns) of the f_q stack one scan block
-# assembles and ranks; bounds the scan's memory whatever the grid size.
-SCAN_BLOCK = 2**16
 # Singular values at or below this count as zero whatever the relative
 # threshold of a rank decision.
 ABS_FLOOR = 1e-12
@@ -195,27 +194,6 @@ class Curve:
 
     def point_at(self, t: float) -> np.ndarray:
         return np.array([ex.evaluate(e, {"t": float(t)}) for e in self.exprs])
-
-
-@dataclass
-class Grid:
-    names: list[str]
-    axes: list[np.ndarray]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.axes)
-
-    @property
-    def points(self) -> np.ndarray:
-        if not self.axes:
-            return np.zeros((0, 0))
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    @property
-    def spacings(self) -> list[float]:
-        return [float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in self.axes]
 
 
 @dataclass
@@ -512,10 +490,10 @@ def scan_regularity(
     neighbors have strictly larger dimension is flagged as a violation.
 
     The order m is the one generator_space settles on at the first grid
-    point.  The tensors are evaluated at every point at once; the points
-    then go in blocks of at most SCAN_BLOCK matrix entries, each assembled
-    as one stack of f_q matrices (_assemble_block) and ranked by one
-    stacked np.linalg.svd without singular vectors, under the threshold
+    point.  The points then go in blocks (point_blocks) sized by f_q, the
+    largest array of a point: each block's tensor values are evaluated,
+    assembled as one stack of f_q matrices (_assemble_block) and ranked by
+    one stacked np.linalg.svd without singular vectors, under the threshold
     rule of generator_space."""
     s = cd.structure
     if s.mode == "lie":
@@ -528,22 +506,19 @@ def scan_regularity(
             "note": "left-invariant structure: one algebraic point, constant by invariance",
             "semicontinuity_violations": 0,
         }
-    points = grid.points
-    npts = points.shape[0]
+    npts = len(grid)
     if npts == 0:
         return {"mode": "chart", "dims": [], "regular": [], "semicontinuity_violations": 0}
 
     # stabilization order is probed at the first point, then reused
-    gs0 = generator_space(cd, points[0], order, rel_threshold, m_max)
+    gs0 = generator_space(cd, grid[0], order, rel_threshold, m_max)
     m = gs0.m_used
-    cache = _tensor_value_cache(cd, m, points)
     nunk = ambient_dimension(s.n)
-    block = max(1, SCAN_BLOCK // (_fq_rows(s.h, m) * nunk))
     dims = np.empty(npts, dtype=int)
-    for start in range(0, npts, block):
-        sel = slice(start, start + block)
-        sv = np.linalg.svd(_assemble_block(cd, m, cache, sel), compute_uv=False)
-        dims[sel] = nunk - _ranks(sv, rel_threshold)
+    for sel in point_blocks(npts, _fq_rows(s.h, m) * nunk):
+        # the tensor values of a block go as soon as its f_q is assembled
+        stack = _assemble_block(cd, m, _tensor_value_cache(cd, m, grid[sel]), slice(None))
+        dims[sel] = nunk - _ranks(np.linalg.svd(stack, compute_uv=False), rel_threshold)
 
     regular, pit = _neighbour_flags(dims.reshape(grid.shape))
     return {
@@ -892,7 +867,7 @@ def reconstruct_field(
 def verify_killing(
     cd: CurvatureData,
     Z: list[Expression],
-    points: np.ndarray | None = None,
+    points=None,
     tol: float = 1e-9,
     bracket_data: tuple | None = None,
 ) -> list[CheckRecord]:
@@ -904,16 +879,11 @@ def verify_killing(
     _bracket_data when the caller holds it."""
     s = cd.structure
     conn = cd.connection
-    if points is None:
-        points = s.validation_points(count=100)
-    points = np.atleast_2d(points)
-    npts = points.shape[0]
     h = s.h
-    records: list[CheckRecord] = []
+    checks: dict[str, list[Expression]] = {}
 
     def rec(name: str, exprs) -> None:
-        residual = _max_abs(s.eval_scalar(e, points) for e in exprs)
-        records.append(CheckRecord(name, residual, npts, bool(residual < tol)))
+        checks[name] = list(exprs)
 
     alphaZ = s.alpha_of(Z)
     bracket_data = bracket_data or _bracket_data(s, Z)
@@ -970,7 +940,8 @@ def verify_killing(
     lie_xi = ex.sub(s.derivative_along(Z, s.alpha_of(s.reeb)), s.alpha_of(brackets[h]))
     rec("lie_alpha", [s.alpha_of(b) for b in brackets[:h]] + [lie_xi])
 
-    return records
+    points = s.validation_points(count=100) if points is None else points
+    return residual_records(s, checks, points, tol)
 
 
 def _bracket_data(s: ContactStructure, Z: list[Expression]) -> tuple[list, list]:
@@ -1056,7 +1027,7 @@ def verify_killing_field(
 def riemannian_extension_check(
     cd: CurvatureData,
     Z: list[Expression],
-    points: np.ndarray | None = None,
+    points=None,
     tol: float = 1e-9,
     bracket_data: tuple | None = None,
 ) -> list[CheckRecord]:
@@ -1064,9 +1035,6 @@ def riemannian_extension_check(
     and orthogonal): Z<u,v> - <[Z,u],v> - <u,[Z,v]> over u,v in the frame
     plus xi.  bracket_data is Z's _bracket_data when the caller holds it."""
     s = cd.structure
-    if points is None:
-        points = s.validation_points(count=100)
-    points = np.atleast_2d(points)
     h = s.h
     _, dec = bracket_data or _bracket_data(s, Z)
     terms = (
@@ -1074,8 +1042,8 @@ def riemannian_extension_check(
         + [ex.add(dec[i][1], dec[h][0][i]) for i in range(h)]
         + [dec[h][1]]
     )
-    worst = _max_abs(s.eval_scalar(e, points) for e in terms)
-    return [CheckRecord("riemannian_extension", worst, int(points.shape[0]), bool(worst < tol))]
+    points = s.validation_points(count=100) if points is None else points
+    return residual_records(s, {"riemannian_extension": terms}, points, tol)
 
 
 def pushforward_generator(

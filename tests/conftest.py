@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from srkilling import expr as ex
@@ -33,6 +35,20 @@ def su2c():
 @pytest.fixture(scope="session")
 def su2c_cd(su2c):
     return curvature(compute_connection(su2c))
+
+
+def traced_peak(fn):
+    """(fn(), the most memory tracemalloc traced while fn ran, beyond what is
+    still held when it returns): fn's working memory in bytes, its result
+    and anything it cached left out.  numpy reports its buffers to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
 
 
 def parse(text, coords=("x", "y", "z")):

@@ -12,7 +12,7 @@ below has nonconstant curvature and a nonzero f_q.
 import numpy as np
 import pytest
 
-from srkilling import killing
+from srkilling import frame
 from srkilling.connection import compute_connection, curvature
 from srkilling.frame import load_structure, load_structure_text
 from srkilling.killing import (
@@ -93,11 +93,12 @@ def test_block_boundaries_leave_dims_unchanged(warped, warped_cd, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    # SCAN_BLOCK counts matrix entries: 1 gives one point a block, seven
-    # points' worth gives blocks of 7, 7, 7 and 6 on the 27 points
+    # BLOCK_ENTRIES counts the entries of the largest array of a block, here
+    # f_q: 1 gives one point a block, seven points' worth gives blocks of 7,
+    # 7, 7 and 6 on the 27 points
     for entries, sizes in ((1, [1] * 27), (7 * per_point, [7, 7, 7, 6])):
         stacks.clear()
-        monkeypatch.setattr(killing, "SCAN_BLOCK", entries)
+        monkeypatch.setattr(frame, "BLOCK_ENTRIES", entries)
         assert scan_regularity(warped_cd, grid, order=2, rel_threshold=0.8) == base
         assert stacks == sizes
 

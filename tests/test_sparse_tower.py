@@ -32,6 +32,7 @@ from srkilling.frame import check_special, load_structure, load_structure_text
 from srkilling.killing import generator_space
 
 import tower_reference as ref
+from conftest import traced_peak
 
 # X1 = 1 + x^2, 0, y/(1 + x^2); X2 = 0, 1 + x^2, 0: a rational frame with
 # nonconstant curvature.
@@ -151,12 +152,33 @@ def test_curvature_report_reads_only_the_stored_entries(no_dense_over_budget):
     assert rep["nabla_R_max_abs"] == [0.0] * 7
 
 
-def test_scan_refuses_tensor_values_over_the_budget(no_dense_over_budget):
-    """R of heisenberg:4 at the 3^9 points of the grid: 8^4 * 3^9 entries."""
-    axes = [f"{c}{i}:-1:1:3" for i in range(1, 5) for c in "xy"] + ["z:-1:1:3"]
-    code, rep = run("scan", "heisenberg:4", "--order", "0", "--grid", ",".join(axes))
+def test_scan_runs_a_grid_whose_tensor_values_pass_the_budget(no_dense_over_budget):
+    """nabla R of heisenberg:4 at the 576 points of the grid has 8^5 * 576
+    entries, over the dense budget, and the scan was refused for it while it
+    evaluated the tensors at every point at once.  Point by point (f_q of
+    order 0 takes 153,920 entries a point) it runs, and its working memory
+    stays far below the budget's 128 MB.  The grid is kept small: a scan of
+    heisenberg:4 takes about 7 ms a point."""
+    counts = {"x1": 3, "y1": 3, "z": 1}
+    axes = [f"{c}:-1:1:{counts.get(c, 2)}" for c in load_structure("heisenberg:4").coords]
+    (code, rep), peak = traced_peak(
+        lambda: run("scan", "heisenberg:4", "--order", "0", "--grid", ",".join(axes))
+    )
+    assert code == 0
+    assert rep["dims"] == [25] * 576 and all(rep["regular"])
+    assert peak < 64 * 2**20
+
+
+def test_scan_refuses_a_grid_when_one_point_is_over_the_budget(no_dense_over_budget):
+    """f_q of order 3 of heisenberg:4 has 2,433,600 x 37 entries at a single
+    point, so no block of points fits the budget: refused before any tensor
+    is evaluated, whatever the size of the grid."""
+    axes = [f"{c}:-1:1:2" for c in load_structure("heisenberg:4").coords]
+    code, rep = run("scan", "heisenberg:4", "--order", "3", "--grid", ",".join(axes))
     assert code == 2
-    assert "rank-4 tensor at 19683 points" in rep["error"]["message"]
+    assert rep["error"]["message"] == (
+        "f_q of order 3 at a point would have 90043200 dense entries, over the budget 16777216"
+    )
 
 
 def test_sampled_special_certification_catches_a_non_special_frame(monkeypatch):
