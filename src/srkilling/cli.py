@@ -141,8 +141,7 @@ def _parse_order(text: str) -> int | str:
 
 
 def _sample_points(s: ContactStructure, args, count: int = 100):
-    """The --grid (a Grid, whose points the checks take block by block), or
-    the origin and count seeded points of the box."""
+    """The --grid (a Grid), or the origin and count seeded points of the box."""
     if s.mode == "lie":
         return np.zeros((1, 0))
     if getattr(args, "grid", None):

@@ -228,8 +228,7 @@ def compute_connection(
     gamma_xi = [[s.brackets.c0_h[j][k] for k in range(h)] for j in range(h)]
     conn = ConnectionData(structure=s, gamma_h=gamma_h, gamma_xi=gamma_xi)
     pts = s.validation_points()
-    # the cached tapes of the lists the connection holds: verify_geometry
-    # evaluates them again
+    # cached tapes of the lists the connection holds, which verify_geometry reads
     worst = _max_abs(s.eval_table(terms, pts) for terms in conn.axiom_terms)
     if not worst < max(tol, 1e-9):
         raise AssertionError(
@@ -418,11 +417,10 @@ def eval_tensor(s: ContactStructure, T: HTensor, points: np.ndarray) -> np.ndarr
 
 
 def verify_geometry(cd: CurvatureData, points=None, tol: float = 1e-10) -> list[CheckRecord]:
-    """Max residuals of the geometric identity suite over sample points (an
-    (N, dim) array or a Grid), block by block: metricity/torsion of Gamma,
-    both horizontal Bianchi identities, R(xi, .) = 0 expanded from the
-    curvature formula, skewness of R, and the cyclic identity for
-    nabla dalpha."""
+    """Max residuals of the geometric identity suite over points (as_points),
+    block by block: metricity/torsion of Gamma, both horizontal Bianchi
+    identities, R(xi, .) = 0 expanded from the curvature formula, skewness
+    of R, and the cyclic identity for nabla dalpha."""
     s = cd.structure
     points = as_points(s.validation_points(count=100) if points is None else points)
     higher_derivatives(cd, 1)

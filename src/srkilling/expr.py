@@ -694,13 +694,13 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
     last_use.pop(-1, None)
     for slot, op in last_use.items():
         op[4].append(slot)
-    loaded_roots = []  # (slot, rows) of roots that are constants or variables
+    loaded_roots: dict = {}  # slot -> rows of the roots that are a constant or variable
     for r, root in enumerate(roots):
         k = index[id(root)]
         if k in ops:
             ops[k][5].append(r)
         else:
-            loaded_roots.append((k, [r]))
+            loaded_roots.setdefault(k, []).append(r)
     steps = [tuple(op) for op in ops.values()]
     nroots, nslots = len(roots), len(order)
 
@@ -712,7 +712,7 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
             slots[k] = value
         for k, pos in loads:
             slots[k] = np.asarray(arrays[pos], dtype=float)
-        for k, rows in loaded_roots:
+        for k, rows in loaded_roots.items():
             out[rows] = slots[k]
         with np.errstate(divide="ignore", invalid="ignore"):
             for f, k, a, b, free, rows in steps:

@@ -111,8 +111,7 @@ def _max_abs(arrays) -> float:
 @dataclass
 class Grid:
     """The tensor grid of the axes, in C order.  Indexed like the (N, dim)
-    array of its points, by an int or a slice, it makes just those points
-    from the axes (np.unravel_index), so no check holds the whole grid."""
+    array of its points, it makes just those points (np.unravel_index)."""
 
     names: list[str]
     axes: list[np.ndarray]
@@ -132,7 +131,6 @@ class Grid:
 
     @property
     def points(self) -> np.ndarray:
-        """Every point, (N, dim)."""
         return self[:] if len(self) else np.zeros((0, len(self.axes)))
 
     @property
@@ -169,13 +167,22 @@ def fold_max_abs(points, per_point: int, residuals) -> dict[str, float]:
 
 
 def residual_records(s: ContactStructure, checks: dict, points, tol: float) -> list[CheckRecord]:
-    """A record for each name -> residual expressions of checks: each list
-    goes through one tape compiled for this call, and its max |value| is
-    folded over the blocks of points (as_points)."""
+    """A record for each name -> residual expressions of checks: max |value|
+    of each list at points (as_points).  A literal constant has one value at
+    every point and is read once; the other expressions of a list go
+    through one tape compiled for this call, folded over the blocks."""
     points = as_points(points)
-    tapes = {name: s.evaluator(terms, cached=False) for name, terms in checks.items()}
-    per_point = max(map(len, checks.values()))
-    worst = fold_max_abs(points, per_point, lambda p: {k: [f(p)] for k, f in tapes.items()})
+    worst, live = {}, {}
+    for name, terms in checks.items():
+        worst[name] = _max_abs(abs(ex._const_float(e.value)) for e in terms if isinstance(e, Const))
+        live[name] = [e for e in terms if not isinstance(e, Const)]
+    tapes = {k: s.evaluator(t, cached=False) for k, t in live.items() if t}
+
+    def residuals(p: np.ndarray) -> dict[str, list]:
+        return {k: [f(p), worst[k]] for k, f in tapes.items()}
+
+    if tapes:
+        worst.update(fold_max_abs(points, max(map(len, live.values())), residuals))
     return [CheckRecord(name, r, len(points), bool(r < tol)) for name, r in worst.items()]
 
 

@@ -7,9 +7,8 @@ alpha(Z)) at q.  The generator space i_m(q) is the kernel of the linear
 map sending (X, A, c) to the values of (nabla_{X + c xi} + A) applied to
 nabla^i R and nabla^i dalpha for i <= m; it is computed by SVD with a
 relative threshold, and the order m is raised until the dimension
-sequence stabilizes twice.  A scan evaluates the tensors for a block of
-grid points at once, assembles the map at each point of the block and
-ranks the whole stack with one SVD call.
+sequence stabilizes twice.  A scan evaluates and assembles the map for a
+block of grid points at once and ranks the whole stack with one SVD call.
 
 Transport integrates the linear system
 

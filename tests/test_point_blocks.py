@@ -48,15 +48,16 @@ SU2C_CHECKS = checks(SU2C_KILLING, "auto")
 
 
 @pytest.mark.parametrize("name", HEIS_CHECKS)
-def test_working_memory_does_not_grow_with_the_points(heis_cd, name):
+def test_working_memory_does_not_grow_with_the_points(request, name):
     """16^3 and 48^3 points: 27 times the points, less than twice the
     memory.  Before the blocks, verify_geometry traced 3.5 MB at 16^3 and
-    28 MB at 32^3."""
+    28 MB at 32^3.  heisenberg:1's special residuals are literal zeros,
+    read without any point, so check_special runs on su2:chart."""
+    cd = request.getfixturevalue("su2c_cd" if name == "check_special" else "heis_cd")
     call = HEIS_CHECKS[name]
-    s = heis_cd.structure
-    call(heis_cd, grid(s, 3))  # extends the tower and compiles the cached tapes
-    _, small = traced_peak(lambda: call(heis_cd, grid(s, 16)))
-    _, large = traced_peak(lambda: call(heis_cd, grid(s, 48)))
+    call(cd, grid(cd.structure, 3))  # extends the tower and compiles the cached tapes
+    _, small = traced_peak(lambda: call(cd, grid(cd.structure, 16)))
+    _, large = traced_peak(lambda: call(cd, grid(cd.structure, 48)))
     assert large < 2 * small, (small, large)
 
 
@@ -99,9 +100,9 @@ def test_grid_points_are_the_meshgrid_points():
     assert Grid([], []).points.shape == (0, 0) and len(Grid([], [])) == 0
 
 
-def test_certification_grid_is_made_block_by_block(monkeypatch):
-    """The 5^dim certification grid is a Grid; its points are never all
-    made at once."""
+@pytest.fixture
+def grid_blocks(monkeypatch):
+    """The sizes of the point blocks Grids make."""
     made = []
     getitem = Grid.__getitem__
 
@@ -111,20 +112,36 @@ def test_certification_grid_is_made_block_by_block(monkeypatch):
         return out
 
     monkeypatch.setattr(Grid, "__getitem__", counted)
-    s = load_structure("heisenberg:3")
+    return made
+
+
+def test_certification_grid_is_made_block_by_block(monkeypatch, grid_blocks):
+    """The 5^dim certification grid is a Grid, whose points are made a
+    block at a time; 10 points' worth of entries gives blocks of 10."""
+    s = load_structure("su2:chart")
     assert isinstance(frame._default_special_grid(s), Grid)
+    monkeypatch.setattr(frame, "BLOCK_ENTRIES", 10 * frame.POINT_ENTRIES)
     records = check_special(s)
-    assert [r.points_tested for r in records] == [5**7] * 2
-    assert sum(made) == 5**7 and max(made) < 5**7
+    assert [r.points_tested for r in records] == [125] * 2
+    assert grid_blocks == [10] * 12 + [5]
+
+
+def test_literal_constants_are_read_once(grid_blocks):
+    """The special residuals of heisenberg:3 are literal zeros: their value
+    is the same at every point, so none of the 5^7 points is made."""
+    records = check_special(load_structure("heisenberg:3"))
+    assert [(r.max_residual, r.points_tested) for r in records] == [(0.0, 5**7)] * 2
+    assert grid_blocks == []
 
 
 def test_axiom_terms_are_compiled_once(monkeypatch):
     """compute_connection and verify_geometry evaluate the metricity and
     torsion lists through one cached tape each.  On a fresh su2:chart the
-    special certification compiles 2 tapes, the axioms 2 and verify_geometry
-    1, for R: nabla R and nabla dalpha store no entries, and the terms of
-    R(xi, .), literal zeros, are the roots of the torsion tape.  The
-    compiles were 11 while verify_geometry compiled one tape an expression."""
+    special certification compiles 1 tape (the alpha([xi, e_j]) are literal
+    zeros), the axioms 2 and verify_geometry 1, for R: nabla R and
+    nabla dalpha store no entries, and the terms of R(xi, .), literal zeros,
+    are the roots of the torsion tape.  The compiles were 11 while
+    verify_geometry compiled one tape an expression."""
     s = load_structure("su2:chart")
     compiled = []
     compile_expression = ex.compile_expression
@@ -137,7 +154,7 @@ def test_axiom_terms_are_compiled_once(monkeypatch):
     cd = curvature(compute_connection(s))
     verify_geometry(cd)
     verify_geometry(cd)
-    assert len(compiled) == 5
+    assert len(compiled) == 4
     for terms in cd.connection.axiom_terms:
         same = [len(r) == len(terms) and all(map(operator.is_, r, terms)) for r in compiled]
         assert sum(same) == 1
