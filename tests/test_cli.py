@@ -23,6 +23,12 @@ t_range = 0 1
 gamma = 0, t, 0
 """
 
+CURVE_POLE = """
+[curve]
+t_range = 0 1
+gamma = 1/t, 0, 0
+"""
+
 GEN_Y1 = """
 [generator]
 X = 1 0
@@ -304,6 +310,18 @@ class TestTransportInputs:
     def test_non_finite_t_range(self, capsys, files):
         (files / "inf.toml").write_text(CURVE_Y.replace("t_range = 0 1", "t_range = 0 inf"))
         assert input_error(*self.prolong(capsys, files, curve="inf.toml"))
+
+    def test_prolong_curve_with_a_pole_at_its_start(self, capsys, files):
+        (files / "pole.toml").write_text(CURVE_POLE)
+        assert input_error(*self.prolong(capsys, files, curve="pole.toml"))
+
+    def test_path_check_curve_with_a_pole_at_its_start(self, capsys, files):
+        (files / "pole.toml").write_text(CURVE_POLE)
+        code, out = run(
+            capsys, "path-check", "heisenberg:1", "--curve", str(files / "pole.toml"),
+            "--curve", str(files / "pole.toml"), "--gen", str(files / "gen.toml"),
+        )
+        assert input_error(code, out)
 
     def test_non_finite_generator(self, capsys, files):
         (files / "gen_nan.toml").write_text(GEN_Y1.replace("c = 0", "c = nan"))

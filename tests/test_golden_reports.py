@@ -147,6 +147,11 @@ TRANSPORT_FILES = {
     "su2c_curve.toml": (
         "[curve]\nt_range = 0 1.25\ngamma = 1/8 + t/3, -1/4 + t^2/5, 1/16 + t*(1-t)*sin(2*t)\n"
     ),
+    # cos and a square root: the endpoints read through the curve's tape
+    "su2c_cospow.toml": (
+        "[curve]\nt_range = 0 1.5\n"
+        "gamma = 1/8 + t*cos(t)/3, -1/4 + (1 - cos(3*t))/5, 1/16 + t*pow(1 + t^2, 1/2)/7\n"
+    ),
 }
 
 GOLDEN_TRANSPORT = [
@@ -176,12 +181,22 @@ GOLDEN_TRANSPORT = [
         0,
         "851adec45e0883e00b75940e0b2892ff1c624bba1de3a49a545941940765d5a4",
     ),
+    (
+        ("prolong", "su2:chart", "--curve", "{su2c_cospow.toml}", "--gen", "{su2c_gen.toml}"),
+        0,
+        "92d27ad286639f52452a8189aedf07d99356beec6f251ba7878db19a560a9708",
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,code,digest", GOLDEN_TRANSPORT, ids=[" ".join(g[0][:2]) for g in GOLDEN_TRANSPORT]
-)
+# Ids are the command and structure; a repeated pair adds its curve file.
+TRANSPORT_IDS: list[str] = []
+for _argv, _, _ in GOLDEN_TRANSPORT:
+    _id = " ".join(_argv[:2])
+    TRANSPORT_IDS.append(f"{_id} {_argv[3][1:-1]}" if _id in TRANSPORT_IDS else _id)
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_TRANSPORT, ids=TRANSPORT_IDS)
 def test_transport_report_is_byte_identical(tmp_path, argv, code, digest):
     paths = {}
     for name, text in TRANSPORT_FILES.items():
