@@ -12,7 +12,6 @@ from .expr import (
     ParseError,
     compile_expression,
     differentiate,
-    evaluate,
     parse_expression,
 )
 from .frame import (
@@ -62,7 +61,7 @@ __all__ = [
     "__version__",
     # expr
     "Expression", "ExprError", "ParseError", "EvalError", "parse_expression", "differentiate",
-    "evaluate", "compile_expression",
+    "compile_expression",
     # frame
     "ContactStructure", "Brackets", "CheckRecord", "CheckFailure", "StructureError",
     "OrientationError", "NotContactError", "load_structure", "load_structure_text", "lie_bracket",

@@ -24,7 +24,6 @@ from .frame import (
     _max_abs,
     check_special,
     load_structure,
-    sample_box_points,
     structure_checks,
 )
 from .connection import (
@@ -85,8 +84,12 @@ def _parse_point(text: str, s: ContactStructure) -> np.ndarray:
         for p in parts:
             if "=" not in p:
                 raise InputError(f"mixed point syntax in {text!r}")
-            k, v = p.split("=", 1)
-            vals[k.strip()] = _parse_number(v, "point coordinate")
+            k, v = (b.strip() for b in p.split("=", 1))
+            if k not in s.coords:
+                raise InputError(f"unknown point coordinate {k!r}")
+            if k in vals:
+                raise InputError(f"point coordinate {k!r} is given twice")
+            vals[k] = _parse_number(v, "point coordinate")
         missing = [c for c in s.coords if c not in vals]
         if missing:
             raise InputError(f"point is missing coordinates {missing}")
@@ -117,6 +120,8 @@ def _parse_grid(text: str, s: ContactStructure) -> Grid:
             raise InputError(f"grid {name} count {count} exceeds the bound {MAX_GRID_POINTS}")
         if name not in s.coords:
             raise InputError(f"unknown grid coordinate {name!r}")
+        if name in specs:
+            raise InputError(f"grid coordinate {name!r} is given twice")
         specs[name] = (lo, hi, count)
     missing = [c for c in s.coords if c not in specs]
     if missing:
@@ -141,14 +146,11 @@ def _parse_order(text: str) -> int | str:
 
 
 def _sample_points(s: ContactStructure, args, count: int = 100):
-    """The --grid (a Grid), or the origin and count seeded points of the box."""
-    if s.mode == "lie":
-        return np.zeros((1, 0))
-    if getattr(args, "grid", None):
-        return _parse_grid(args.grid, s)
-    return np.vstack(
-        [np.zeros((1, s.dim)), sample_box_points(s.dim, count, seed=args.seed)]
-    )
+    """The --grid (a Grid), or the origin and count seeded points of the box
+    (the one point of lie mode)."""
+    if s.mode == "lie" or not getattr(args, "grid", None):
+        return s.validation_points(count, seed=args.seed)
+    return _parse_grid(args.grid, s)
 
 
 def _at(s: ContactStructure, args) -> np.ndarray:

@@ -37,7 +37,6 @@ __all__ = [
     "parse_expression",
     "expression_depth",
     "differentiate",
-    "evaluate",
     "compile_expression",
     "to_string",
     "const",
@@ -67,7 +66,10 @@ class ParseError(ExprError):
 
 
 class EvalError(ExprError):
-    """Numeric evaluation failure (division by zero, bad root, non-finite)."""
+    """Numeric evaluation failure: an unbound variable, a constant outside
+    the float range, a symbolic division by zero, or a value that is not
+    finite where a finite one is needed (a curve point, a stage of
+    transport)."""
 
 
 class Expression:
@@ -534,27 +536,9 @@ def _differentiate(e: Expression, v: str) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.  Scalar path raises precise errors; the compiled path is a
-# vectorized numpy function over many points, with a finiteness check left
-# to the caller via eval_many.
+# Evaluation: the compiled tape, a vectorized numpy function over many
+# points.  It makes no finiteness check; each caller checks what it reads.
 # ---------------------------------------------------------------------------
-
-
-def _rational_pow(u: float, r: Fraction) -> float:
-    p, q = r.numerator, r.denominator
-    if q == 1:
-        if u == 0.0 and p < 0:
-            raise EvalError("zero raised to a negative power")
-        return float(u) ** p
-    if u < 0.0:
-        if q % 2 == 0:
-            raise EvalError(f"even root of negative value {u!r}")
-        m = (-u) ** (abs(p) / q)
-        m = m if p % 2 == 0 else -m
-        return m if p > 0 else 1.0 / m
-    if u == 0.0 and p < 0:
-        raise EvalError("zero raised to a negative power")
-    return u ** (p / q)
 
 
 def _const_float(value: Fraction) -> float:
@@ -563,53 +547,6 @@ def _const_float(value: Fraction) -> float:
         return float(value)
     except OverflowError:
         raise EvalError("a constant does not fit a float (magnitude over 1.8e308)") from None
-
-
-def evaluate(e: Expression, env: dict[str, float]) -> float:
-    """Evaluate at a point given as a name -> value mapping (binary64)."""
-    memo: dict[int, float] = {}
-    try:
-        val = _eval(e, env, memo)
-    except OverflowError:
-        raise EvalError("non-finite result (overflow)") from None
-    if not math.isfinite(val):
-        raise EvalError(f"non-finite result {val!r}")
-    return val
-
-
-def _eval(e: Expression, env: dict[str, float], memo: dict[int, float]) -> float:
-    key = id(e)
-    if key in memo:
-        return memo[key]
-    if isinstance(e, Const):
-        val = _const_float(e.value)
-    elif isinstance(e, Var):
-        try:
-            val = float(env[e.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
-    elif isinstance(e, Add):
-        val = _eval(e.a, env, memo) + _eval(e.b, env, memo)
-    elif isinstance(e, Sub):
-        val = _eval(e.a, env, memo) - _eval(e.b, env, memo)
-    elif isinstance(e, Mul):
-        val = _eval(e.a, env, memo) * _eval(e.b, env, memo)
-    elif isinstance(e, Div):
-        den = _eval(e.b, env, memo)
-        if den == 0.0:
-            raise EvalError("division by zero")
-        val = _eval(e.a, env, memo) / den
-    elif isinstance(e, Neg):
-        val = -_eval(e.a, env, memo)
-    elif isinstance(e, Pow):
-        val = _rational_pow(_eval(e.base, env, memo), e.exponent)
-    elif isinstance(e, Call):
-        u = _eval(e.arg, env, memo)
-        val = {"sin": math.sin, "cos": math.cos, "exp": math.exp}[e.fn](u)
-    else:
-        raise TypeError(f"not an Expression: {e!r}")
-    memo[key] = val
-    return val
 
 
 def _np_rational_pow(u: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -650,7 +587,8 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
     a list of R roots the function returns an array (R,) + shape, with one
     root the array shape: the shape of the input arrays, or (1,) when there
     are none (lie mode: no coordinates, one point).  No finiteness check is
-    made; callers that need the scalar-path errors use :func:`evaluate`.
+    made: a pole or an even root of a negative value gives inf or nan, and
+    the caller that reads the values rejects them.
     """
     single = isinstance(e, Expression)
     roots = [e] if single else list(e)
@@ -714,7 +652,7 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
             slots[k] = np.asarray(arrays[pos], dtype=float)
         for k, rows in loaded_roots.items():
             out[rows] = slots[k]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for f, k, a, b, free, rows in steps:
                 v = slots[k] = f(slots[a]) if b < 0 else f(slots[a], slots[b])
                 for r in rows:

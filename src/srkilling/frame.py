@@ -98,6 +98,11 @@ def sample_box_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(count, dim))
 
 
+def _origin_and_box_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
+    """The origin, then count seeded points of the box (sample_box_points)."""
+    return np.vstack([np.zeros((1, dim)), sample_box_points(dim, count, seed)])
+
+
 def _max_abs(arrays) -> float:
     """max |v| over every entry of the arrays (or numbers), 0.0 when there
     are none.  A NaN entry makes the result NaN, so a residual test
@@ -639,10 +644,11 @@ class ContactStructure:
         return hashlib.sha256(self.source_text.encode("utf-8")).hexdigest()
 
     def validation_points(self, count: int = 30, seed: int = 0) -> np.ndarray:
+        """The origin and count seeded points of the box; in lie mode the
+        one point."""
         if self.mode == "lie":
             return np.zeros((1, 0))
-        pts = sample_box_points(self.dim, count, seed)
-        return np.vstack([np.zeros((1, self.dim)), pts])
+        return _origin_and_box_points(self.dim, count, seed)
 
 
 def structure_functions(s: ContactStructure) -> Brackets:
@@ -726,7 +732,7 @@ MAX_SPECIAL_POINTS = 5**9
 
 def _default_special_grid(s: ContactStructure):
     if 5**s.dim > MAX_SPECIAL_POINTS:
-        return np.vstack([np.zeros((1, s.dim)), sample_box_points(s.dim, MAX_SPECIAL_POINTS - 1)])
+        return _origin_and_box_points(s.dim, MAX_SPECIAL_POINTS - 1)
     return Grid(list(s.coords), [np.linspace(-1.0, 1.0, 5)] * s.dim)
 
 
@@ -950,7 +956,7 @@ def load_structure_text(text: str, name: str = "", seed: int = 0) -> ContactStru
             raise StructureError(f"{key} needs {dim} expressions, got {len(comps)}")
         frame.append([ex.parse_expression(t, coords) for t in comps])
 
-    samples = np.vstack([np.zeros((1, dim)), sample_box_points(dim, 30, seed)])
+    samples = _origin_and_box_points(dim, 30, seed)
     _check_frame_rank(frame, coords, samples)
     alpha, orientation_sign, norm = normalize_contact_form(frame, coords, n, samples)
     reeb = compute_reeb(norm, coords, n, samples)

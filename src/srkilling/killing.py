@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -191,8 +192,17 @@ class Curve:
     t0: float
     t1: float
 
+    @cached_property
+    def tapes(self):
+        """Position and velocity tapes in t, one root per component each."""
+        velocity = [ex.differentiate(e, "t") for e in self.exprs]
+        return ex.compile_expression(self.exprs, ["t"]), ex.compile_expression(velocity, ["t"])
+
     def point_at(self, t: float) -> np.ndarray:
-        return np.array([ex.evaluate(e, {"t": float(t)}) for e in self.exprs])
+        p = self.tapes[0](float(t))
+        if not np.all(np.isfinite(p)):
+            raise ex.EvalError(f"curve point at t = {float(t)!r} is not finite")
+        return p
 
 
 @dataclass
@@ -681,14 +691,13 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
 
 def _curve_stages(curve: Curve, nsteps: int):
     """Stage points and velocities of one expression curve."""
-    fns = [ex.compile_expression(e, ["t"]) for e in curve.exprs]
-    dfns = [ex.compile_expression(ex.differentiate(e, "t"), ["t"]) for e in curve.exprs]
+    position, velocity = curve.tapes
     span = curve.t1 - curve.t0
 
     def stages(rows, k0, k1):
         ts = curve.t0 + span * np.arange(k0, k1) / (2 * nsteps)
-        pts = np.stack([f(ts) for f in fns], axis=-1)
-        vel = np.stack([f(ts) for f in dfns], axis=-1)
+        pts = np.stack(position(ts), axis=-1)
+        vel = np.stack(velocity(ts), axis=-1)
         return pts[None], vel[None]
 
     return stages

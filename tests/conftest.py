@@ -6,6 +6,8 @@ from srkilling import expr as ex
 from srkilling.frame import load_structure
 from srkilling.connection import compute_connection, curvature
 
+from eval_reference import evaluate
+
 
 @pytest.fixture(scope="session")
 def heis():
@@ -116,4 +118,4 @@ def finite_difference(e, variables, var, point, h=1e-5):
     env_m = dict(env_p)
     env_p[var] = env_p[var] + h
     env_m[var] = env_m[var] - h
-    return (ex.evaluate(e, env_p) - ex.evaluate(e, env_m)) / (2 * h)
+    return (evaluate(e, env_p) - evaluate(e, env_m)) / (2 * h)

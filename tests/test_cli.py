@@ -345,6 +345,18 @@ class TestPointAndGridInputs:
     def test_bad_point(self, capsys, point):
         assert input_error(*run(capsys, "dim", "heisenberg:1", f"--at={point}"))
 
+    def test_unknown_point_coordinate(self, capsys):
+        code, out = run(capsys, "connection", "heisenberg:1", "--at", "x=0.5,y=1,z=0,w=9")
+        assert input_error(code, out)
+
+    def test_repeated_point_coordinate(self, capsys):
+        code, out = run(capsys, "connection", "heisenberg:1", "--at", "x=0.5,x=2,y=1,z=0")
+        assert input_error(code, out)
+
+    def test_repeated_grid_coordinate(self, capsys):
+        grid = "x:0:1:3,x:0:2:5,y:0:1:3,z:0:1:3"
+        assert input_error(*run(capsys, "check", "heisenberg:1", "--grid", grid))
+
     @pytest.mark.parametrize(
         "grid",
         [

@@ -10,11 +10,11 @@ from srkilling.expr import (
     ParseError,
     compile_expression,
     differentiate,
-    evaluate,
     parse_expression,
 )
 
 from conftest import finite_difference, random_expression
+from eval_reference import evaluate
 
 XYZ = ["x", "y", "z"]
 

@@ -19,6 +19,7 @@ from srkilling.frame import (
 )
 
 from conftest import SU2C_KILLING, field
+from eval_reference import evaluate
 
 XYZ = ["x", "y", "z"]
 
@@ -40,7 +41,7 @@ class TestLieBracket:
         rng = np.random.default_rng(0)
         for _ in range(5):
             p = dict(zip(XYZ, rng.uniform(-1, 1, 3)))
-            assert all(abs(ex.evaluate(e, p)) < 1e-14 for e in br)
+            assert all(abs(evaluate(e, p)) < 1e-14 for e in br)
 
     def test_single_product_rule_term(self):
         dx = field(["1", "0", "0"])
@@ -74,7 +75,7 @@ class TestNormalization:
     def test_heisenberg_normalized_form(self, heis):
         # v = dalpha0(X1,X2) = -1, so alpha = -alpha0 = -dz + (x dy - y dx)/2
         vals = {
-            c: ex.evaluate(a, {"x": 1.0, "y": 2.0, "z": 0.5})
+            c: evaluate(a, {"x": 1.0, "y": 2.0, "z": 0.5})
             for c, a in zip(XYZ, heis.alpha)
         }
         assert vals == {"x": -1.0, "y": 0.5, "z": -1.0}
@@ -94,7 +95,7 @@ X2 = 0, 1, -x/2
         s = load_structure_text(text)
         assert s.orientation_sign == 1
         # alpha equals the raw annihilator (f = 1): alpha_z = 1 exactly
-        assert ex.evaluate(s.alpha[2], {"x": 0.3, "y": -0.7, "z": 0.1}) == 1.0
+        assert evaluate(s.alpha[2], {"x": 0.3, "y": -0.7, "z": 0.1}) == 1.0
 
     def test_integrable_distribution_rejected(self):
         text = """
@@ -219,7 +220,7 @@ class TestStructureFunctions:
             (su2.brackets.c0_h[1][1], su2c.brackets.c0_h[1][1]),
         ]
         for lie_e, chart_e in pairs:
-            want = ex.evaluate(lie_e, {})
+            want = evaluate(lie_e, {})
             got = ev(su2c, chart_e, pts)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -275,7 +276,7 @@ class TestSpecial:
     def test_su2_special_by_skewness(self, su2):
         assert all(r.pass_ for r in check_special(su2))
         c0 = np.array(
-            [[float(ex.evaluate(su2.brackets.c0_h[j][k], {})) for k in range(2)] for j in range(2)]
+            [[float(evaluate(su2.brackets.c0_h[j][k], {})) for k in range(2)] for j in range(2)]
         )
         assert np.allclose(c0 + c0.T, 0)
         assert np.allclose(c0, [[0, -1], [1, 0]])
@@ -414,7 +415,7 @@ X1 = 1, 0, -y/2
 X2 = 0, pow(4, 1/2), x/2
 """
         s = load_structure_text(text)
-        assert ex.evaluate(s.frame[1][1], {"x": 0, "y": 0, "z": 0}) == 2.0
+        assert evaluate(s.frame[1][1], {"x": 0, "y": 0, "z": 0}) == 2.0
 
     def test_unknown_variable_in_frame(self):
         text = """

@@ -36,6 +36,7 @@ from srkilling.killing import (
 )
 
 from conftest import HEIS_KILLING, SU2C_KILLING, field
+from eval_reference import evaluate
 
 XYZ = ["x", "y", "z"]
 ORIGIN = np.zeros(3)
@@ -190,6 +191,30 @@ class TestGeneratorSpace:
         assert back.c == pytest.approx(gen.c)
 
 
+class TestCurvePoints:
+    """Curve points come from the curve's tape; the scalar reference
+    evaluator is the oracle, and a point that is not finite is an EvalError
+    in each case where the reference raises one."""
+
+    def test_point_matches_the_reference_evaluator(self):
+        texts = ["1/8 + t*cos(t)/3", "(1 - cos(3*t))/5 - sin(t/2)", "t*pow(1 + t^2, 1/2)/7"]
+        curve = tcurve(texts)
+        for t in [0.0, 0.25, 1.0, -1.5, 3.0]:
+            want = [evaluate(e, {"t": t}) for e in curve.exprs]
+            np.testing.assert_allclose(curve.point_at(t), want, rtol=1e-15, atol=1e-16)
+
+    @pytest.mark.parametrize(
+        "text,t",
+        [("1/t", 0.0), ("pow(t, 1/2)", -1.0), ("exp(t)", 1e9)],
+        ids=["division by zero", "even root of negative", "overflow"],
+    )
+    def test_point_that_is_not_finite(self, text, t):
+        with pytest.raises(ex.EvalError):
+            evaluate(ex.parse_expression(text, ["t"]), {"t": t})
+        with pytest.raises(ex.EvalError):
+            tcurve(["t", text, "0"]).point_at(t)
+
+
 class TestTransport:
     def test_zero_generator_fixed(self, heis_cd):
         gen = Generator(X=[0, 0], A=np.zeros((2, 2)), c=0.0, q=ORIGIN)
@@ -316,6 +341,24 @@ class TestPathIndependence:
             path_independence(
                 heis_cd, gen, tcurve(["t", "0", "0"]), tcurve(["t", "t", "0"])
             )
+
+    def test_each_curve_compiles_two_tapes(self, heis_cd, monkeypatch):
+        s = heis_cd.structure
+        gen = rot_gen(heis_cd)
+        calls = []
+        original = ex.compile_expression
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ex, "compile_expression", counted)
+        c1, c2 = tcurve(["t", "t", "0"]), tcurve(["t^2", "t", "t*(1-t)"])
+        cached = len(s._compiled)
+        for _ in range(3):
+            path_independence(heis_cd, gen, c1, c2, step=0.1)
+        # position and velocity per curve, and the tapes the structure keeps
+        assert len(calls) == 2 * 2 + len(s._compiled) - cached
 
     def test_fourth_order_convergence(self, heis_cd):
         rng = np.random.default_rng(0)
