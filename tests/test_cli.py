@@ -340,22 +340,19 @@ class TestPointAndGridInputs:
     """Malformed or non-finite points, grids and orders exit 2."""
 
     @pytest.mark.parametrize(
-        "point", ["a,b,c", "1e400,0,0", "nan,0,0", "x=inf,y=0,z=0", "x=1,y=two,z=0"]
+        "point",
+        [
+            "a,b,c",
+            "1e400,0,0",
+            "nan,0,0",
+            "x=inf,y=0,z=0",
+            "x=1,y=two,z=0",
+            "x=0.5,y=1,z=0,w=9",  # unknown coordinate
+            "x=0.5,x=2,y=1,z=0",  # repeated coordinate
+        ],
     )
     def test_bad_point(self, capsys, point):
         assert input_error(*run(capsys, "dim", "heisenberg:1", f"--at={point}"))
-
-    def test_unknown_point_coordinate(self, capsys):
-        code, out = run(capsys, "connection", "heisenberg:1", "--at", "x=0.5,y=1,z=0,w=9")
-        assert input_error(code, out)
-
-    def test_repeated_point_coordinate(self, capsys):
-        code, out = run(capsys, "connection", "heisenberg:1", "--at", "x=0.5,x=2,y=1,z=0")
-        assert input_error(code, out)
-
-    def test_repeated_grid_coordinate(self, capsys):
-        grid = "x:0:1:3,x:0:2:5,y:0:1:3,z:0:1:3"
-        assert input_error(*run(capsys, "check", "heisenberg:1", "--grid", grid))
 
     @pytest.mark.parametrize(
         "grid",
@@ -366,6 +363,7 @@ class TestPointAndGridInputs:
             "x:-1:b:2,y:-1:1:2,z:-1:1:2",
             "x:-inf:1:2,y:-1:1:2,z:-1:1:2",
             "x:-1:1e400:2,y:-1:1:2,z:-1:1:2",
+            "x:0:1:3,x:0:2:5,y:0:1:3,z:0:1:3",  # repeated coordinate
         ],
     )
     def test_bad_grid(self, capsys, grid):
