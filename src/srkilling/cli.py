@@ -76,10 +76,10 @@ def _parse_number(text: str, what: str) -> float:
 
 
 def _parse_point(text: str, s: ContactStructure) -> np.ndarray:
+    """name=value pairs or s.dim plain values.  Lie mode reads the same text,
+    with no coordinate names, as its one point, which has no coordinates."""
     vals: dict[str, float] = {}
     parts = [p for p in text.split(",") if p.strip()]
-    if s.mode == "lie":
-        return np.zeros(0)
     if any("=" in p for p in parts):
         for p in parts:
             if "=" not in p:
@@ -96,12 +96,12 @@ def _parse_point(text: str, s: ContactStructure) -> np.ndarray:
         return np.array([vals[c] for c in s.coords])
     if len(parts) != s.dim:
         raise InputError(f"point needs {s.dim} comma-separated values")
-    return np.array([_parse_number(p, "point coordinate") for p in parts])
+    q = np.array([_parse_number(p, "point coordinate") for p in parts])
+    return q if s.coords else np.zeros(0)
 
 
 def _parse_grid(text: str, s: ContactStructure) -> Grid:
-    if s.mode == "lie":
-        return Grid(names=[], axes=[])
+    """name:min:max:count per coordinate; refused in lie mode, which has none."""
     specs: dict[str, tuple[float, float, int]] = {}
     for part in text.split(","):
         bits = part.strip().split(":")
@@ -132,23 +132,30 @@ def _parse_grid(text: str, s: ContactStructure) -> Grid:
     return Grid(names=list(s.coords), axes=[np.linspace(*specs[c]) for c in s.coords])
 
 
-def _parse_order(text: str) -> int | str:
-    """'auto' or a nonnegative integer derivative order."""
-    if text == "auto":
+def _parse_order(text: str, what: str = "order", auto: bool = True) -> int | str:
+    """A nonnegative integer derivative order, or 'auto' where auto is
+    allowed."""
+    if auto and text == "auto":
         return text
     try:
         order = int(text)
     except ValueError:
-        raise InputError(f"order must be 'auto' or an integer, got {text!r}") from None
+        kinds = "'auto' or an integer" if auto else "an integer"
+        raise InputError(f"{what} must be {kinds}, got {text!r}") from None
     if order < 0:
-        raise InputError(f"order must be nonnegative, got {order}")
+        raise InputError(f"{what} must be nonnegative, got {order}")
     return order
+
+
+def _max_order(args) -> int:
+    """--max-order of dim and scan: a nonnegative integer, never 'auto'."""
+    return _parse_order(args.max_order, "--max-order", auto=False)
 
 
 def _sample_points(s: ContactStructure, args, count: int = 100):
     """The --grid (a Grid), or the origin and count seeded points of the box
     (the one point of lie mode)."""
-    if s.mode == "lie" or not getattr(args, "grid", None):
+    if not getattr(args, "grid", None):
         return s.validation_points(count, seed=args.seed)
     return _parse_grid(args.grid, s)
 
@@ -254,7 +261,7 @@ def cmd_verify_geometry(s: ContactStructure, args) -> dict:
 def cmd_dim(s: ContactStructure, args) -> dict:
     cd = _curvature(s, args)
     q = _at(s, args)
-    gs = generator_space(cd, q, order=_parse_order(args.order), m_max=args.max_order)
+    gs = generator_space(cd, q, order=_parse_order(args.order), m_max=_max_order(args))
     bound = (s.n + 1) ** 2
     return {
         "at": q.tolist() if s.coords or args.at else None,
@@ -342,7 +349,7 @@ def cmd_verify(s: ContactStructure, args) -> dict:
 def cmd_scan(s: ContactStructure, args) -> dict:
     cd = _curvature(s, args)
     grid = _parse_grid(args.grid, s) if args.grid else Grid(names=[], axes=[])
-    rep = scan_regularity(cd, grid, order=_parse_order(args.order), m_max=args.max_order)
+    rep = scan_regularity(cd, grid, order=_parse_order(args.order), m_max=_max_order(args))
     ok = rep.get("semicontinuity_violations", 0) == 0
     if rep.get("dims"):
         ok = ok and max(rep["dims"]) <= (s.n + 1) ** 2
@@ -430,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--at", help="base point")
     p.add_argument("--order", default="auto", help="'auto' or explicit order m")
-    p.add_argument("--max-order", type=int, default=6, help="stabilization cap")
+    p.add_argument("--max-order", default="6", help="stabilization cap")
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser(
@@ -493,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grid", help="grid spec")
     p.add_argument("--order", default="auto", help="'auto' or explicit order")
-    p.add_argument("--max-order", type=int, default=6, help="stabilization cap")
+    p.add_argument("--max-order", default="6", help="stabilization cap")
     p.set_defaults(fn=cmd_scan)
 
     return parser

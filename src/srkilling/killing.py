@@ -4,11 +4,12 @@ reconstruction of Killing fields, and the verification suites.
 A generator is a triple (X, A, c) in H_q + skew(H_q) + R.  For a Killing
 field Z it is (frame components of PZ, matrix of A_Z = Lie_Z - nabla_Z,
 alpha(Z)) at q.  The generator space i_m(q) is the kernel of the linear
-map sending (X, A, c) to the values of (nabla_{X + c xi} + A) applied to
-nabla^i R and nabla^i dalpha for i <= m; it is computed by SVD with a
+map f_q sending (X, A, c) to the values of (nabla_{X + c xi} + A) applied
+to nabla^i R and nabla^i dalpha for i <= m; it is computed by SVD with a
 relative threshold, and the order m is raised until the dimension
-sequence stabilizes twice.  A scan evaluates and assembles the map for a
-block of grid points at once and ranks the whole stack with one SVD call.
+sequence stabilizes twice.  f_q is built one row block per tensor
+(_fq_columns), which derivation_apply also reads.  A scan assembles f_q
+for a block of grid points at once and ranks the stack with one SVD call.
 
 Transport integrates the linear system
 
@@ -37,7 +38,8 @@ y <- P y step by step as y + (P - I) y, which rounds once per step as the
 serial loop did.  The full A is transported, so its drift from skew
 stays measurable.  Reconstruction transports a generator from a base point
 to every grid point along a vertical-then-straight two-leg path, one batch
-per leg, and emits the field Z = X^k e_k + c xi.
+per leg, and emits the field Z = X^k e_k + c xi; its finite-difference
+check reads the same M, as the residual e_a(y) - M(e_a) y.
 """
 
 from __future__ import annotations
@@ -300,23 +302,16 @@ def derivation_apply(
     cd: CurvatureData, gen: Generator, which: str = "R", order: int = 0
 ) -> np.ndarray:
     """(nabla_{X + c xi} + A) applied to nabla^order R or nabla^order dalpha,
-    evaluated at gen.q; requires the caches through order+1."""
-    higher_derivatives(cd, order + 1)
-    s = cd.structure
-    q = gen.q if gen.q is not None else np.zeros(0)
-    pts = np.atleast_2d(q) if s.coords else np.zeros((1, 0))
-    if which == "R":
-        T, Tn, Txi = cd.nabla_R[order], cd.nabla_R[order + 1], cd.xi_R[order]
-    elif which == "dalpha":
-        T, Tn, Txi = cd.nabla_dalpha[order], cd.nabla_dalpha[order + 1], cd.xi_dalpha[order]
-    else:
+    evaluated at gen.q: the row block of that tensor in f_q (_fq_columns)
+    times gen.as_vector(), shaped as the tensor.  Reads the tower through
+    order+1."""
+    keys = {"R": "R", "dalpha": "B"}
+    if which not in keys:
         raise ValueError(f"unknown tensor kind {which!r}")
-    Tv = eval_tensor(s, T, pts)
-    Tnv = eval_tensor(s, Tn, pts)[..., 0]
-    Txiv = eval_tensor(s, Txi, pts)[..., 0]
-    out = np.tensordot(gen.X, Tnv, axes=([0], [0])) + gen.c * Txiv
-    out = out + endomorphism_action(gen.A[None], Tv, T.n_upper)[0, ..., 0]
-    return out
+    pts = np.atleast_2d(gen.q) if cd.structure.coords else np.zeros((1, 0))
+    cache = _tensor_value_cache(cd, order, pts)
+    rows = _fq_columns(cd, cache, keys[which], order, slice(None))[0]
+    return (rows @ gen.as_vector()).reshape(cache[(keys[which], order)].shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -356,35 +351,35 @@ def _skew_basis(h: int) -> np.ndarray:
     return out
 
 
-def _assemble_block(cd: CurvatureData, m: int, cache: dict, sel: slice) -> np.ndarray:
-    """Stack (P, rows, unknowns) of the f_q matrices at the cached points
-    sel, each with kernel i_m(q).  Columns follow the packing order of
+def _fq_columns(cd: CurvatureData, cache: dict, key: str, i: int, sel: slice) -> np.ndarray:
+    """Row block of nabla^i T in f_q, T = R (key "R") or dalpha ("B"), at
+    the cached points sel: a stack (P, h^rank, unknowns), rows the entries
+    of T flattened in C order.  Columns follow the packing order of
     pack_generator: X^a takes slice a of nabla^(i+1) T, each skew basis
     element applies its derivation to T (endomorphism_action), c takes the
-    xi-derivative of T.  Row blocks run over i <= m, R before dalpha, each
-    flattened in C order.  The columns are exact +-1 selections, so every
+    xi-derivative of T.  The columns are exact +-1 selections, so every
     entry equals, bit for bit, the per-point value whatever the block."""
     h = cd.structure.h
     skew = _skew_basis(h)
-    blocks = []
-    for i in range(m + 1):
-        for key, n_upper in (("R", 1), ("B", 0)):
-            Tv = cache[(key, i)][..., sel]
-            npts = Tv.shape[-1]
-            X = cache[(key + "n", i)][..., sel].reshape(h, -1, npts)
-            A = endomorphism_action(skew, Tv, n_upper).reshape(len(skew), -1, npts)
-            c = cache[(key + "xi", i)][..., sel].reshape(1, -1, npts)
-            blocks.append(np.concatenate([X, A, c]).transpose(2, 1, 0))
-    stack = np.concatenate(blocks, axis=1)
+    Tv = cache[(key, i)][..., sel]
+    npts = Tv.shape[-1]
+    X = cache[(key + "n", i)][..., sel].reshape(h, -1, npts)
+    A = endomorphism_action(skew, Tv, 1 if key == "R" else 0).reshape(len(skew), -1, npts)
+    c = cache[(key + "xi", i)][..., sel].reshape(1, -1, npts)
+    return np.concatenate([X, A, c]).transpose(2, 1, 0)
+
+
+def _assemble_block(cd: CurvatureData, m: int, cache: dict, sel: slice) -> np.ndarray:
+    """Stack (P, rows, unknowns) of the f_q matrices at the cached points
+    sel, each with kernel i_m(q): the row blocks of _fq_columns over i <= m,
+    R before dalpha."""
+    stack = np.concatenate(
+        [_fq_columns(cd, cache, key, i, sel) for i in range(m + 1) for key in ("R", "B")], axis=1
+    )
     # -0.0 becomes +0.0, as in the full sum X . nabla T + c xi T + A . T that
     # each column selects from; LAPACK's reflector signs read the sign of zero
     stack += 0.0
     return stack
-
-
-def _assemble_map(cd: CurvatureData, m: int, cache: dict, p: int) -> np.ndarray:
-    """Dense matrix of f_q at cached point index p, with kernel = i_m(q)."""
-    return _assemble_block(cd, m, cache, slice(p, p + 1))[0]
 
 
 def _ranks(sv: np.ndarray, rel: float) -> np.ndarray:
@@ -450,7 +445,7 @@ def generator_space(
     for m in range(target + 1):
         check_dense(_fq_rows(s.h, m) * nunk, f"f_q of order {m} at a point")
         _tensor_value_cache(cd, m, pts, cache)
-        M = _assemble_map(cd, m, cache, 0)
+        M = _assemble_block(cd, m, cache, slice(None))[0]
         dim, kernel_basis, sv = _kernel(M, rel_threshold)
         dims.append(dim)
         m_used = m
@@ -970,66 +965,39 @@ def verify_killing_field(
     fieldv: DiscreteField,
     tol: float = 1e-4,
 ) -> list[CheckRecord]:
-    """Finite-difference residuals of the reconstruction equations on the
-    interior grid points: nabla_Y X + A Y, nabla_Y A - R(X,Y) and
-    nabla_Y c + dalpha(X,Y) over frame directions Y.  The tolerance is the
+    """Residuals e_a(y) - M(e_a) y of the transport system at the interior
+    grid points, in blocks (point_blocks), over frame directions e_a: y is
+    the state (X, A row-major, c), M the operator of _operator, and d_i y
+    central differences.  The X, A and c rows give nabla_a X + A e_a,
+    nabla_a A - R(X, e_a) and e_a(c) + dalpha(X, e_a).  The tolerance is the
     documented degraded one for discrete inputs."""
-    s = cd.structure
-    grid = fieldv.grid
-    shape = grid.shape
+    s, grid = cd.structure, fieldv.grid
     h = s.h
-    dim = s.dim
-    points = grid.points
-    if any(k < 3 for k in shape):
+    if any(k < 3 for k in grid.shape):
         raise ValueError("finite-difference checks need at least 3 points per axis")
+    inner = Grid(grid.names, [a[1:-1] for a in grid.axes])
+    unit = np.eye(len(grid.shape), dtype=int)[:, :, None]  # index steps along each axis
 
-    Xg = fieldv.X.reshape(shape + (h,))
-    Ag = fieldv.A.reshape(shape + (h, h))
-    cg = fieldv.c.reshape(shape)
+    def state(idx: np.ndarray) -> np.ndarray:
+        """The states y (P, d) at the grid multi-indices idx (dim, P)."""
+        p = np.ravel_multi_index(tuple(idx), grid.shape)
+        return np.concatenate([fieldv.X[p], fieldv.A[p].reshape(len(p), -1), fieldv.c[p, None]], 1)
 
-    spac = grid.spacings
-    dX = np.stack([np.gradient(Xg, spac[i], axis=i) for i in range(dim)])  # (dim,...,h)
-    dA = np.stack([np.gradient(Ag, spac[i], axis=i) for i in range(dim)])
-    dc = np.stack([np.gradient(cg, spac[i], axis=i) for i in range(dim)])
-
-    frame_vals = np.moveaxis(s.eval_table(s.frame, points), 1, -1).reshape((h,) + shape + (dim,))
-    Gh = s.eval_table(cd.connection.gamma_h, points).reshape((h, h, h) + shape)
-    Rv = eval_tensor(s, cd.R, points).reshape((h, h, h, h) + shape)
-    Bv = eval_tensor(s, cd.dalpha, points).reshape((h, h) + shape)
-
-    interior = np.zeros(shape, dtype=bool)
-    interior[(slice(1, -1),) * dim] = True
-
-    res_x, res_a, res_c = [], [], []
-    for a in range(h):
-        ea = frame_vals[a]  # shape + (dim,)
-        # directional derivatives e_a(f) = sum_i (e_a)^i d_i f
-        eaX = np.einsum("...i,i...k->...k", ea, dX)
-        eaA = np.einsum("...i,i...kl->...kl", ea, dA)
-        eac = np.einsum("...i,i...->...", ea, dc)
-        # nabla_a X^k = e_a(X^k) + G^k_am X^m ; residual + (A e_a)^k
-        GaX = np.einsum("mk...,...m->...k", Gh[a], Xg)
-        res_x.append((eaX + GaX + Ag[..., :, a])[interior])
-        # nabla_a A = e_a(A) + G_a A - A G_a ; residual - R(X, e_a)
-        Ga = np.moveaxis(Gh[a], (0, 1), (-2, -1))  # shape + (j,k) => G^k_aj at [..., j, k]
-        GaM = np.swapaxes(Ga, -1, -2)  # matrix [k,j]
-        comm = np.einsum("...km,...mj->...kj", GaM, Ag) - np.einsum(
-            "...km,...mj->...kj", Ag, GaM
-        )
-        RXa = np.einsum("...b,bjk...->...kj", Xg, Rv[:, a])
-        res_a.append((eaA + comm - RXa)[interior])
-        # nabla_a c = e_a(c) ; residual + dalpha(X, e_a)
-        res_c.append((eac + np.einsum("...m,mb...->...b", Xg, Bv)[..., a])[interior])
-
-    ni = int(np.sum(interior))
-    return [
-        CheckRecord(name, worst, ni, worst < tol)
-        for name, worst in (
-            ("eqs_x_gradient", _max_abs(res_x)),
-            ("eqs_a_curvature", _max_abs(res_a)),
-            ("eqs_c_gradient", _max_abs(res_c)),
-        )
-    ]
+    rows = {"eqs_x_gradient": slice(h), "eqs_a_curvature": slice(h, -1), "eqs_c_gradient": -1}
+    worst = dict.fromkeys(rows, 0.0)
+    for sel in point_blocks(len(inner), (h + h * h + 1) ** 2):  # M of a point
+        pts = inner[sel]
+        idx = np.stack(np.unravel_index(np.arange(sel.start, sel.stop), inner.shape)) + 1
+        dy = np.stack(
+            [(state(idx + e) - state(idx - e)) / (2.0 * dx) for e, dx in zip(unit, grid.spacings)]
+        )  # (dim, P, d)
+        y = state(idx)[..., None]
+        frame = s.eval_table(s.frame, pts)  # (h, dim, P)
+        for a in range(h):
+            M, _ = _operator(cd, pts, frame[a].T)
+            res = np.einsum("ip,ipk->pk", frame[a], dy) - (M @ y)[..., 0]
+            worst = {name: _max_abs([res[:, r], worst[name]]) for name, r in rows.items()}
+    return [CheckRecord(name, r, len(inner), r < tol) for name, r in worst.items()]
 
 
 def riemannian_extension_check(

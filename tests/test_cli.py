@@ -340,34 +340,40 @@ class TestPointAndGridInputs:
     """Malformed or non-finite points, grids and orders exit 2."""
 
     @pytest.mark.parametrize(
-        "point",
+        "structure,point",
         [
-            "a,b,c",
-            "1e400,0,0",
-            "nan,0,0",
-            "x=inf,y=0,z=0",
-            "x=1,y=two,z=0",
-            "x=0.5,y=1,z=0,w=9",  # unknown coordinate
-            "x=0.5,x=2,y=1,z=0",  # repeated coordinate
+            ("heisenberg:1", "a,b,c"),
+            ("heisenberg:1", "1e400,0,0"),
+            ("heisenberg:1", "nan,0,0"),
+            ("heisenberg:1", "x=inf,y=0,z=0"),
+            ("heisenberg:1", "x=1,y=two,z=0"),
+            ("heisenberg:1", "x=0.5,y=1,z=0,w=9"),  # unknown coordinate
+            ("heisenberg:1", "x=0.5,x=2,y=1,z=0"),  # repeated coordinate
+            # lie mode reads a point by the chart rules, with no coordinate names
+            ("su2", "w=9,foo"),
+            ("su2", "1,2"),
         ],
     )
-    def test_bad_point(self, capsys, point):
-        assert input_error(*run(capsys, "dim", "heisenberg:1", f"--at={point}"))
+    def test_bad_point(self, capsys, structure, point):
+        assert input_error(*run(capsys, "dim", structure, f"--at={point}"))
 
     @pytest.mark.parametrize(
-        "grid",
+        "command,structure,grid",
         [
-            "x:-1:1:x,y:-1:1:2,z:-1:1:2",
-            "x:-1:1:0,y:-1:1:2,z:-1:1:2",
-            "x:-1:1:-3,y:-1:1:2,z:-1:1:2",
-            "x:-1:b:2,y:-1:1:2,z:-1:1:2",
-            "x:-inf:1:2,y:-1:1:2,z:-1:1:2",
-            "x:-1:1e400:2,y:-1:1:2,z:-1:1:2",
-            "x:0:1:3,x:0:2:5,y:0:1:3,z:0:1:3",  # repeated coordinate
+            ("scan", "heisenberg:1", "x:-1:1:x,y:-1:1:2,z:-1:1:2"),
+            ("scan", "heisenberg:1", "x:-1:1:0,y:-1:1:2,z:-1:1:2"),
+            ("scan", "heisenberg:1", "x:-1:1:-3,y:-1:1:2,z:-1:1:2"),
+            ("scan", "heisenberg:1", "x:-1:b:2,y:-1:1:2,z:-1:1:2"),
+            ("scan", "heisenberg:1", "x:-inf:1:2,y:-1:1:2,z:-1:1:2"),
+            ("scan", "heisenberg:1", "x:-1:1e400:2,y:-1:1:2,z:-1:1:2"),
+            ("scan", "heisenberg:1", "x:0:1:3,x:0:2:5,y:0:1:3,z:0:1:3"),  # repeated coordinate
+            # lie mode has no coordinate names, so every grid is refused
+            ("check", "su2", "nonsense"),
+            ("scan", "su2", "x:0:1:3"),
         ],
     )
-    def test_bad_grid(self, capsys, grid):
-        assert input_error(*run(capsys, "scan", "heisenberg:1", f"--grid={grid}"))
+    def test_bad_grid(self, capsys, command, structure, grid):
+        assert input_error(*run(capsys, command, structure, f"--grid={grid}"))
 
     @pytest.mark.parametrize("command", ["scan", "check", "verify-geometry"])
     @pytest.mark.parametrize("grid", OVERSIZED_GRIDS)
@@ -392,10 +398,19 @@ class TestPointAndGridInputs:
         grid = _parse_grid("x:0:1:100,y:0:1:100,z:0:1:100", heis)
         assert grid.shape == (100, 100, 100)
 
-    @pytest.mark.parametrize("command", ["dim", "scan", "curvature"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("dim", "--order"),
+            ("scan", "--order"),
+            ("curvature", "--order"),
+            ("dim", "--max-order"),
+            ("scan", "--max-order"),
+        ],
+    )
     @pytest.mark.parametrize("order", ["x", "1.5", "-1"])
-    def test_bad_order(self, capsys, command, order):
-        assert input_error(*run(capsys, command, "heisenberg:1", f"--order={order}"))
+    def test_bad_order(self, capsys, command, flag, order):
+        assert input_error(*run(capsys, command, "heisenberg:1", f"{flag}={order}"))
 
     def test_frame_entry_too_deep(self, capsys, tmp_path):
         f = tmp_path / "deep.toml"

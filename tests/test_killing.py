@@ -124,10 +124,10 @@ class TestGeneratorSpace:
         gs = generator_space(su2_cd, None)
         assert gs.dim == 4 and gs.certified
         # independent oracle: dense Gaussian elimination rank of f_q
-        from srkilling.killing import _assemble_map, _tensor_value_cache
+        from srkilling.killing import _assemble_block, _tensor_value_cache
 
         cache = _tensor_value_cache(su2_cd, 2, np.zeros((1, 0)))
-        M = _assemble_map(su2_cd, 2, cache, 0)
+        M = _assemble_block(su2_cd, 2, cache, slice(None))[0]
         rank = 0
         Mw = M.copy()
         rows, cols = Mw.shape

@@ -18,7 +18,6 @@ from srkilling.frame import load_structure, load_structure_text
 from srkilling.killing import (
     Grid,
     _assemble_block,
-    _assemble_map,
     _neighbour_flags,
     _tensor_value_cache,
     ambient_dimension,
@@ -69,7 +68,8 @@ def test_stack_equals_single_point_assemblies(request, which, npts, m):
     stack = _assemble_block(cd, m, cache, slice(None))
     assert stack.shape[0] == npts and stack.shape[2] == ambient_dimension(cd.structure.n)
     for p in range(npts):
-        single = _assemble_map(cd, m, _tensor_value_cache(cd, m, pts[p : p + 1]), 0)
+        one = _tensor_value_cache(cd, m, pts[p : p + 1])
+        single = _assemble_block(cd, m, one, slice(None))[0]
         for other in (single, ref.assemble_map(cd, m, cache, p)):
             assert other.shape == stack[p].shape
             assert np.array_equal(stack[p].view(np.int64), other.view(np.int64))
