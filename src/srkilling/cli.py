@@ -19,6 +19,7 @@ from .expr import ExprError
 from .frame import (
     CheckFailure,
     CheckRecord,
+    DEFAULT_TOL,
     ContactStructure,
     StructureError,
     _max_abs,
@@ -301,7 +302,7 @@ def cmd_path_check(s: ContactStructure, args) -> dict:
     c1, c2 = (load_curve_text(_read_text(path), s) for path in args.curve)
     gen = load_generator_text(_read_text(args.gen), s)
     deviation = path_independence(cd, gen, c1, c2, step=args.step)["deviation"]
-    tol = args.tol if args.tol != 1e-10 else 1e-6
+    tol = args.tol if args.tol_given else 1e-6
     return {"deviation": deviation, "tolerance": tol, "pass": bool(deviation < tol)}
 
 
@@ -309,8 +310,10 @@ def cmd_reconstruct(s: ContactStructure, args) -> dict:
     cd = _curvature(s, args)
     gen = load_generator_text(_read_text(args.gen), s)
     grid = _parse_grid(args.grid, s)
-    if any(len(a) < 3 for a in grid.axes):  # before any transport runs
-        raise InputError("reconstruct's finite-difference checks need at least 3 points per axis")
+    if any(len(a) < 3 or len(set(a.tolist())) < len(a) for a in grid.axes):  # before any transport
+        raise InputError(
+            "reconstruct's finite-difference checks need at least 3 points per axis, all distinct"
+        )
     field = reconstruct_field(cd, gen, grid, step=args.step)
     return {
         "grid": {"names": grid.names, "axes": [a.tolist() for a in grid.axes]},
@@ -388,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
             nargs="?",
             help="builtin name (heisenberg:<n>, su2, su2:chart) or definition file",
         )
-        p.add_argument("--tol", default="1e-10", help="residual tolerance")
+        p.add_argument("--tol", help="residual tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for sample points")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--pretty", action="store_true", help="human-readable tables")
@@ -512,7 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         if not args.structure:
             raise InputError("missing structure argument")
         s = load_structure(args.structure, seed=args.seed)
-        args.tol = _parse_number(args.tol, "--tol")
+        args.tol_given = args.tol is not None
+        args.tol = _parse_number(args.tol, "--tol") if args.tol_given else DEFAULT_TOL
         report = {**_structure_header(s), **args.fn(s, args)}
     except (InputError, StructureError, ExprError, TransportInputError, BudgetError) as e:
         _error_report(str(e), args)

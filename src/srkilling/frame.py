@@ -45,7 +45,7 @@ __all__ = [
     "load_structure",
     "load_structure_text",
     "sample_box_points",
-    "sym_det",
+    "determinant_minors",
     "pfaffian_minors",
     "wedge_power",
 ]
@@ -207,32 +207,29 @@ def _evaluate(fn, points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sym_det(rows: list[list[Expression]]) -> Expression:
-    """Determinant by cofactor expansion along the first row.
-
-    After the top rows are expanded, the minor left over depends only on
-    which columns remain, so it is memoized on that tuple within the call:
-    O(m 2^m) products instead of about e*m! recursive calls.  The expression
-    is the one the plain expansion builds, with equal minors shared as one
-    subtree.
+def determinant_minors(mat):
+    """minor(rows, cols): the determinant of the Expression matrix mat on
+    the original rows and cols (increasing index tuples of equal length),
+    expanded along the first remaining row,
+        det = sum_p (-1)^p mat[rows[0]][cols[p]] det(rows[1:], cols without p),
+    and memoized on (rows, cols): all minors of one matrix share subterms.
     """
-    m = len(rows)
-    memo: dict[tuple[int, ...], Expression] = {}
+    memo: dict = {}
 
-    def minor(cols: tuple[int, ...]) -> Expression:
-        r = m - len(cols)
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...], rec) -> Expression:
         if len(cols) == 1:
-            return rows[r][cols[0]]
-        hit = memo.get(cols)
+            return mat[rows[0]][cols[0]]
+        hit = memo.get((rows, cols))
         if hit is None:
             hit = ZERO
             for p, j in enumerate(cols):
-                term = ex.mul(rows[r][j], minor(cols[:p] + cols[p + 1 :]))
+                term = ex.mul(mat[rows[0]][j], rec(rows[1:], cols[:p] + cols[p + 1 :], rec))
                 hit = ex.add(hit, term) if p % 2 == 0 else ex.sub(hit, term)
-            memo[cols] = hit
+            memo[(rows, cols)] = hit
         return hit
 
-    return minor(tuple(range(m)))
+    # minor reaches itself through an argument, as pf does in pfaffian_minors
+    return lambda rows, cols: minor(tuple(rows), tuple(cols), minor)
 
 
 def pfaffian_minors(A):
@@ -297,19 +294,6 @@ def lie_bracket(V: list[Expression], W: list[Expression], coords: list[str]) -> 
     return out
 
 
-def _annihilator(frame: list[list[Expression]], dim: int) -> list[Expression]:
-    """Generalized cross product: alpha0_i are the last-row cofactors of
-    the frame matrix, so alpha0(e_j) = 0 identically and alpha0 is smooth
-    and nonvanishing wherever the frame is independent."""
-    alpha0 = []
-    for i in range(dim):
-        minor = [row[:i] + row[i + 1 :] for row in frame]
-        sign_pos = (dim - 1 + i) % 2 == 0  # (-1)^{(2n+1)+i}, 1-based
-        d = ex.normalize(sym_det(minor))
-        alpha0.append(d if sign_pos else ex.neg(d))
-    return alpha0
-
-
 def _two_form_matrix(covector: list[Expression], coords: list[str]) -> list[list[Expression]]:
     """Coordinate matrix D_ij = d_i a_j - d_j a_i of d(covector)."""
     dim = len(coords)
@@ -364,14 +348,20 @@ def normalize_contact_form(
     samples: np.ndarray,
 ) -> tuple[list[Expression], int, _NormalizationData]:
     """Normalized contact form: alpha = v^(-1/n) * alpha0 with
-    v = wedge^n dalpha0(e_1..e_2n).
+    v = wedge^n dalpha0(e_1..e_2n).  alpha0_i = (-1)^i det(frame without
+    column i) (0-based), from one determinant_minors table of the frame, is
+    its generalized cross product: alpha0(e_j) = 0 identically.
 
     Raises NotContactError when v vanishes on the sample set and
     OrientationError when n is even and v < 0 (the two admissible forms
     exist only for compatibly oriented frames; negate one frame field).
     """
     dim = 2 * n + 1
-    alpha0 = _annihilator(frame, dim)
+    minor = determinant_minors(frame)
+    alpha0 = []
+    for i in range(dim):
+        d = ex.normalize(minor(range(2 * n), [j for j in range(dim) if j != i]))
+        alpha0.append(d if i % 2 == 0 else ex.neg(d))
     D0 = _two_form_matrix(alpha0, coords)
     B0 = [[_two_form_on(D0, frame[a], frame[b]) for b in range(2 * n)] for a in range(2 * n)]
     v = ex.normalize(wedge_power(B0, n))
@@ -614,17 +604,18 @@ class ContactStructure:
         return sol[: self.h], sol[self.h]
 
     def _basis_coframe(self) -> tuple[list[list[Expression]], Expression]:
-        """(cof, 1/det P): cof[k][i] = C_ik, the cofactors of the basis matrix."""
+        """(cof, 1/det P): cof[k][i] = C_ik, the cofactors of the basis
+        matrix P = [e_1..e_2n, xi], and det P, all read from one
+        determinant_minors table of P, so cofactors share their minors."""
         if self._coframe is None:
-            cols = self.frame + [self.reeb]
-            mat = [[vec[i] for vec in cols] for i in range(self.dim)]
-            cof = [[ZERO] * self.dim for _ in range(self.dim)]
-            for i in range(self.dim):
-                rows = mat[:i] + mat[i + 1 :]
-                for k in range(self.dim):
-                    d = ex.normalize(sym_det([r[:k] + r[k + 1 :] for r in rows]))
+            minor = determinant_minors(list(zip(*self.frame, self.reeb)))
+            full = tuple(range(self.dim))
+            cof = [[ZERO] * self.dim for _ in full]
+            for i in full:
+                for k in full:
+                    d = ex.normalize(minor(full[:i] + full[i + 1 :], full[:k] + full[k + 1 :]))
                     cof[k][i] = d if (i + k) % 2 == 0 else ex.neg(d)
-            inv_det = ex.pow_(ex.normalize(sym_det(mat)), Fraction(-1))
+            inv_det = ex.pow_(ex.normalize(minor(full, full)), Fraction(-1))
             self._coframe = (cof, inv_det)
         return self._coframe
 
@@ -850,11 +841,11 @@ def _fraction_root(v: Fraction, n: int) -> Fraction:
 
 
 def _iroot(m: int, n: int) -> int | None:
-    r = round(m ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand > 0 and cand**n == m:
-            return cand
-    return None
+    """The exact n-th root of the integer m >= 1 by integer Newton steps, or None."""
+    r = 1 << -(-m.bit_length() // n)
+    while (s := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
+        r = s
+    return r if r**n == m else None
 
 
 # ---------------------------------------------------------------------------

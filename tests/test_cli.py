@@ -185,8 +185,7 @@ class TestTransportCommands:
             "[curve]\nt_range = 0 1\ngamma = t^2, t, 0\n"
         )
         (tmp_path / "gen.toml").write_text(GEN_Y1)
-        code, out = run(
-            capsys,
+        argv = [
             "path-check",
             "heisenberg:1",
             "--curve",
@@ -195,10 +194,15 @@ class TestTransportCommands:
             str(tmp_path / "c2.toml"),
             "--gen",
             str(tmp_path / "gen.toml"),
-        )
+        ]
+        code, out = run(capsys, *argv)
         assert code == 0
         rep = json.loads(out)
         assert rep["deviation"] < 1e-6
+        assert rep["tolerance"] == 1e-6
+        # an explicit --tol is the deviation tolerance, 1e-10 included
+        code, out = run(capsys, *argv, "--tol", "1e-10")
+        assert json.loads(out)["tolerance"] == 1e-10
 
     def test_reconstruct_writes_field(self, capsys, tmp_path):
         (tmp_path / "gen.toml").write_text(GEN_J)
@@ -228,8 +232,15 @@ def input_error(code, out):
     return code == 2 and json.loads(out)["error"]["kind"] == "input_error"
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ("x:-1:1:2,y:-1:1:2,z:-1:1:2", "at least 3 points per axis"),
+        ("x:0:0:3,y:-1:1:3,z:-1:1:3", "all distinct"),
+    ],
+)
 def test_reconstruct_grid_under_three_points_per_axis_runs_no_transport(
-    capsys, tmp_path, monkeypatch
+    capsys, tmp_path, monkeypatch, grid, message
 ):
     def no_transport(*args, **kwargs):
         raise AssertionError("transport ran")
@@ -238,10 +249,10 @@ def test_reconstruct_grid_under_three_points_per_axis_runs_no_transport(
     (tmp_path / "gen.toml").write_text(GEN_J)
     code, out = run(
         capsys, "reconstruct", "heisenberg:1", "--gen", str(tmp_path / "gen.toml"),
-        "--grid", "x:-1:1:2,y:-1:1:2,z:-1:1:2",
+        "--grid", grid,
     )
     assert input_error(code, out)
-    assert "at least 3 points per axis" in json.loads(out)["error"]["message"]
+    assert message in json.loads(out)["error"]["message"]
 
 
 def test_verify_computes_each_bracket_once(capsys, monkeypatch):

@@ -21,7 +21,7 @@ from srkilling import expr as ex
 from srkilling import frame
 from srkilling.connection import compute_connection, curvature
 from srkilling.expr import Const, Expression
-from srkilling.frame import load_structure, pfaffian_minors, sym_det, wedge_power
+from srkilling.frame import determinant_minors, load_structure, pfaffian_minors, wedge_power
 from srkilling.killing import generator_space
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -87,18 +87,23 @@ def canonical(e: Expression) -> str:
     return ex.to_string(ex.normalize(e))
 
 
-class TestSymDet:
+def full_det(rows):
+    m = len(rows)
+    return determinant_minors(rows)(range(m), range(m))
+
+
+class TestDeterminantMinors:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_rational_matches_leibniz(self, m):
         rng = np.random.default_rng(100 + m)
         rows = [[Const(random_fraction(rng)) for _ in range(m)] for _ in range(m)]
-        assert canonical(sym_det(rows)) == canonical(leibniz_det(rows))
+        assert canonical(full_det(rows)) == canonical(leibniz_det(rows))
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_polynomial_matches_leibniz(self, m):
         rng = np.random.default_rng(200 + m)
         rows = [[small_poly(rng) for _ in range(m)] for _ in range(m)]
-        assert canonical(sym_det(rows)) == canonical(leibniz_det(rows))
+        assert canonical(full_det(rows)) == canonical(leibniz_det(rows))
 
     def test_polynomial_six_by_six_matches_leibniz(self):
         rng = np.random.default_rng(206)
@@ -106,7 +111,17 @@ class TestSymDet:
             [small_poly(rng) if rng.random() < 0.5 else Const(random_fraction(rng)) for _ in range(6)]
             for _ in range(6)
         ]
-        assert canonical(sym_det(rows)) == canonical(leibniz_det(rows))
+        assert canonical(full_det(rows)) == canonical(leibniz_det(rows))
+
+    def test_every_minor_matches_leibniz(self):
+        rng = np.random.default_rng(207)
+        mat = [[small_poly(rng) for _ in range(5)] for _ in range(5)]
+        minor = determinant_minors(mat)
+        for size in range(1, 6):
+            for rows in itertools.combinations(range(5), size):
+                for cols in itertools.combinations(range(5), size):
+                    sub = [[mat[r][c] for c in cols] for r in rows]
+                    assert canonical(minor(rows, cols)) == canonical(leibniz_det(sub)), (rows, cols)
 
 
 class TestPfaffian:
@@ -142,7 +157,7 @@ class TestPfaffian:
             assert wedge_power(Bf, n) == pytest.approx(float(perm_sum_wedge(B, n)), abs=1e-12)
 
 
-BUILTINS = ["heisenberg:1", "su2", "su2:chart", "heisenberg:2", "heisenberg:3"]
+BUILTINS = ["heisenberg:1", "su2", "su2:chart", "heisenberg:2", "heisenberg:3", "heisenberg:5"]
 
 
 @pytest.fixture(scope="module")
@@ -173,19 +188,19 @@ class TestCoframe:
         s = load_structure("su2:chart")
         s._coframe = None
         calls = []
-        real = frame.sym_det
+        real = frame.determinant_minors
 
-        def counting(rows):
-            calls.append(len(rows))
-            return real(rows)
+        def counting(mat):
+            calls.append(len(mat))
+            return real(mat)
 
-        monkeypatch.setattr(frame, "sym_det", counting)
+        monkeypatch.setattr(frame, "determinant_minors", counting)
         V = s.parse_field("x, y*z, 1")
         first = s.decompose(V)
-        assert len(calls) == s.dim**2 + 1
+        assert calls == [s.dim]
         second = s.decompose(V)
         third = s.decompose(s.frame[0])
-        assert len(calls) == s.dim**2 + 1
+        assert calls == [s.dim]
         assert [str(e) for e in first[0]] == [str(e) for e in second[0]]
         assert str(first[1]) == str(second[1])
         assert len(third[0]) == s.h

@@ -155,6 +155,11 @@ class TestReeb:
             (1, "c 1 2 3 = 1\nc 2 3 1 = 1\nc 1 3 2 = -1\n", [0, 0, -1]),  # su2
             (1, "c 1 2 3 = 1\nc 1 3 3 = 1\n", [0, 1, -1]),
             (2, "c 1 2 5 = 1\nc 3 4 5 = 2\n", [0, 0, 0, 0, 2]),
+            # v = (2c)^2 past float precision, then past the float range
+            *(
+                pytest.param(2, f"c 1 2 5 = {c}\nc 3 4 5 = {2 * c}\n", [0, 0, 0, 0, 2 * c], id=f"c=1e{e}+1")
+                for e, c in ((20, 10**20 + 1), (200, 10**200 + 1))
+            ),
         ],
     )
     def test_lie_reeb_is_exact(self, n, brackets, xi):
