@@ -122,6 +122,46 @@ GOLDEN = [
         0,
         "d9f952d083a909d302bf4f269c72f81b0840461f05f48226da8e175560d373f1",
     ),
+    # lie structures read from their structure constants: a solvable algebra
+    # with nonzero horizontal connection coefficients, and one of n = 2
+    (("check", "aff_lie.toml"), 0, "61d7b6b1a2a0a9f0d52b55ea0b37bf094b65ba4c0465431f860754208c98c0b8"),
+    (
+        ("verify-geometry", "aff_lie.toml"),
+        0,
+        "916b22300c28c631ec66e83395a65090fc65ff363708022646786100ec057828",
+    ),
+    (
+        ("curvature", "aff_lie.toml", "--order", "2"),
+        0,
+        "17eb597e2308fb010121a2a3c2e3545e46687c9c86afca0552dfc9a960f25e21",
+    ),
+    (
+        ("verify", "aff_lie.toml", "--field", "0,0,1"),
+        0,
+        "5055ca2b1df0063826d4ff520c0c7b28810b22b5a4df8af3a5e407722a076c6c",
+    ),
+    (("check", "lie_n2.toml"), 0, "106eeb5318fa522745d7e1d696d98999132ee76dc0b9d7ea03132b0ebe7d3196"),
+    (
+        ("verify-geometry", "lie_n2.toml"),
+        0,
+        "ed9eb567731b7139adb5702afaee0a8a3ccf5764cc3f4c24eedd72b649d62843",
+    ),
+    (
+        ("curvature", "lie_n2.toml", "--order", "2"),
+        0,
+        "8a528713b86e60a2ff15bffd98ef9ad7a21834db2c2954da409eb50846e7fcf6",
+    ),
+    (
+        ("verify", "lie_n2.toml", "--field", "0,0,0,0,1"),
+        0,
+        "6746b5b2416bc2380b62147b4a48ae8e4b0b396a4346251c08409ef3ccebdf3a",
+    ),
+    # the first failing Jacobi triple and component is the one reported
+    (
+        ("check", "jacobi_violation.toml"),
+        2,
+        "a5f32f3d37a9dde79f23a8552181831eee11027d72cfc5a41f7d80359b7a162e",
+    ),
 ]
 
 
@@ -377,6 +417,8 @@ GOLDEN_DIM = [
         "da7925202382cff8509f8356a7d1d8a12b96b3258914fe2ef00af94659da2368",
         [0.25, -0.5, 0.125],
     ),
+    (("dim", "aff_lie.toml"), "faee3b07a6d0e319a7ab01e53b7bc308f5dc7fbb7c7e5d7354a0429ee2801fe8", None),
+    (("dim", "lie_n2.toml"), "d4ee883351f4662fe422cceb89c79835ff7d756356fdad0f719cff2bd0748bb8", None),
 ]
 
 
