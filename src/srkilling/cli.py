@@ -514,6 +514,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not args.structure:
             raise InputError("missing structure argument")
+        if args.seed < 0:
+            raise InputError(f"--seed: {args.seed} is not a nonnegative integer")
         s = load_structure(args.structure, seed=args.seed)
         args.tol_given = args.tol is not None
         args.tol = _parse_number(args.tol, "--tol") if args.tol_given else DEFAULT_TOL

@@ -7,7 +7,9 @@ Loading a structure computes, in order: the raw annihilator of H (a
 generalized cross product of the frame), the normalized contact form alpha
 with wedge^n dalpha(e_1..e_2n) = 1, the Reeb field xi, the structure
 functions of the basis (e_1..e_2n, xi), and the "special" certification
-(the Reeb flow is an isometry) on a sample set.
+(the Reeb flow is an isometry) on a sample set.  Every bracket is taken by
+ContactStructure.bracket: the coordinate Jacobi-Lie bracket in chart mode,
+the structure constants as given in lie mode.
 
 The frame is orthonormal by declaration, so the metric never appears
 explicitly: inner products of horizontal fields are dot products of frame
@@ -16,7 +18,9 @@ components.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -213,6 +217,7 @@ def determinant_minors(mat):
     expanded along the first remaining row,
         det = sum_p (-1)^p mat[rows[0]][cols[p]] det(rows[1:], cols without p),
     and memoized on (rows, cols): all minors of one matrix share subterms.
+    A literal-zero entry's term is skipped: it would add ZERO.
     """
     memo: dict = {}
 
@@ -223,7 +228,10 @@ def determinant_minors(mat):
         if hit is None:
             hit = ZERO
             for p, j in enumerate(cols):
-                term = ex.mul(mat[rows[0]][j], rec(rows[1:], cols[:p] + cols[p + 1 :], rec))
+                a = mat[rows[0]][j]
+                if isinstance(a, Const) and not a.value:
+                    continue
+                term = ex.mul(a, rec(rows[1:], cols[:p] + cols[p + 1 :], rec))
                 hit = ex.add(hit, term) if p % 2 == 0 else ex.sub(hit, term)
             memo[(rows, cols)] = hit
         return hit
@@ -480,6 +488,9 @@ class ContactStructure:
     # polynomial frames (see _NormalizationData); None in lie mode.
     E: list[list[Expression]] | None = None
     dalpha_scale: Expression = ONE
+    # lie mode: the nonzero structure constants as given, 0-based,
+    # (i, j, k) -> Const(c^k_ij) with i < j; None in chart mode.
+    structure_constants: dict[tuple[int, int, int], Const] | None = None
     _compiled: dict = field(default_factory=dict, repr=False)
     _coframe: tuple | None = field(default=None, repr=False)
 
@@ -552,29 +563,12 @@ class ContactStructure:
         """[V, W] in the components fields are given in.
 
         Chart mode: the coordinate Jacobi-Lie bracket.  Lie mode: V and W
-        are constant combinations of the Lie algebra basis, so the bracket
-        is bilinear in their adapted-basis components (decompose) over the
-        structure functions, with [e_k, e_l] = c^m_kl e_m + c^0_kl xi and
-        [xi, e_k] = c^m_0k e_m + c0_0[k] xi = -[e_k, xi].
+        are constant combinations of the Lie algebra basis, and the bracket
+        is read from the structure constants (_constants_bracket).
         """
-        if self.coords:
+        if self.structure_constants is None:
             return lie_bracket(V, W, self.coords)
-        h, b = self.h, self.brackets
-        # table[p][q]: the components of [E_p, E_q] for E = (e_1..e_2n, xi)
-        xi_e = [b.c0_h[k] + [b.c0_0[k]] for k in range(h)]
-        table = [
-            [b.c_h[k][l] + [b.c_0[k][l]] for l in range(h)] + [[ex.neg(c) for c in xi_e[k]]]
-            for k in range(h)
-        ] + [xi_e + [[ZERO] * (h + 1)]]
-        (vh, v0), (wh, w0) = self.decompose(V), self.decompose(W)
-        v, w = vh + [v0], wh + [w0]
-        comps = [ZERO] * (h + 1)
-        for p in range(h + 1):
-            for q in range(h + 1):
-                vw = ex.mul(v[p], w[q])
-                comps = [ex.add(x, ex.mul(vw, t)) for x, t in zip(comps, table[p][q])]
-        basis = self.frame + [self.reeb]
-        return [ex.normalize(_pairing(comps, [e[i] for e in basis])) for i in range(self.dim)]
+        return _constants_bracket(self.structure_constants, V, W)
 
     def alpha_of(self, V: list[Expression]) -> Expression:
         return ex.normalize(_pairing(self.alpha, V))
@@ -643,32 +637,24 @@ class ContactStructure:
 
 
 def structure_functions(s: ContactStructure) -> Brackets:
-    """Brackets of the adapted basis, each decomposed by pairing with the
-    basis coframe (ContactStructure.decompose, whose cofactors are computed
-    once per structure); see Brackets for the index conventions."""
+    """Brackets of the adapted basis (ContactStructure.bracket, so in either
+    mode), each decomposed by pairing with the basis coframe
+    (ContactStructure.decompose, whose cofactors are computed once per
+    structure); see Brackets for the index conventions."""
     h = s.h
     c_h = [[[ZERO] * h for _ in range(h)] for _ in range(h)]
     c_0 = [[ZERO] * h for _ in range(h)]
     for i in range(h):
         for j in range(i + 1, h):
-            v = lie_bracket(s.frame[i], s.frame[j], s.coords)
-            hor, xi_comp = s.decompose(v)
-            for k in range(h):
-                c_h[i][j][k] = hor[k]
-                c_h[j][i][k] = ex.neg(hor[k])
-            c_0[i][j] = xi_comp
-            c_0[j][i] = ex.neg(xi_comp)
-    c0_h = [[ZERO] * h for _ in range(h)]
-    c0_0 = [ZERO] * h
-    for j in range(h):
-        v = lie_bracket(s.reeb, s.frame[j], s.coords)
-        # The coframe's xi component of [xi,e_j] equals alpha([xi,e_j]) in
-        # exact arithmetic; c0_0 takes the direct pairing with alpha, which
-        # check_special verifies to vanish.
-        hor, _ = s.decompose(v)
-        for k in range(h):
-            c0_h[j][k] = hor[k]
-        c0_0[j] = s.alpha_of(v)
+            hor, xi_comp = s.decompose(s.bracket(s.frame[i], s.frame[j]))
+            c_h[i][j], c_h[j][i] = hor, [ex.neg(x) for x in hor]
+            c_0[i][j], c_0[j][i] = xi_comp, ex.neg(xi_comp)
+    xi_e = [s.bracket(s.reeb, e) for e in s.frame]
+    # The coframe's xi component of [xi,e_j] equals alpha([xi,e_j]) in
+    # exact arithmetic; c0_0 takes the direct pairing with alpha, which
+    # check_special verifies to vanish.
+    c0_h = [s.decompose(v)[0] for v in xi_e]
+    c0_0 = [s.alpha_of(v) for v in xi_e]
     return Brackets(c_h=c_h, c_0=c_0, c0_h=c0_h, c0_0=c0_0)
 
 
@@ -732,93 +718,84 @@ def _default_special_grid(s: ContactStructure):
 # ---------------------------------------------------------------------------
 
 
+def _constants_bracket(
+    constants: dict, V: list[Expression], W: list[Expression]
+) -> list[Expression]:
+    """[V, W]^k = sum c^k_ij (V^i W^j - V^j W^i) over the structure constants
+    (i, j, k) -> c^k_ij, i < j: the bracket of constant combinations of the
+    Lie algebra basis, in basis components."""
+    out = [ZERO] * len(V)
+    for (i, j, k), c in constants.items():
+        out[k] = ex.add(out[k], ex.mul(c, ex.sub(ex.mul(V[i], W[j]), ex.mul(V[j], W[i]))))
+    return out
+
+
 def _lie_build(n: int, constants: dict[tuple[int, int, int], Fraction], text: str, name: str) -> ContactStructure:
-    dim = 2 * n + 1
-    # raw brackets, antisymmetrized, 0-based: C[i][j][k]
-    C = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), val in constants.items():
+    """A lie-mode structure from its structure constants {(i, j, k): c^k_ij}
+    (1-based, i < j), e_1..e_2n spanning H.  Every quantity is read through
+    one bracket (_constants_bracket) and is an exact Fraction: the Jacobi
+    identity, alpha = f e^(2n+1) with f = v^(-1/n), v = wedge^n dalpha0(e_1..
+    e_2n), the Reeb field by the Pfaffian formula of compute_reeb, and the
+    structure functions by the path of chart mode (structure_functions)."""
+    dim, h = 2 * n + 1, 2 * n
+    for i, j, k in constants:
         if not (1 <= i < j <= dim and 1 <= k <= dim):
             raise StructureError(f"bracket indices out of range: c {i} {j} {k}")
-        C[i - 1][j - 1][k - 1] = val
-        C[j - 1][i - 1][k - 1] = -val
+    consts = {(i - 1, j - 1, k - 1): Const(val) for (i, j, k), val in constants.items() if val}
+    # Pf(B0) != 0 needs a perfect matching of e_1..e_2n by nonzero c^(2n+1)_ij,
+    # n pairs; this is checked before anything of size dim is built
+    if sum(1 for i, j, k in consts if k == h and j < h) < n:
+        raise NotContactError("lie structure is not contact: wedge^n dalpha0 = 0")
 
-    _check_jacobi(C, dim)
+    unit = [[ONE if i == j else ZERO for i in range(dim)] for j in range(dim)]
+    bracket = functools.partial(_constants_bracket, consts)
+    for i, j, k in itertools.combinations(range(dim), 3):
+        cycle = ((i, j, k), (j, k, i), (k, i, j))
+        cyclic = [bracket(bracket(unit[a], unit[b]), unit[c]) for a, b, c in cycle]
+        for m in range(dim):
+            total = sum(t[m].value for t in cyclic)
+            if total != 0:
+                raise StructureError(
+                    f"Jacobi identity fails for (e{i+1},e{j+1},e{k+1}) "
+                    f"component {m+1}: residual {total}"
+                )
 
-    # alpha0 = dual of e_{2n+1}; dalpha0(u,v) = -alpha0([u,v])
-    B0 = [[-C[a][b][dim - 1] for b in range(2 * n)] for a in range(2 * n)]
-    v = wedge_power(B0, n)
+    # alpha0 = dual of e_{2n+1}; dalpha0(e_a, e_b) = -alpha0([e_a, e_b])
+    D0 = [[-bracket(unit[a], unit[b])[h].value for b in range(dim)] for a in range(dim)]
+    v = wedge_power([row[:h] for row in D0[:h]], n)
     if v == 0:
         raise NotContactError("lie structure is not contact: wedge^n dalpha0 = 0")
     if n % 2 == 0 and v < 0:
         raise OrientationError(
             "n is even and wedge^n dalpha0 < 0; negate one frame basis vector"
         )
-    f = _fraction_root(v, n)
-    alpha = [Fraction(0)] * dim
-    alpha[dim - 1] = f
+    f = _fraction_root(v, n)  # alpha = f e^(2n+1)
 
-    # basis matrix of dalpha: dalpha(e_i,e_j) = -alpha([e_i,e_j])
-    E = [[-f * C[i][j][dim - 1] for j in range(dim)] for i in range(dim)]
+    # basis matrix of dalpha = f dalpha0
+    E = [[f * d for d in row] for row in D0]
     # Reeb by the Pfaffian formula of compute_reeb, exactly: xi = k / alpha(k)
     # with k_i = (-1)^i Pf(E without i); alpha(k) = f k_2n = f^(n+1) Pf(B0) != 0
     pf = pfaffian_minors(E)
     full = tuple(range(dim))
     k = [(-1) ** i * pf(full[:i] + full[i + 1 :]) for i in range(dim)]
-    alpha_k = sum(a * k_i for a, k_i in zip(alpha, k))
-    xi = [k_i / alpha_k for k_i in k]
+    xi = [k_i / (f * k[h]) for k_i in k]
 
-    def bracket_with_xi(j: int) -> list[Fraction]:
-        return [sum((xi[k] * C[k][j][m] for k in range(dim)), Fraction(0)) for m in range(dim)]
-
-    h = 2 * n
-    c_h = [[[ZERO] * h for _ in range(h)] for _ in range(h)]
-    c_0 = [[ZERO] * h for _ in range(h)]
-    for i in range(h):
-        for j in range(h):
-            a_comp = f * C[i][j][dim - 1]
-            c_0[i][j] = Const(a_comp)
-            for k in range(h):
-                c_h[i][j][k] = Const(C[i][j][k] - a_comp * xi[k])
-    c0_h = [[ZERO] * h for _ in range(h)]
-    c0_0 = [ZERO] * h
-    for j in range(h):
-        w = bracket_with_xi(j)
-        a_comp = f * w[dim - 1]
-        c0_0[j] = Const(a_comp)
-        for k in range(h):
-            c0_h[j][k] = Const(w[k] - a_comp * xi[k])
-
-    frame = [[ONE if i == j else ZERO for i in range(dim)] for j in range(h)]
     s = ContactStructure(
         n=n,
         mode="lie",
         coords=[],
-        frame=frame,
-        alpha=[Const(a) for a in alpha],
+        frame=unit[:h],
+        alpha=[ZERO] * h + [Const(f)],
         reeb=[Const(x) for x in xi],
         orientation_sign=1 if v > 0 else -1,
-        brackets=Brackets(c_h=c_h, c_0=c_0, c0_h=c0_h, c0_0=c0_0),
+        brackets=Brackets([], [], [], []),
         source_text=text,
         name=name,
         E=[[Const(e) for e in row] for row in E],
-        dalpha_scale=ONE,
+        structure_constants=consts,
     )
+    s.brackets = structure_functions(s)
     return s
-
-
-def _check_jacobi(C: list, dim: int) -> None:
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                for m in range(dim):
-                    total = Fraction(0)
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        total += sum(C[a][b][p] * C[p][c][m] for p in range(dim))
-                    if total != 0:
-                        raise StructureError(
-                            f"Jacobi identity fails for (e{i+1},e{j+1},e{k+1}) "
-                            f"component {m+1}: residual {total}"
-                        )
 
 
 def _fraction_root(v: Fraction, n: int) -> Fraction:

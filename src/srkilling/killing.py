@@ -310,7 +310,7 @@ def derivation_apply(
         raise ValueError(f"unknown tensor kind {which!r}")
     pts = np.atleast_2d(gen.q) if cd.structure.coords else np.zeros((1, 0))
     cache = _tensor_value_cache(cd, order, pts)
-    rows = _fq_columns(cd, cache, keys[which], order, slice(None))[0]
+    rows = _fq_columns(cd, cache, keys[which], order)[0]
     return (rows @ gen.as_vector()).reshape(cache[(keys[which], order)].shape[:-1])
 
 
@@ -322,10 +322,10 @@ def derivation_apply(
 def _tensor_value_cache(
     cd: CurvatureData, m: int, points: np.ndarray, cache: dict | None = None
 ) -> dict:
-    """Values at points of nabla^i T ("R", "B"), nabla^(i+1) T ("Rn", "Bn")
-    and nabla_xi nabla^i T ("Rxi", "Bxi") for T = R, dalpha and i <= m.
-    Extends cache in place when one is given: each tensor goes through
-    eval_tensor once, and ("Rn", i) is the array of ("R", i + 1)."""
+    """Values at points of nabla^i T ("R", "B") for i <= m + 1 and
+    nabla_xi nabla^i T ("Rxi", "Bxi") for i <= m, T = R, dalpha.  Extends
+    cache in place when one is given: each tensor goes through eval_tensor
+    once."""
     higher_derivatives(cd, m + 1)
     s = cd.structure
     cache = {} if cache is None else cache
@@ -336,7 +336,6 @@ def _tensor_value_cache(
         for i in range(m + 1):
             if (key + "xi", i) not in cache:
                 cache[(key + "xi", i)] = eval_tensor(s, xi_tower[i], points)
-            cache[(key + "n", i)] = cache[(key, i + 1)]
     return cache
 
 
@@ -351,9 +350,9 @@ def _skew_basis(h: int) -> np.ndarray:
     return out
 
 
-def _fq_columns(cd: CurvatureData, cache: dict, key: str, i: int, sel: slice) -> np.ndarray:
+def _fq_columns(cd: CurvatureData, cache: dict, key: str, i: int) -> np.ndarray:
     """Row block of nabla^i T in f_q, T = R (key "R") or dalpha ("B"), at
-    the cached points sel: a stack (P, h^rank, unknowns), rows the entries
+    the cached points: a stack (P, h^rank, unknowns), rows the entries
     of T flattened in C order.  Columns follow the packing order of
     pack_generator: X^a takes slice a of nabla^(i+1) T, each skew basis
     element applies its derivation to T (endomorphism_action), c takes the
@@ -361,20 +360,20 @@ def _fq_columns(cd: CurvatureData, cache: dict, key: str, i: int, sel: slice) ->
     entry equals, bit for bit, the per-point value whatever the block."""
     h = cd.structure.h
     skew = _skew_basis(h)
-    Tv = cache[(key, i)][..., sel]
+    Tv = cache[(key, i)]
     npts = Tv.shape[-1]
-    X = cache[(key + "n", i)][..., sel].reshape(h, -1, npts)
+    X = cache[(key, i + 1)].reshape(h, -1, npts)
     A = endomorphism_action(skew, Tv, 1 if key == "R" else 0).reshape(len(skew), -1, npts)
-    c = cache[(key + "xi", i)][..., sel].reshape(1, -1, npts)
+    c = cache[(key + "xi", i)].reshape(1, -1, npts)
     return np.concatenate([X, A, c]).transpose(2, 1, 0)
 
 
-def _assemble_block(cd: CurvatureData, m: int, cache: dict, sel: slice) -> np.ndarray:
-    """Stack (P, rows, unknowns) of the f_q matrices at the cached points
-    sel, each with kernel i_m(q): the row blocks of _fq_columns over i <= m,
+def _assemble_block(cd: CurvatureData, m: int, cache: dict) -> np.ndarray:
+    """Stack (P, rows, unknowns) of the f_q matrices at the cached points,
+    each with kernel i_m(q): the row blocks of _fq_columns over i <= m,
     R before dalpha."""
     stack = np.concatenate(
-        [_fq_columns(cd, cache, key, i, sel) for i in range(m + 1) for key in ("R", "B")], axis=1
+        [_fq_columns(cd, cache, key, i) for i in range(m + 1) for key in ("R", "B")], axis=1
     )
     # -0.0 becomes +0.0, as in the full sum X . nabla T + c xi T + A . T that
     # each column selects from; LAPACK's reflector signs read the sign of zero
@@ -445,7 +444,7 @@ def generator_space(
     for m in range(target + 1):
         check_dense(_fq_rows(s.h, m) * nunk, f"f_q of order {m} at a point")
         _tensor_value_cache(cd, m, pts, cache)
-        M = _assemble_block(cd, m, cache, slice(None))[0]
+        M = _assemble_block(cd, m, cache)[0]
         dim, kernel_basis, sv = _kernel(M, rel_threshold)
         dims.append(dim)
         m_used = m
@@ -521,7 +520,7 @@ def scan_regularity(
     dims = np.empty(npts, dtype=int)
     for sel in point_blocks(npts, _fq_rows(s.h, m) * nunk):
         # the tensor values of a block go as soon as its f_q is assembled
-        stack = _assemble_block(cd, m, _tensor_value_cache(cd, m, grid[sel]), slice(None))
+        stack = _assemble_block(cd, m, _tensor_value_cache(cd, m, grid[sel]))
         dims[sel] = nunk - _ranks(np.linalg.svd(stack, compute_uv=False), rel_threshold)
 
     regular, pit = _neighbour_flags(dims.reshape(grid.shape))

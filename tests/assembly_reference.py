@@ -54,7 +54,7 @@ def assemble_map(cd, m, cache, p):
         for i in range(m + 1):
             for key, n_upper in (("R", 1), ("B", 0)):
                 Tv = cache[(key, i)][..., p]
-                Tnv = cache[(key + "n", i)][..., p]
+                Tnv = cache[(key, i + 1)][..., p]
                 Txiv = cache[(key + "xi", i)][..., p]
                 val = np.tensordot(X, Tnv, axes=([0], [0])) + c * Txiv
                 val = val + endomorphism_action(A, Tv, n_upper)

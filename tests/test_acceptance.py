@@ -104,7 +104,7 @@ def test_criterion_03_su2_structure():
     from srkilling.killing import _assemble_block, _tensor_value_cache
 
     cache = _tensor_value_cache(cd, gs.m_used, np.zeros((1, 0)))
-    M = _assemble_block(cd, gs.m_used, cache, slice(None))[0].copy()
+    M = _assemble_block(cd, gs.m_used, cache)[0].copy()
     rank = 0
     for col in range(M.shape[1]):
         piv = next((r for r in range(rank, M.shape[0]) if abs(M[r, col]) > 1e-9), None)

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from srkilling import killing
+from srkilling import cli, killing
 from srkilling.cli import main
 from srkilling.frame import ContactStructure
 
@@ -255,15 +255,33 @@ def test_reconstruct_grid_under_three_points_per_axis_runs_no_transport(
     assert message in json.loads(out)["error"]["message"]
 
 
+
+def test_lie_mode_refuses_a_huge_n_before_it_allocates(capsys, tmp_path):
+    # one constant c^(2n+1)_ij where Pf(B0) != 0 needs n: refused from the
+    # constants alone, before anything of size 2n + 1 is built
+    path = tmp_path / "huge.toml"
+    path.write_text("[manifold]\nmode = lie\nn = 200000000000000000002\n[brackets]\nc 1 2 3 = 1\n")
+    code, out = run(capsys, "check", str(path))
+    assert input_error(code, out)
+    assert json.loads(out)["error"]["message"] == "lie structure is not contact: wedge^n dalpha0 = 0"
+
 def test_verify_computes_each_bracket_once(capsys, monkeypatch):
     pairs = []
     original = ContactStructure.bracket
+    load = cli.load_structure
 
     def counted(self, V, W):
         pairs.append((tuple(map(str, V)), tuple(map(str, W))))
         return original(self, V, W)
 
+    def loaded(*args, **kwargs):
+        # the load's structure functions take brackets of their own
+        s = load(*args, **kwargs)
+        pairs.clear()
+        return s
+
     monkeypatch.setattr(ContactStructure, "bracket", counted)
+    monkeypatch.setattr(cli, "load_structure", loaded)
     y1 = "(1 + x^2 - y^2 - z^2)/4, (x*y - z)/2, (x*z + y)/2"
     code, _ = run(capsys, "verify", "su2:chart", "--field", y1)
     assert code == 0
@@ -502,6 +520,14 @@ class TestReporting:
         code2, out2 = run(capsys, "check", "heisenberg:1", "--seed", "1")
         assert code1 == code2 == 0
         assert json.loads(out1)["pass"] and json.loads(out2)["pass"]
+
+    @pytest.mark.parametrize(
+        "argv", [("check", "heisenberg:1"), ("verify-geometry", "heisenberg:1"), ("check", "su2")]
+    )
+    def test_negative_seed_is_an_input_error(self, capsys, argv):
+        code, out = run(capsys, *argv, "--seed", "-1")
+        assert input_error(code, out)
+        assert "--seed" in json.loads(out)["error"]["message"]
 
     def test_pretty_rendering(self, capsys):
         code, out = run(capsys, "check", "su2", "--pretty")

@@ -113,15 +113,25 @@ class TestDeterminantMinors:
         ]
         assert canonical(full_det(rows)) == canonical(leibniz_det(rows))
 
-    def test_every_minor_matches_leibniz(self):
-        rng = np.random.default_rng(207)
-        mat = [[small_poly(rng) for _ in range(5)] for _ in range(5)]
+    @staticmethod
+    def assert_every_minor_matches_leibniz(mat):
         minor = determinant_minors(mat)
         for size in range(1, 6):
             for rows in itertools.combinations(range(5), size):
                 for cols in itertools.combinations(range(5), size):
                     sub = [[mat[r][c] for c in cols] for r in rows]
                     assert canonical(minor(rows, cols)) == canonical(leibniz_det(sub)), (rows, cols)
+
+    def test_every_minor_matches_leibniz(self):
+        rng = np.random.default_rng(207)
+        self.assert_every_minor_matches_leibniz([[small_poly(rng) for _ in range(5)] for _ in range(5)])
+
+    def test_every_minor_with_zero_entries_matches_leibniz(self):
+        # every third entry a literal zero, whose term the expansion skips:
+        # each kept term keeps the sign of its place among all the columns
+        rng = np.random.default_rng(208)
+        mat = [[ex.ZERO if (5 * r + c) % 3 == 0 else small_poly(rng) for c in range(5)] for r in range(5)]
+        self.assert_every_minor_matches_leibniz(mat)
 
 
 class TestPfaffian:

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,70 @@ class TestStructureFunctions:
             for t in total:
                 assert np.max(np.abs(ev(heis, t, pts))) < 1e-8
 
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+BIG_N2 = "[manifold]\nmode = lie\nn = 2\n[brackets]\nc 1 2 5 = {c}\nc 3 4 5 = {c2}\n"
+
+
+def file_constants(text):
+    """{(i, j, k): c^k_ij}, 0-based, from the 'c i j k = value' lines."""
+    out = {}
+    for line in text.splitlines():
+        key, _, value = line.split("#", 1)[0].partition("=")
+        if key.split()[:1] == ["c"]:
+            i, j, k = (int(x) - 1 for x in key.split()[1:])
+            out[(i, j, k)] = Fraction(value.strip())
+    return out
+
+
+def constants_column(consts, dim, a, b):
+    """[e_a, e_b] in the Lie algebra basis, read from the constants."""
+    col = [Fraction(0)] * dim
+    for (i, j, k), c in consts.items():
+        col[k] += c if (i, j) == (a, b) else -c if (i, j) == (b, a) else 0
+    return col
+
+
+class TestLieStructureFunctionsRecompose:
+    """Lie mode: the structure functions, put back together over the adapted
+    basis (e_1..e_2n, xi), give the brackets the file's constants give."""
+
+    @pytest.fixture(
+        params=[
+            "su2",
+            "aff_lie.toml",
+            "lie_n2.toml",
+            *(
+                pytest.param(BIG_N2.format(c=c, c2=2 * c), id=f"c=1e{e}+1")
+                for e, c in ((20, 10**20 + 1), (200, 10**200 + 1))
+            ),
+        ]
+    )
+    def lie(self, request):
+        src = request.param
+        if src.startswith("[manifold]"):
+            return load_structure_text(src), src
+        text = builtin_text(src) or (DATA / src).read_text()
+        return load_structure_text(text, name=src), text
+
+    def test_brackets_recompose_exactly(self, lie):
+        s, text = lie
+        consts, dim, h, b = file_constants(text), s.dim, s.h, s.brackets
+        xi = [x.value for x in s.reeb]
+
+        def recompose(hor, xi_comp):
+            # sum_k hor[k] e_k + xi_comp xi, e_k the k-th basis vector
+            assert all(isinstance(e, ex.Const) for e in [*hor, xi_comp])
+            return [(hor[m].value if m < h else 0) + xi_comp.value * xi[m] for m in range(dim)]
+
+        for i in range(h):
+            for j in range(h):
+                assert recompose(b.c_h[i][j], b.c_0[i][j]) == constants_column(consts, dim, i, j)
+            # [xi, e_j] = sum_a xi^a [e_a, e_j]
+            cols = [constants_column(consts, dim, a, j) for a in range(dim)]
+            xi_e = [sum(x * col[m] for x, col in zip(xi, cols)) for m in range(dim)]
+            assert recompose(b.c0_h[j], b.c0_0[j]) == xi_e
 
 class TestDalphaRoutes:
     @pytest.mark.parametrize("fixture", ["heis", "su2c"])

@@ -127,7 +127,7 @@ class TestGeneratorSpace:
         from srkilling.killing import _assemble_block, _tensor_value_cache
 
         cache = _tensor_value_cache(su2_cd, 2, np.zeros((1, 0)))
-        M = _assemble_block(su2_cd, 2, cache, slice(None))[0]
+        M = _assemble_block(su2_cd, 2, cache)[0]
         rank = 0
         Mw = M.copy()
         rows, cols = Mw.shape

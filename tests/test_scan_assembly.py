@@ -65,11 +65,11 @@ def test_stack_equals_single_point_assemblies(request, which, npts, m):
     cd = request.getfixturevalue(which)
     pts = np.random.default_rng(7).uniform(-1.2, 1.2, (npts, cd.structure.dim))
     cache = _tensor_value_cache(cd, m, pts)
-    stack = _assemble_block(cd, m, cache, slice(None))
+    stack = _assemble_block(cd, m, cache)
     assert stack.shape[0] == npts and stack.shape[2] == ambient_dimension(cd.structure.n)
     for p in range(npts):
         one = _tensor_value_cache(cd, m, pts[p : p + 1])
-        single = _assemble_block(cd, m, one, slice(None))[0]
+        single = _assemble_block(cd, m, one)[0]
         for other in (single, ref.assemble_map(cd, m, cache, p)):
             assert other.shape == stack[p].shape
             assert np.array_equal(stack[p].view(np.int64), other.view(np.int64))
@@ -82,7 +82,7 @@ def test_block_boundaries_leave_dims_unchanged(warped, warped_cd, monkeypatch):
     base = scan_regularity(warped_cd, grid, order=2, rel_threshold=0.8)
     assert set(base["dims"]) == {2, 3} and not all(base["regular"])
     cache = _tensor_value_cache(warped_cd, 2, grid.points[:1])
-    per_point = _assemble_block(warped_cd, 2, cache, slice(None))[0].size
+    per_point = _assemble_block(warped_cd, 2, cache)[0].size
 
     svd = np.linalg.svd
     stacks = []
