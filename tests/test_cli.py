@@ -606,3 +606,28 @@ class TestExitCodes:
         assert code == 2
         err = json.loads(out)["error"]
         assert err["kind"] == "input_error" and "is not finite" in err["message"]
+
+
+COMMON_OPTIONS = {"-h", "--help", "--tol", "--seed", "--out", "--pretty"}
+SUBCOMMAND_OPTIONS = {
+    "check": {"--grid"},
+    "connection": {"--at"},
+    "curvature": {"--at", "--order"},
+    "verify-geometry": {"--grid"},
+    "dim": {"--at", "--order", "--max-order"},
+    "prolong": {"--curve", "--gen", "--step", "--require-horizontal"},
+    "path-check": {"--curve", "--gen", "--step"},
+    "reconstruct": {"--gen", "--grid", "--step"},
+    "verify": {"--field", "--field-tol", "--grid"},
+    "scan": {"--grid", "--order", "--max-order"},
+}
+
+
+def test_each_subcommand_takes_its_pinned_options():
+    (sub,) = cli._build_parser()._subparsers._group_actions
+    assert list(sub.choices) == list(SUBCOMMAND_OPTIONS)
+    for name, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        positionals = [a.dest for a in parser._actions if not a.option_strings]
+        assert options == COMMON_OPTIONS | SUBCOMMAND_OPTIONS[name], name
+        assert positionals == ["structure"], name
