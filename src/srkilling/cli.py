@@ -76,6 +76,22 @@ def _parse_number(text: str, what: str) -> float:
     return val
 
 
+def _claim(name: str, values: dict, s: ContactStructure, what: str) -> None:
+    """Refuse a name that is not a coordinate of s, or that values holds."""
+    if name not in s.coords:
+        raise InputError(f"unknown {what} coordinate {name!r}")
+    if name in values:
+        raise InputError(f"{what} coordinate {name!r} is given twice")
+
+
+def _in_coordinate_order(values: dict, s: ContactStructure, what: str) -> list:
+    """The values of all coordinates of s, in their order."""
+    missing = [c for c in s.coords if c not in values]
+    if missing:
+        raise InputError(f"{what} is missing coordinates {missing}")
+    return [values[c] for c in s.coords]
+
+
 def _parse_point(text: str, s: ContactStructure) -> np.ndarray:
     """name=value pairs or s.dim plain values.  Lie mode reads the same text,
     with no coordinate names, as its one point, which has no coordinates."""
@@ -86,15 +102,9 @@ def _parse_point(text: str, s: ContactStructure) -> np.ndarray:
             if "=" not in p:
                 raise InputError(f"mixed point syntax in {text!r}")
             k, v = (b.strip() for b in p.split("=", 1))
-            if k not in s.coords:
-                raise InputError(f"unknown point coordinate {k!r}")
-            if k in vals:
-                raise InputError(f"point coordinate {k!r} is given twice")
+            _claim(k, vals, s, "point")
             vals[k] = _parse_number(v, "point coordinate")
-        missing = [c for c in s.coords if c not in vals]
-        if missing:
-            raise InputError(f"point is missing coordinates {missing}")
-        return np.array([vals[c] for c in s.coords])
+        return np.array(_in_coordinate_order(vals, s, "point"))
     if len(parts) != s.dim:
         raise InputError(f"point needs {s.dim} comma-separated values")
     q = np.array([_parse_number(p, "point coordinate") for p in parts])
@@ -119,18 +129,13 @@ def _parse_grid(text: str, s: ContactStructure) -> Grid:
             raise InputError(f"grid {name} count must be at least 1, got {count}")
         if count > MAX_GRID_POINTS:
             raise InputError(f"grid {name} count {count} exceeds the bound {MAX_GRID_POINTS}")
-        if name not in s.coords:
-            raise InputError(f"unknown grid coordinate {name!r}")
-        if name in specs:
-            raise InputError(f"grid coordinate {name!r} is given twice")
+        _claim(name, specs, s, "grid")
         specs[name] = (lo, hi, count)
-    missing = [c for c in s.coords if c not in specs]
-    if missing:
-        raise InputError(f"grid is missing coordinates {missing}")
-    total = math.prod(specs[c][2] for c in s.coords)
+    ordered = _in_coordinate_order(specs, s, "grid")
+    total = math.prod(count for _, _, count in ordered)
     if total > MAX_GRID_POINTS:
         raise InputError(f"grid has {total} points, which exceeds the bound {MAX_GRID_POINTS}")
-    return Grid(names=list(s.coords), axes=[np.linspace(*specs[c]) for c in s.coords])
+    return Grid(names=list(s.coords), axes=[np.linspace(*spec) for spec in ordered])
 
 
 def _parse_order(text: str, what: str = "order", auto: bool = True) -> int | str:
@@ -148,15 +153,10 @@ def _parse_order(text: str, what: str = "order", auto: bool = True) -> int | str
     return order
 
 
-def _max_order(args) -> int:
-    """--max-order of dim and scan: a nonnegative integer, never 'auto'."""
-    return _parse_order(args.max_order, "--max-order", auto=False)
-
-
 def _sample_points(s: ContactStructure, args, count: int = 100):
     """The --grid (a Grid), or the origin and count seeded points of the box
     (the one point of lie mode)."""
-    if not getattr(args, "grid", None):
+    if not args.grid:
         return s.validation_points(count, seed=args.seed)
     return _parse_grid(args.grid, s)
 
@@ -238,7 +238,7 @@ def cmd_curvature(s: ContactStructure, args) -> dict:
     cd = _curvature(s, args)
     q = _at(s, args)
     pts = q[None, :]
-    order = 0 if args.order in (None, "auto") else _parse_order(args.order)
+    order = 0 if args.order == "auto" else _parse_order(args.order)
     higher_derivatives(cd, order)
     Rv = eval_tensor(s, cd.R, pts)[..., 0]
     return {
@@ -262,7 +262,8 @@ def cmd_verify_geometry(s: ContactStructure, args) -> dict:
 def cmd_dim(s: ContactStructure, args) -> dict:
     cd = _curvature(s, args)
     q = _at(s, args)
-    gs = generator_space(cd, q, order=_parse_order(args.order), m_max=_max_order(args))
+    m_max = _parse_order(args.max_order, "--max-order", auto=False)
+    gs = generator_space(cd, q, order=_parse_order(args.order), m_max=m_max)
     bound = (s.n + 1) ** 2
     return {
         "at": q.tolist() if s.coords or args.at else None,
@@ -277,12 +278,13 @@ def cmd_dim(s: ContactStructure, args) -> dict:
 
 
 def cmd_prolong(s: ContactStructure, args) -> dict:
+    step = _parse_number(args.step, "--step")
+    if len(args.curve) != 1:
+        raise InputError("prolong needs exactly one --curve file")
     cd = _curvature(s, args)
     curve = load_curve_text(_read_text(args.curve[0]), s)
     gen = load_generator_text(_read_text(args.gen), s)
-    res = transport(
-        cd, gen, curve, step=args.step, require_horizontal=args.require_horizontal
-    )
+    res = transport(cd, gen, curve, step=step, require_horizontal=args.require_horizontal)
     return {
         "endpoint": res.gen.q.tolist(),
         "X": res.gen.X.tolist(),
@@ -296,17 +298,21 @@ def cmd_prolong(s: ContactStructure, args) -> dict:
 
 
 def cmd_path_check(s: ContactStructure, args) -> dict:
+    step = _parse_number(args.step, "--step")
     if len(args.curve) != 2:
         raise InputError("path-check needs exactly two --curve files")
     cd = _curvature(s, args)
     c1, c2 = (load_curve_text(_read_text(path), s) for path in args.curve)
     gen = load_generator_text(_read_text(args.gen), s)
-    deviation = path_independence(cd, gen, c1, c2, step=args.step)["deviation"]
+    deviation = path_independence(cd, gen, c1, c2, step=step)["deviation"]
     tol = args.tol if args.tol_given else 1e-6
     return {"deviation": deviation, "tolerance": tol, "pass": bool(deviation < tol)}
 
 
 def cmd_reconstruct(s: ContactStructure, args) -> dict:
+    step = _parse_number(args.step, "--step")
+    if not args.grid:
+        raise InputError("reconstruct needs --grid")
     cd = _curvature(s, args)
     gen = load_generator_text(_read_text(args.gen), s)
     grid = _parse_grid(args.grid, s)
@@ -314,7 +320,7 @@ def cmd_reconstruct(s: ContactStructure, args) -> dict:
         raise InputError(
             "reconstruct's finite-difference checks need at least 3 points per axis, all distinct"
         )
-    field = reconstruct_field(cd, gen, grid, step=args.step)
+    field = reconstruct_field(cd, gen, grid, step=step)
     return {
         "grid": {"names": grid.names, "axes": [a.tolist() for a in grid.axes]},
         "points": grid.points.tolist(),
@@ -352,7 +358,8 @@ def cmd_verify(s: ContactStructure, args) -> dict:
 def cmd_scan(s: ContactStructure, args) -> dict:
     cd = _curvature(s, args)
     grid = _parse_grid(args.grid, s) if args.grid else Grid(names=[], axes=[])
-    rep = scan_regularity(cd, grid, order=_parse_order(args.order), m_max=_max_order(args))
+    m_max = _parse_order(args.max_order, "--max-order", auto=False)
+    rep = scan_regularity(cd, grid, order=_parse_order(args.order), m_max=m_max)
     ok = rep.get("semicontinuity_violations", 0) == 0
     if rep.get("dims"):
         ok = ok and max(rep["dims"]) <= (s.n + 1) ** 2
@@ -371,6 +378,62 @@ STEP_HELP = (
     "steps per curve (default 1e-3)"
 )
 
+# Each option once, by its flag.  Values stay text, with no argparse
+# converter, so a _parse_* helper reads each one and reports a malformed
+# value as an input error.
+OPTIONS = {
+    "--tol": {"help": "residual tolerance"},
+    "--seed": {"default": "0", "help": "seed for sample points"},
+    "--out": {"help": "write the report to this path instead of stdout"},
+    "--pretty": {"action": "store_true", "help": "human-readable tables"},
+    "--at": {"help": "evaluation point (x=..,y=.. or comma list)"},
+    "--grid": {"help": "grid spec name:min:max:count,..."},
+    "--order": {"default": "auto", "help": "'auto' or an explicit order m; curvature caches "
+                "nabla^i R through m, and 'auto' is 0 there"},
+    "--max-order": {"default": "6", "help": "stabilization cap"},
+    "--curve": {"action": "append", "required": True, "help": "curve file (path-check takes two)"},
+    "--gen": {"required": True, "help": "generator file"},
+    "--step": {"default": "1e-3", "help": STEP_HELP},
+    "--require-horizontal": {"action": "store_true", "help": "fail unless the curve is "
+                             "horizontal (|alpha(gamma')| < 1e-9)"},
+    "--field": {"help": "comma-separated coordinate components"},
+    "--field-tol": {"default": "1e-9", "help": "check tolerance"},
+}
+COMMON_OPTIONS = ("--tol", "--seed", "--out", "--pretty")
+
+# (name, command, its options beyond the common ones, help)
+SUBCOMMANDS = [
+    ("check", cmd_check, ("--grid",),
+     "validate the structure: normalization of the contact form, "
+     "Reeb identities, and the special condition (Reeb flow is Killing)"),
+    ("connection", cmd_connection, ("--at",),
+     "frame coefficients of the unique metric torsion-free connection"),
+    ("curvature", cmd_curvature, ("--at", "--order"),
+     "curvature components R(e_a,e_b)e_j at a point, with optional "
+     "higher covariant-derivative norms"),
+    ("verify-geometry", cmd_verify_geometry, ("--grid",),
+     "identity suite: metricity, torsion, both Bianchi identities, "
+     "R(xi,.)=0, skewness of R, and the cyclic nabla-dalpha identity"),
+    ("dim", cmd_dim, ("--at", "--order", "--max-order"),
+     "dimension of the isometry generator space i_m(q) with stabilization certificate"),
+    ("prolong", cmd_prolong, ("--curve", "--gen", "--step", "--require-horizontal"),
+     "transport a generator (X, A, c) along a curve by the "
+     "prolongation equations (fixed-step RK4)"),
+    ("path-check", cmd_path_check, ("--curve", "--gen", "--step"),
+     "transport along two curves with shared endpoints and report the endpoint deviation"),
+    ("reconstruct", cmd_reconstruct, ("--gen", "--grid", "--step"),
+     "transport a generator over a grid along vertical-then-straight "
+     "legs and emit the field Z = X + c xi with finite-difference checks"),
+    ("verify", cmd_verify, ("--field", "--grid", "--field-tol"),
+     "residual checks for a candidate Killing field: contact "
+     "condition, Killing equation, skewness and parallelism of A_Z, the "
+     "curvature identity for its derivative, gradient equations, "
+     "commutation with the Reeb field, invariance of alpha, and the "
+     "extended Riemannian metric"),
+    ("scan", cmd_scan, ("--grid", "--order", "--max-order"),
+     "generator-space dimension over a grid with regularity flags and a semicontinuity audit"),
+]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -384,128 +447,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"srkilling {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
+    for name, fn, flags, help_text in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "structure",
             nargs="?",
             help="builtin name (heisenberg:<n>, su2, su2:chart) or definition file",
         )
-        p.add_argument("--tol", help="residual tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for sample points")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--pretty", action="store_true", help="human-readable tables")
-
-    p = sub.add_parser(
-        "check",
-        help="validate the structure: normalization of the contact form, "
-        "Reeb identities, and the special condition (Reeb flow is Killing)",
-    )
-    common(p)
-    p.add_argument("--grid", help="sample grid spec name:min:max:count,...")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser(
-        "connection",
-        help="frame coefficients of the unique metric torsion-free connection",
-    )
-    common(p)
-    p.add_argument("--at", help="evaluation point (x=..,y=.. or comma list)")
-    p.set_defaults(fn=cmd_connection)
-
-    p = sub.add_parser(
-        "curvature",
-        help="curvature components R(e_a,e_b)e_j at a point, with optional "
-        "higher covariant-derivative norms",
-    )
-    common(p)
-    p.add_argument("--at", help="evaluation point")
-    p.add_argument("--order", default=None, help="cache nabla^i R through this order")
-    p.set_defaults(fn=cmd_curvature)
-
-    p = sub.add_parser(
-        "verify-geometry",
-        help="identity suite: metricity, torsion, both Bianchi identities, "
-        "R(xi,.)=0, skewness of R, and the cyclic nabla-dalpha identity",
-    )
-    common(p)
-    p.add_argument("--grid", help="sample grid spec")
-    p.set_defaults(fn=cmd_verify_geometry)
-
-    p = sub.add_parser(
-        "dim",
-        help="dimension of the isometry generator space i_m(q) with "
-        "stabilization certificate",
-    )
-    common(p)
-    p.add_argument("--at", help="base point")
-    p.add_argument("--order", default="auto", help="'auto' or explicit order m")
-    p.add_argument("--max-order", default="6", help="stabilization cap")
-    p.set_defaults(fn=cmd_dim)
-
-    p = sub.add_parser(
-        "prolong",
-        help="transport a generator (X, A, c) along a curve by the "
-        "prolongation equations (fixed-step RK4)",
-    )
-    common(p)
-    p.add_argument("--curve", action="append", required=True, help="curve file")
-    p.add_argument("--gen", required=True, help="generator file")
-    p.add_argument("--step", type=float, default=1e-3, help=STEP_HELP)
-    p.add_argument(
-        "--require-horizontal",
-        action="store_true",
-        help="fail unless the curve is horizontal (|alpha(gamma')| < 1e-9)",
-    )
-    p.set_defaults(fn=cmd_prolong)
-
-    p = sub.add_parser(
-        "path-check",
-        help="transport along two curves with shared endpoints and report "
-        "the endpoint deviation",
-    )
-    common(p)
-    p.add_argument("--curve", action="append", required=True, help="curve file (twice)")
-    p.add_argument("--gen", required=True, help="generator file")
-    p.add_argument("--step", type=float, default=1e-3, help=STEP_HELP)
-    p.set_defaults(fn=cmd_path_check)
-
-    p = sub.add_parser(
-        "reconstruct",
-        help="transport a generator over a grid along vertical-then-straight "
-        "legs and emit the field Z = X + c xi with finite-difference checks",
-    )
-    common(p)
-    p.add_argument("--gen", required=True, help="generator file")
-    p.add_argument("--grid", required=True, help="grid spec name:min:max:count,...")
-    p.add_argument("--step", type=float, default=1e-3, help=STEP_HELP)
-    p.set_defaults(fn=cmd_reconstruct)
-
-    p = sub.add_parser(
-        "verify",
-        help="residual checks for a candidate Killing field: contact "
-        "condition, Killing equation, skewness and parallelism of A_Z, the "
-        "curvature identity for its derivative, gradient equations, "
-        "commutation with the Reeb field, invariance of alpha, and the "
-        "extended Riemannian metric",
-    )
-    common(p)
-    p.add_argument("--field", help="comma-separated coordinate components")
-    p.add_argument("--grid", help="sample grid spec")
-    p.add_argument("--field-tol", default="1e-9", help="check tolerance")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser(
-        "scan",
-        help="generator-space dimension over a grid with regularity flags "
-        "and a semicontinuity audit",
-    )
-    common(p)
-    p.add_argument("--grid", help="grid spec")
-    p.add_argument("--order", default="auto", help="'auto' or explicit order")
-    p.add_argument("--max-order", default="6", help="stabilization cap")
-    p.set_defaults(fn=cmd_scan)
-
+        for flag in COMMON_OPTIONS + flags:
+            p.add_argument(flag, **OPTIONS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -514,32 +465,40 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not args.structure:
             raise InputError("missing structure argument")
+        try:
+            args.seed = int(args.seed)
+        except ValueError:
+            raise InputError(f"--seed: {args.seed.strip()!r} is not an integer") from None
         if args.seed < 0:
             raise InputError(f"--seed: {args.seed} is not a nonnegative integer")
         s = load_structure(args.structure, seed=args.seed)
         args.tol_given = args.tol is not None
         args.tol = _parse_number(args.tol, "--tol") if args.tol_given else DEFAULT_TOL
         report = {**_structure_header(s), **args.fn(s, args)}
+        _write(report, args)
     except (InputError, StructureError, ExprError, TransportInputError, BudgetError) as e:
         _error_report(str(e), args)
         return EXIT_INPUT
     except CheckFailure as e:
         _error_report(str(e), args, kind="check_failure")
         return EXIT_CHECK
-    _write(report, args)
     return EXIT_OK if report["pass"] else EXIT_CHECK
 
 
 def _write(report: dict, args) -> None:
     """The report to --out or stdout.  reconstruct --out writes its field
-    file as JSON, indented with --pretty, and a summary of it to stdout."""
+    file as JSON, indented with --pretty, and a summary of it to stdout.  An
+    --out that cannot be written is an input error."""
     render = render_pretty if args.pretty else to_json
     if not args.out:
         sys.stdout.write(render(report))
         return
     field_file = args.command == "reconstruct"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(to_json(report, pretty=args.pretty) if field_file else render(report))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(to_json(report, pretty=args.pretty) if field_file else render(report))
+    except OSError as e:
+        raise InputError(f"cannot write {args.out!r}: {e}") from None
     if field_file:
         summary = {
             "out": args.out,

@@ -248,21 +248,26 @@ def pfaffian_minors(A):
         Pf = sum_p (-1)^(p+1) A[idx[0]][idx[p]] Pf(idx without 0 and p),
     memoized on idx, so all Pfaffian minors of one matrix share their
     subterms.  Entries may be Expressions (built with the smart
-    constructors) or numbers (Fraction, float, arrays).
+    constructors) or numbers (Fraction, float, arrays).  The term of a
+    literal-zero Const or an exact int or Fraction zero is skipped, as in
+    determinant_minors: it would add zero.  Float entries are never skipped.
     """
     if isinstance(A[0][0], Expression):
-        add, sub, mul = ex.add, ex.sub, ex.mul
+        add, sub, mul, zero = ex.add, ex.sub, ex.mul, ZERO
         memo: dict = {(): ONE}
     else:
-        add, sub, mul = operator.add, operator.sub, operator.mul
+        add, sub, mul, zero = operator.add, operator.sub, operator.mul, 0
         memo = {(): 1}
 
     def pf(idx: tuple[int, ...], rec):
         hit = memo.get(idx)
         if hit is None:
-            i = idx[0]
+            i, hit = idx[0], zero
             for p in range(1, len(idx)):
-                term = mul(A[i][idx[p]], rec(idx[1:p] + idx[p + 1 :], rec))
+                a = A[i][idx[p]]
+                if (isinstance(a, Const) and not a.value) or (isinstance(a, (int, Fraction)) and not a):
+                    continue
+                term = mul(a, rec(idx[1:p] + idx[p + 1 :], rec))
                 hit = term if p == 1 else (add if p % 2 else sub)(hit, term)
             memo[idx] = hit
         return hit

@@ -237,6 +237,7 @@ def input_error(code, out):
     [
         ("x:-1:1:2,y:-1:1:2,z:-1:1:2", "at least 3 points per axis"),
         ("x:0:0:3,y:-1:1:3,z:-1:1:3", "all distinct"),
+        (None, "reconstruct needs --grid"),
     ],
 )
 def test_reconstruct_grid_under_three_points_per_axis_runs_no_transport(
@@ -249,7 +250,7 @@ def test_reconstruct_grid_under_three_points_per_axis_runs_no_transport(
     (tmp_path / "gen.toml").write_text(GEN_J)
     code, out = run(
         capsys, "reconstruct", "heisenberg:1", "--gen", str(tmp_path / "gen.toml"),
-        "--grid", grid,
+        *(["--grid", grid] if grid else []),
     )
     assert input_error(code, out)
     assert message in json.loads(out)["error"]["message"]
@@ -306,7 +307,7 @@ class TestTransportInputs:
         )
 
     # 1e-7 needs 10^7 steps on the unit curve, above the 10^6 bound
-    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1", "1e-7"])
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1", "1e-7", "abc"])
     def test_prolong_bad_step(self, capsys, files, step):
         assert input_error(*self.prolong(capsys, files, f"--step={step}"))
 
@@ -323,6 +324,11 @@ class TestTransportInputs:
             "--grid", "x:-1:1:3,y:-1:1:3,z:-1:1:3", "--step=0",
         )
         assert input_error(code, out)
+
+    def test_prolong_takes_one_curve(self, capsys, files):
+        code, out = self.prolong(capsys, files, "--curve", str(files / "curve.toml"))
+        assert input_error(code, out)
+        assert json.loads(out)["error"]["message"] == "prolong needs exactly one --curve file"
 
     def test_generator_off_the_curve_start(self, capsys, files):
         (files / "gen_off.toml").write_text(GEN_Y1.replace("at = 0, 0, 0", "at = 1, 0, 0"))
@@ -522,10 +528,17 @@ class TestReporting:
         assert json.loads(out1)["pass"] and json.loads(out2)["pass"]
 
     @pytest.mark.parametrize(
-        "argv", [("check", "heisenberg:1"), ("verify-geometry", "heisenberg:1"), ("check", "su2")]
+        "argv",
+        [
+            ("check", "heisenberg:1", "--seed", "-1"),
+            ("verify-geometry", "heisenberg:1", "--seed", "-1"),
+            ("check", "su2", "--seed", "-1"),
+            ("check", "heisenberg:1", "--seed", "x"),
+            ("check", "su2", "--seed", "1.5"),
+        ],
     )
     def test_negative_seed_is_an_input_error(self, capsys, argv):
-        code, out = run(capsys, *argv, "--seed", "-1")
+        code, out = run(capsys, *argv)
         assert input_error(code, out)
         assert "--seed" in json.loads(out)["error"]["message"]
 
@@ -540,6 +553,23 @@ class TestReporting:
         assert code == 0
         rep = json.loads(path.read_text())
         assert rep["pass"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "heisenberg:1"),
+            ("reconstruct", "heisenberg:1", "--gen", "gen.toml", "--grid", "x:-1:1:3,y:-1:1:3,z:-1:1:3",
+             "--step", "0.1"),
+        ],
+    )
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gen.toml").write_text(GEN_J)
+        path = tmp_path / "missing" / "r.json"
+        code, out = run(capsys, *argv, "--out", str(path))
+        assert input_error(code, out)
+        assert json.loads(out)["error"]["message"].startswith(f"cannot write {str(path)!r}: ")
+        assert not path.parent.exists()
 
     def test_fingerprint_matches_fixture_file(self, capsys):
         _, out_builtin = run(capsys, "check", "su2")

@@ -7,9 +7,12 @@ the defining equations of the Reeb field, and the dimension of the isometry
 algebra of the Heisenberg group.
 """
 
+import cProfile
 import itertools
+import math
 import os
 import pathlib
+import pstats
 import subprocess
 import sys
 from fractions import Fraction
@@ -144,6 +147,36 @@ class TestPfaffian:
             det = leibniz_det([[Const(v) for v in row] for row in A])
             assert isinstance(det, Const)
             assert pf * pf == det.value
+
+    def test_square_is_determinant_with_zero_entries(self):
+        # a third of the entries exact zeros, whose terms the expansion
+        # skips: each kept term keeps the sign of its place among all of idx
+        rng = np.random.default_rng(306)
+        A = random_skew(rng, 6)
+        for i, j in itertools.combinations(range(6), 2):
+            if (i + 2 * j) % 3 == 0:
+                A[i][j] = A[j][i] = Fraction(0)
+        det = leibniz_det([[Const(v) for v in row] for row in A])
+        assert det.value != 0
+        assert pfaffian_minors(A)(tuple(range(6))) ** 2 == det.value
+        pf = pfaffian_minors([[Const(v) for v in row] for row in A])(tuple(range(6)))
+        assert ex.normalize(ex.mul(pf, pf)) == det
+
+    def test_lie_heisenberg_load_skips_zero_entries(self, tmp_path):
+        # weights w_1 = 8!^7 and the others 1, so that v = 8! Pf(B0) is an
+        # exact 8th power; expanding every entry takes 40,737 pf calls
+        n = 8
+        weights = [math.factorial(n) ** (n - 1)] + [1] * (n - 1)
+        path = tmp_path / "heisenberg8.toml"
+        path.write_text(
+            f"[manifold]\nmode = lie\nn = {n}\n[brackets]\n"
+            + "".join(f"c {2 * i + 1} {2 * i + 2} {2 * n + 1} = {w}\n" for i, w in enumerate(weights))
+        )
+        prof = cProfile.Profile()
+        prof.runcall(load_structure, str(path))
+        stats = pstats.Stats(prof).stats
+        calls = sum(stat[1] for (_, _, name), stat in stats.items() if name == "pf")
+        assert 0 < calls <= 200
 
     def test_symbolic_square_is_determinant(self):
         names = ["a", "b", "c", "d", "e", "f"]
