@@ -66,6 +66,14 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and each of its subcommand parsers, whose errors
+    are input errors, reported as JSON like any other."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def _parse_number(text: str, what: str) -> float:
     try:
         val = float(text)
@@ -73,6 +81,15 @@ def _parse_number(text: str, what: str) -> float:
         raise InputError(f"{what}: {text.strip()!r} is not a number") from None
     if not math.isfinite(val):
         raise InputError(f"{what}: {text.strip()!r} is not finite")
+    return val
+
+
+def _parse_tolerance(text: str, what: str) -> float:
+    """A finite positive number: under a tolerance of 0 or less no residual
+    passes."""
+    val = _parse_number(text, what)
+    if val <= 0:
+        raise InputError(f"{what}: {text.strip()!r} is not positive")
     return val
 
 
@@ -333,7 +350,7 @@ def cmd_reconstruct(s: ContactStructure, args) -> dict:
 
 
 def cmd_verify(s: ContactStructure, args) -> dict:
-    tol = _parse_number(args.field_tol, "--field-tol")
+    tol = _parse_tolerance(args.field_tol, "--field-tol")
     cd = _curvature(s, args)
     if not args.field:
         raise InputError("verify needs --field \"<expr>,...\"")
@@ -435,8 +452,8 @@ SUBCOMMANDS = [
 ]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="srkilling",
         description=(
             "Contact sub-Riemannian structures from orthonormal frames: "
@@ -461,8 +478,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         if not args.structure:
             raise InputError("missing structure argument")
         try:
@@ -473,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--seed: {args.seed} is not a nonnegative integer")
         s = load_structure(args.structure, seed=args.seed)
         args.tol_given = args.tol is not None
-        args.tol = _parse_number(args.tol, "--tol") if args.tol_given else DEFAULT_TOL
+        args.tol = _parse_tolerance(args.tol, "--tol") if args.tol_given else DEFAULT_TOL
         report = {**_structure_header(s), **args.fn(s, args)}
         _write(report, args)
     except (InputError, StructureError, ExprError, TransportInputError, BudgetError) as e:

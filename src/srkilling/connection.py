@@ -198,12 +198,11 @@ class CurvatureData:
         )
 
 
-def compute_connection(
-    s: ContactStructure, tol: float = 1e-10, points: np.ndarray | None = None
-) -> ConnectionData:
+def compute_connection(s: ContactStructure, tol: float = 1e-10) -> ConnectionData:
     """Koszul construction of the canonical connection; refuses structures
-    that fail check_special, and re-verifies metricity and zero torsion."""
-    special = check_special(s, points=points, tol=tol)
+    that fail check_special on its default grid, and re-verifies metricity
+    and zero torsion."""
+    special = check_special(s, tol=tol)
     if not all(r.pass_ for r in special):
         r1, r2 = (r.max_residual for r in special)
         raise NotSpecialError(

@@ -7,9 +7,10 @@ Loading a structure computes, in order: the raw annihilator of H (a
 generalized cross product of the frame), the normalized contact form alpha
 with wedge^n dalpha(e_1..e_2n) = 1, the Reeb field xi, the structure
 functions of the basis (e_1..e_2n, xi), and the "special" certification
-(the Reeb flow is an isometry) on a sample set.  Every bracket is taken by
-ContactStructure.bracket: the coordinate Jacobi-Lie bracket in chart mode,
-the structure constants as given in lie mode.
+(the Reeb flow is an isometry) on a sample set, by one path for both modes.
+Every bracket is taken by ContactStructure.bracket: the coordinate
+Jacobi-Lie bracket in chart mode, the structure constants as given in lie
+mode, whose frame is e_1..e_2n in basis components.
 
 The frame is orthonormal by declaration, so the metric never appears
 explicitly: inner products of horizontal fields are dot products of frame
@@ -249,8 +250,8 @@ def pfaffian_minors(A):
     memoized on idx, so all Pfaffian minors of one matrix share their
     subterms.  Entries may be Expressions (built with the smart
     constructors) or numbers (Fraction, float, arrays).  The term of a
-    literal-zero Const or an exact int or Fraction zero is skipped, as in
-    determinant_minors: it would add zero.  Float entries are never skipped.
+    literal-zero Const is skipped, as in determinant_minors: it would add
+    ZERO.  Numeric entries are never skipped.
     """
     if isinstance(A[0][0], Expression):
         add, sub, mul, zero = ex.add, ex.sub, ex.mul, ZERO
@@ -265,7 +266,7 @@ def pfaffian_minors(A):
             i, hit = idx[0], zero
             for p in range(1, len(idx)):
                 a = A[i][idx[p]]
-                if (isinstance(a, Const) and not a.value) or (isinstance(a, (int, Fraction)) and not a):
+                if isinstance(a, Const) and not a.value:
                     continue
                 term = mul(a, rec(idx[1:p] + idx[p + 1 :], rec))
                 hit = term if p == 1 else (add if p % 2 else sub)(hit, term)
@@ -291,12 +292,16 @@ def wedge_power(B, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Core geometric operations (chart mode symbolics).
+# Core geometric operations, for both modes: every derivative is taken by
+# ContactStructure.derivative_along and every bracket by
+# ContactStructure.bracket.
 # ---------------------------------------------------------------------------
 
 
 def lie_bracket(V: list[Expression], W: list[Expression], coords: list[str]) -> list[Expression]:
     """Jacobi-Lie bracket [V,W]^k = sum_i (V^i d_i W^k - W^i d_i V^k), exact."""
+    if all(isinstance(c, Const) for c in (*V, *W)):
+        return [ZERO] * len(coords)  # constant fields commute
     out = []
     for k in range(len(coords)):
         acc: Expression = ZERO
@@ -307,20 +312,22 @@ def lie_bracket(V: list[Expression], W: list[Expression], coords: list[str]) -> 
     return out
 
 
-def _two_form_matrix(covector: list[Expression], coords: list[str]) -> list[list[Expression]]:
-    """Coordinate matrix D_ij = d_i a_j - d_j a_i of d(covector)."""
-    dim = len(coords)
-    D = [[ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            dij = ex.normalize(
-                ex.sub(
-                    ex.differentiate(covector[j], coords[i]),
-                    ex.differentiate(covector[i], coords[j]),
-                )
-            )
-            D[i][j] = dij
-            D[j][i] = ex.neg(dij)
+def _unit_fields(dim: int) -> list[list[Expression]]:
+    """The unit component fields u_1..u_dim: the coordinate fields in chart
+    mode, the Lie algebra basis in lie mode."""
+    return [[ONE if i == j else ZERO for i in range(dim)] for j in range(dim)]
+
+
+def _exterior_derivative(s: ContactStructure, theta: list[Expression]) -> list[list[Expression]]:
+    """D_ij = dtheta(u_i, u_j) = u_i(theta_j) - u_j(theta_i) - theta([u_i, u_j])
+    over the unit component fields u_i (_unit_fields).  In chart mode their
+    brackets vanish; in lie mode every derivative does."""
+    unit = _unit_fields(s.dim)
+    D = [[ZERO] * s.dim for _ in unit]
+    for i, j in itertools.combinations(range(s.dim), 2):
+        dij = ex.sub(s.derivative_along(unit[i], theta[j]), s.derivative_along(unit[j], theta[i]))
+        D[i][j] = ex.normalize(ex.sub(dij, _pairing(theta, s.bracket(unit[i], unit[j]))))
+        D[j][i] = ex.neg(D[i][j])
     return D
 
 
@@ -332,19 +339,51 @@ def _pairing(covector: list[Expression], vector: list[Expression]) -> Expression
 
 
 def _two_form_on(D: list[list[Expression]], V: list[Expression], W: list[Expression]) -> Expression:
+    """sum_ij V^i D_ij W^j; a literal-zero component's terms are skipped:
+    they would add ZERO."""
     acc: Expression = ZERO
-    dim = len(D)
-    for i in range(dim):
-        for j in range(dim):
-            acc = ex.add(acc, ex.mul(ex.mul(V[i], D[i][j]), W[j]))
+    for i, vi in enumerate(V):
+        if isinstance(vi, Const) and not vi.value:
+            continue
+        for j, wj in enumerate(W):
+            if not (isinstance(wj, Const) and not wj.value):
+                acc = ex.add(acc, ex.mul(ex.mul(vi, D[i][j]), wj))
     return acc
+
+
+def _power(v: Expression, r: Fraction) -> Expression:
+    """v^r, an exact Const when v is a constant with a rational root (an odd
+    root of a negative constant keeps its sign), pow_ otherwise."""
+    if isinstance(v, Const) and v.value and r.denominator > 1:
+        q, sign = r.denominator, 1 if v.value > 0 else -1
+        num, den = _iroot(abs(v.value.numerator), q), _iroot(v.value.denominator, q)
+        if num is not None and den is not None and (sign > 0 or q % 2):
+            return ex.pow_(Const(sign * Fraction(num, den)), r.numerator)
+    return ex.pow_(v, r)
+
+
+def _iroot(m: int, n: int) -> int | None:
+    """The exact n-th root of the integer m >= 1 by integer Newton steps, or None."""
+    r = 1 << -(-m.bit_length() // n)
+    while (s := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
+        r = s
+    return r if r**n == m else None
+
+
+def _sample_values(s: ContactStructure, e: Expression, samples: np.ndarray) -> np.ndarray:
+    """The scalar e at the samples; a constant gives only its sign, so that a
+    test on it decides from its exact value, which may lie past the float
+    range."""
+    if isinstance(e, Const):
+        return np.array([float((e.value > 0) - (e.value < 0))])
+    return _evaluate(ex.compile_expression(e, s.coords), samples)
 
 
 @dataclass
 class _NormalizationData:
     """Intermediates of the normalization, kept for downstream formulas.
 
-    alpha = v^(-1/n) alpha0, and the coordinate matrix of dalpha factors as
+    alpha = v^(-1/n) alpha0, and the component matrix of dalpha factors as
     dalpha_ij = v^(-(n+1)/n) E_ij with E polynomial for polynomial frames:
     E = v * dalpha0 - (1/n) (dv ^ alpha0).
     """
@@ -355,31 +394,28 @@ class _NormalizationData:
 
 
 def normalize_contact_form(
-    frame: list[list[Expression]],
-    coords: list[str],
-    n: int,
-    samples: np.ndarray,
+    s: ContactStructure, samples: np.ndarray
 ) -> tuple[list[Expression], int, _NormalizationData]:
-    """Normalized contact form: alpha = v^(-1/n) * alpha0 with
-    v = wedge^n dalpha0(e_1..e_2n).  alpha0_i = (-1)^i det(frame without
-    column i) (0-based), from one determinant_minors table of the frame, is
-    its generalized cross product: alpha0(e_j) = 0 identically.
+    """Normalized contact form of the frame of s: alpha = v^(-1/n) * alpha0
+    with v = wedge^n dalpha0(e_1..e_2n).  alpha0_i = (-1)^i det(frame
+    without column i) (0-based), from one determinant_minors table of the
+    frame, is its generalized cross product: alpha0(e_j) = 0 identically.
 
     Raises NotContactError when v vanishes on the sample set and
     OrientationError when n is even and v < 0 (the two admissible forms
     exist only for compatibly oriented frames; negate one frame field).
     """
-    dim = 2 * n + 1
+    n, frame = s.n, s.frame
     minor = determinant_minors(frame)
     alpha0 = []
-    for i in range(dim):
-        d = ex.normalize(minor(range(2 * n), [j for j in range(dim) if j != i]))
+    for i in range(s.dim):
+        d = ex.normalize(minor(range(2 * n), [j for j in range(s.dim) if j != i]))
         alpha0.append(d if i % 2 == 0 else ex.neg(d))
-    D0 = _two_form_matrix(alpha0, coords)
+    D0 = _exterior_derivative(s, alpha0)
     B0 = [[_two_form_on(D0, frame[a], frame[b]) for b in range(2 * n)] for a in range(2 * n)]
     v = ex.normalize(wedge_power(B0, n))
 
-    vals = _evaluate(ex.compile_expression(v, coords), samples)
+    vals = _sample_values(s, v, samples)
     if np.min(np.abs(vals)) < 1e-9:
         raise NotContactError(
             "distribution is not contact: wedge^n dalpha0 vanishes at a sample point"
@@ -393,10 +429,10 @@ def normalize_contact_form(
         raise NotContactError("wedge^n dalpha0 changes sign over the sample set")
 
     orientation_sign = 1 if np.min(vals) > 0 else -1
-    f = ex.pow_(v, Fraction(-1, n))
+    f = _power(v, Fraction(-1, n))
     alpha = [ex.normalize(ex.mul(f, a)) for a in alpha0]
 
-    dv = [ex.differentiate(v, c) for c in coords]
+    dv = [s.derivative_along(u, v) for u in _unit_fields(s.dim)]
     inv_n = Const(Fraction(1, n))
     E = [
         [
@@ -406,19 +442,14 @@ def normalize_contact_form(
                     ex.mul(inv_n, ex.sub(ex.mul(dv[i], alpha0[j]), ex.mul(dv[j], alpha0[i]))),
                 )
             )
-            for j in range(dim)
+            for j in range(s.dim)
         ]
-        for i in range(dim)
+        for i in range(s.dim)
     ]
     return alpha, orientation_sign, _NormalizationData(alpha0=alpha0, v=v, E=E)
 
 
-def compute_reeb(
-    norm: _NormalizationData,
-    coords: list[str],
-    n: int,
-    samples: np.ndarray,
-) -> list[Expression]:
+def compute_reeb(s: ContactStructure, norm: _NormalizationData, samples: np.ndarray) -> list[Expression]:
     """Reeb field from the kernel of E, by Pfaffians.
 
     dalpha(xi, .) = 0 is equivalent to E xi = 0 (the scalar prefactor of
@@ -431,28 +462,23 @@ def compute_reeb(
     xi = v^((1-n)/n) eta.  alpha0 . k vanishes exactly where the bordered
     matrix E + alpha0 alpha0^T, of determinant (alpha0 . k)^2, is singular.
     """
-    dim = len(coords)
-    if dim < 3:
-        raise StructureError("n >= 1 is required (dim M = 2n+1 >= 3)")
     alpha0, v, E = norm.alpha0, norm.v, norm.E
     pf = pfaffian_minors(E)
-    full = tuple(range(dim))
+    full = tuple(range(s.dim))
     k = []
-    for i in range(dim):
+    for i in full:
         k_i = pf(full[:i] + full[i + 1 :])
         k.append(ex.normalize(k_i if i % 2 == 0 else ex.neg(k_i)))
     alpha0_k = ex.normalize(_pairing(alpha0, k))
     # the bound applies to det(E + alpha0 alpha0^T) = (alpha0 . k)^2
-    if np.min(_evaluate(ex.compile_expression(alpha0_k, coords), samples) ** 2) < 1e-9:
+    if np.min(_sample_values(s, alpha0_k, samples) ** 2) < 1e-9:
         raise StructureError(
             "internal inconsistency: Reeb system is singular at a sample point "
             "although the contact condition held"
         )
     inv = ex.pow_(alpha0_k, Fraction(-1))
     eta = [ex.normalize(ex.mul(ex.normalize(ex.mul(v, k_i)), inv)) for k_i in k]
-    if n == 1:
-        return eta
-    scale = ex.pow_(v, Fraction(1 - n, n))
+    scale = _power(v, Fraction(1 - s.n, s.n))
     return [ex.normalize(ex.mul(scale, e)) for e in eta]
 
 
@@ -489,8 +515,8 @@ class ContactStructure:
     brackets: Brackets
     source_text: str
     name: str = ""
-    # chart mode: dalpha_ij = dalpha_scale * E_ij with E polynomial for
-    # polynomial frames (see _NormalizationData); None in lie mode.
+    # dalpha_ij = dalpha_scale * E_ij, with E polynomial for polynomial
+    # frames (see _NormalizationData)
     E: list[list[Expression]] | None = None
     dalpha_scale: Expression = ONE
     # lie mode: the nonzero structure constants as given, 0-based,
@@ -688,7 +714,7 @@ def structure_checks(s: ContactStructure, pts) -> dict[str, float]:
     the normalization guarantees: "alpha_frame" of alpha(e_i) = 0,
     "normalization" of wedge^n dalpha(e_1..e_2n) = 1, and "reeb" of
     alpha(xi) = 1 together with dalpha(xi, .) = 0."""
-    unit = [[ONE if i == j else ZERO for i in range(s.dim)] for j in range(s.dim)]
+    unit = _unit_fields(s.dim)
     alpha_frame = s.evaluator([s.alpha_of(vec) for vec in s.frame], cached=False)
     dalpha = s.evaluator(s.dalpha_frame(), cached=False)  # (2n, 2n, N)
     reeb = s.evaluator(
@@ -719,7 +745,7 @@ def _default_special_grid(s: ContactStructure):
 
 
 # ---------------------------------------------------------------------------
-# Lie mode: exact Fraction pipeline, wrapped into constant Expressions.
+# Lie mode: the structure constants as given, read by one bracket.
 # ---------------------------------------------------------------------------
 
 
@@ -735,13 +761,11 @@ def _constants_bracket(
     return out
 
 
-def _lie_build(n: int, constants: dict[tuple[int, int, int], Fraction], text: str, name: str) -> ContactStructure:
-    """A lie-mode structure from its structure constants {(i, j, k): c^k_ij}
-    (1-based, i < j), e_1..e_2n spanning H.  Every quantity is read through
-    one bracket (_constants_bracket) and is an exact Fraction: the Jacobi
-    identity, alpha = f e^(2n+1) with f = v^(-1/n), v = wedge^n dalpha0(e_1..
-    e_2n), the Reeb field by the Pfaffian formula of compute_reeb, and the
-    structure functions by the path of chart mode (structure_functions)."""
+def _lie_build(n: int, constants: dict[tuple[int, int, int], Fraction]) -> dict[tuple[int, int, int], Const]:
+    """The nonzero structure constants {(i, j, k): c^k_ij} (1-based, i < j)
+    of a lie-mode structure, 0-based and as Consts, once their indices, the
+    contact matching and the Jacobi identity are checked; load_structure_text
+    builds the structure from them by the path of both modes."""
     dim, h = 2 * n + 1, 2 * n
     for i, j, k in constants:
         if not (1 <= i < j <= dim and 1 <= k <= dim):
@@ -752,7 +776,7 @@ def _lie_build(n: int, constants: dict[tuple[int, int, int], Fraction], text: st
     if sum(1 for i, j, k in consts if k == h and j < h) < n:
         raise NotContactError("lie structure is not contact: wedge^n dalpha0 = 0")
 
-    unit = [[ONE if i == j else ZERO for i in range(dim)] for j in range(dim)]
+    unit = _unit_fields(dim)
     bracket = functools.partial(_constants_bracket, consts)
     for i, j, k in itertools.combinations(range(dim), 3):
         cycle = ((i, j, k), (j, k, i), (k, i, j))
@@ -764,70 +788,7 @@ def _lie_build(n: int, constants: dict[tuple[int, int, int], Fraction], text: st
                     f"Jacobi identity fails for (e{i+1},e{j+1},e{k+1}) "
                     f"component {m+1}: residual {total}"
                 )
-
-    # alpha0 = dual of e_{2n+1}; dalpha0(e_a, e_b) = -alpha0([e_a, e_b])
-    D0 = [[-bracket(unit[a], unit[b])[h].value for b in range(dim)] for a in range(dim)]
-    v = wedge_power([row[:h] for row in D0[:h]], n)
-    if v == 0:
-        raise NotContactError("lie structure is not contact: wedge^n dalpha0 = 0")
-    if n % 2 == 0 and v < 0:
-        raise OrientationError(
-            "n is even and wedge^n dalpha0 < 0; negate one frame basis vector"
-        )
-    f = _fraction_root(v, n)  # alpha = f e^(2n+1)
-
-    # basis matrix of dalpha = f dalpha0
-    E = [[f * d for d in row] for row in D0]
-    # Reeb by the Pfaffian formula of compute_reeb, exactly: xi = k / alpha(k)
-    # with k_i = (-1)^i Pf(E without i); alpha(k) = f k_2n = f^(n+1) Pf(B0) != 0
-    pf = pfaffian_minors(E)
-    full = tuple(range(dim))
-    k = [(-1) ** i * pf(full[:i] + full[i + 1 :]) for i in range(dim)]
-    xi = [k_i / (f * k[h]) for k_i in k]
-
-    s = ContactStructure(
-        n=n,
-        mode="lie",
-        coords=[],
-        frame=unit[:h],
-        alpha=[ZERO] * h + [Const(f)],
-        reeb=[Const(x) for x in xi],
-        orientation_sign=1 if v > 0 else -1,
-        brackets=Brackets([], [], [], []),
-        source_text=text,
-        name=name,
-        E=[[Const(e) for e in row] for row in E],
-        structure_constants=consts,
-    )
-    s.brackets = structure_functions(s)
-    return s
-
-
-def _fraction_root(v: Fraction, n: int) -> Fraction:
-    """Exact v^(-1/n) for lie mode, sign-aware for odd n."""
-    if n == 1:
-        return Fraction(1) / v
-    sign = 1
-    if v < 0:
-        if n % 2 == 0:
-            raise OrientationError("even root of a negative normalization value")
-        sign, v = -1, -v
-    num = _iroot(v.numerator, n)
-    den = _iroot(v.denominator, n)
-    if num is None or den is None:
-        raise StructureError(
-            f"lie-mode normalization needs an exact rational root of {v}; "
-            "use a chart realization for this structure"
-        )
-    return sign * Fraction(den, num)  # inverse root
-
-
-def _iroot(m: int, n: int) -> int | None:
-    """The exact n-th root of the integer m >= 1 by integer Newton steps, or None."""
-    r = 1 << -(-m.bit_length() // n)
-    while (s := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
-        r = s
-    return r if r**n == m else None
+    return consts
 
 
 # ---------------------------------------------------------------------------
@@ -893,6 +854,7 @@ def load_structure_text(text: str, name: str = "", seed: int = 0) -> ContactStru
         raise StructureError("n >= 1 is required (dim M = 2n+1 >= 3)")
     dim = 2 * n + 1
 
+    consts = None
     if mode == "lie":
         if "brackets" not in sections:
             raise StructureError("lie mode requires a [brackets] section")
@@ -909,45 +871,50 @@ def load_structure_text(text: str, name: str = "", seed: int = 0) -> ContactStru
             if not i < j:
                 raise StructureError(f"bracket indices must satisfy i < j: {key!r}")
             constants[(i, j, k)] = val
-        return _lie_build(n, constants, text, name)
+        consts = _lie_build(n, constants)
+        coords, frame = [], _unit_fields(dim)[: 2 * n]
+        samples = np.zeros((1, 0))  # constants: one point stands for all
+    else:
+        coords = _split_names(man.get("coords", ""))
+        if len(coords) != dim:
+            raise StructureError(f"chart mode needs {dim} coordinate names, got {len(coords)}")
+        if len(set(coords)) != dim:
+            raise StructureError("coordinate names must be distinct")
+        if "frame" not in sections:
+            raise StructureError("chart mode requires a [frame] section")
+        rows = dict(sections["frame"])
+        frame = []
+        for a in range(1, 2 * n + 1):
+            key = f"X{a}"
+            if key not in rows:
+                raise StructureError(f"missing frame row {key}")
+            comps = split_components(rows[key])
+            if len(comps) != dim:
+                raise StructureError(f"{key} needs {dim} expressions, got {len(comps)}")
+            frame.append([ex.parse_expression(t, coords) for t in comps])
+        samples = _origin_and_box_points(dim, 30, seed)
+        _check_frame_rank(frame, coords, samples)
 
-    coords = _split_names(man.get("coords", ""))
-    if len(coords) != dim:
-        raise StructureError(f"chart mode needs {dim} coordinate names, got {len(coords)}")
-    if len(set(coords)) != dim:
-        raise StructureError("coordinate names must be distinct")
-    if "frame" not in sections:
-        raise StructureError("chart mode requires a [frame] section")
-    rows = dict(sections["frame"])
-    frame: list[list[Expression]] = []
-    for a in range(1, 2 * n + 1):
-        key = f"X{a}"
-        if key not in rows:
-            raise StructureError(f"missing frame row {key}")
-        comps = split_components(rows[key])
-        if len(comps) != dim:
-            raise StructureError(f"{key} needs {dim} expressions, got {len(comps)}")
-        frame.append([ex.parse_expression(t, coords) for t in comps])
-
-    samples = _origin_and_box_points(dim, 30, seed)
-    _check_frame_rank(frame, coords, samples)
-    alpha, orientation_sign, norm = normalize_contact_form(frame, coords, n, samples)
-    reeb = compute_reeb(norm, coords, n, samples)
     s = ContactStructure(
         n=n,
-        mode="chart",
+        mode=mode,
         coords=coords,
         frame=frame,
-        alpha=alpha,
-        reeb=reeb,
-        orientation_sign=orientation_sign,
+        alpha=[],
+        reeb=[],
+        orientation_sign=0,
         brackets=Brackets([], [], [], []),
         source_text=text,
         name=name,
-        E=norm.E,
-        dalpha_scale=ex.pow_(norm.v, Fraction(-(n + 1), n)),
+        structure_constants=consts,
     )
+    s.alpha, s.orientation_sign, norm = normalize_contact_form(s, samples)
+    s.reeb = compute_reeb(s, norm, samples)
+    s.E, s.dalpha_scale = norm.E, _power(norm.v, Fraction(-(n + 1), n))
     s.brackets = structure_functions(s)
+    if mode == "lie":
+        return s
+    # chart mode: the identities the normalization guarantees, in floats
     res = structure_checks(s, samples)
     for key, bound, message in (
         ("alpha_frame", 1e-12, "alpha(e_i) != 0 after normalization"),

@@ -625,17 +625,40 @@ class TestExitCodes:
         assert "could not convert string to float" in err["message"]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ("check", "heisenberg:1", "--tol", "nan"),
-            ("verify", "heisenberg:1", "--field", "-y, x, 0", "--field-tol", "inf"),
+            (("check", "heisenberg:1", "--tol", "nan"), "--tol: 'nan' is not finite"),
+            (("verify", "heisenberg:1", "--field", "-y, x, 0", "--field-tol", "inf"),
+             "--field-tol: 'inf' is not finite"),
+            # under a tolerance of 0 or less no residual passes
+            (("dim", "heisenberg:1", "--tol", "0"), "--tol: '0' is not positive"),
+            (("check", "heisenberg:1", "--tol=-1e-3"), "--tol: '-1e-3' is not positive"),
+            (("verify", "heisenberg:1", "--field", "-y, x, 0", "--field-tol", "0"),
+             "--field-tol: '0' is not positive"),
         ],
     )
-    def test_non_finite_tolerance_is_an_input_error(self, capsys, argv):
+    def test_non_positive_or_non_finite_tolerance_is_an_input_error(self, capsys, argv, message):
         code, out = run(capsys, *argv)
         assert code == 2
         err = json.loads(out)["error"]
-        assert err["kind"] == "input_error" and "is not finite" in err["message"]
+        assert err["kind"] == "input_error" and err["message"] == message
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("prolong", "heisenberg:1", "--gen", "gen.toml"),
+             "the following arguments are required: --curve"),
+            (("check", "heisenberg:1", "--bogus"), "unrecognized arguments: --bogus"),
+            # argparse reads a value that starts with '-' as an option
+            (("check", "heisenberg:1", "--tol", "-1e-3"), "argument --tol: expected one argument"),
+        ],
+    )
+    def test_argument_parser_errors_get_the_json_report(self, capsys, argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        err = json.loads(captured.out)["error"]
+        assert err["kind"] == "input_error" and err["message"] == message
 
 
 COMMON_OPTIONS = {"-h", "--help", "--tol", "--seed", "--out", "--pretty"}

@@ -149,8 +149,9 @@ class TestPfaffian:
             assert pf * pf == det.value
 
     def test_square_is_determinant_with_zero_entries(self):
-        # a third of the entries exact zeros, whose terms the expansion
-        # skips: each kept term keeps the sign of its place among all of idx
+        # a third of the entries zeros, whose terms the expansion of the
+        # Const matrix skips: each kept term keeps the sign of its place
+        # among all of idx
         rng = np.random.default_rng(306)
         A = random_skew(rng, 6)
         for i, j in itertools.combinations(range(6), 2):
