@@ -111,6 +111,22 @@ X2 = 0, 1, 0
         with pytest.raises(NotContactError):
             load_structure_text(text)
 
+    def test_constant_v_under_the_sampling_bound_is_contact(self):
+        # Heisenberg with [X1, X2] = 10^-10 d_z: v = -10^-10 is a constant,
+        # so its exact value, not the float bound of a sampled v, decides
+        text = """
+[manifold]
+mode = chart
+n = 1
+coords = x, y, z
+[frame]
+X1 = 1, 0, -y/20000000000
+X2 = 0, 1, x/20000000000
+"""
+        s = load_structure_text(text)
+        assert s.orientation_sign == -1
+        assert s.alpha[2] == ex.Const(Fraction(-10**10))
+
     def test_orientation_error_for_even_n(self):
         text = """
 [manifold]
