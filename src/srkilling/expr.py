@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,6 +252,10 @@ def call(fn: str, arg: Expression) -> Expression:
 # ---------------------------------------------------------------------------
 
 
+# A fraction part or exponent right after an integer: a decimal literal.
+_DECIMAL_TAIL = re.compile(r"\.\d*(?:[eE][+-]?\d+)?|[eE][+-]?\d+")
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -284,6 +289,14 @@ class _Tokenizer:
         tok = self.text[start : self.pos]
         if not tok or tok == "-":
             raise ParseError("expected integer", start)
+        decimal = _DECIMAL_TAIL.match(self.text, self.pos)
+        if decimal:
+            literal = tok + decimal.group()
+            raise ParseError(
+                f"decimal literal {literal!r}: numbers are exact rationals, "
+                "write it as a ratio of integers such as 1/2",
+                start,
+            )
         return int(tok)
 
     def ident(self) -> str:

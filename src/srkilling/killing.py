@@ -30,12 +30,18 @@ the matrix
 (Hairer, Norsett & Wanner, Solving ODEs I, II.1).  M is built from the
 coefficients that are not literal zeros only, the stored entries of
 Gamma_h, Gamma_xi, R and dalpha, which one compiled tape evaluates per block
-of stage points.  The kernel builds M and P for every curve of a batch and
-every step of a block with batched matrix products, holding at most
-STAGE_BLOCK stage points; a block starts at the previous block's last stage
-and reuses its M, so each stage point is evaluated once.  It then applies
-y <- P y step by step as y + (P - I) y, which rounds once per step as the
-serial loop did.  The full A is transported, so its drift from skew
+of stage points.  The kernel builds M and P - I for every curve of a batch
+and every step of a block with batched matrix products, in one workspace
+allocated per call.  A block holds at most STAGE_BLOCK stage points and at
+most OPERATOR_FLOATS floats of M, so the workspace, M and three arrays of
+under half its size, stays below 2.5 OPERATOR_FLOATS floats (20 MiB) for
+every batch and step count, on every structure up to n = 11 (a block keeps
+three stage points at least).  The products are formed in place
+in the order of the sum above, so P - I is bit for bit what fresh arrays
+give.  A block starts at the previous block's last stage and reuses its M,
+so each stage point is evaluated once.  The kernel then applies y <- P y
+step by step as y + (P - I) y, which rounds once per step as the serial
+loop did.  The full A is transported, so its drift from skew
 stays measurable.  Reconstruction transports a generator from a base point
 to every grid point along a vertical-then-straight two-leg path, one batch
 per leg, and emits the field Z = X^k e_k + c xi; its finite-difference
@@ -93,9 +99,14 @@ __all__ = [
 ]
 
 SKEW_TOL = 1e-12
-# Stage points whose transport operators one kernel block holds; bounds the
-# kernel's memory whatever the number of curves and steps.
+# Stage points whose transport operators one kernel block holds, at most;
+# with OPERATOR_FLOATS it bounds the kernel's memory whatever the number of
+# curves and steps.
 STAGE_BLOCK = 2048
+# Floats of one block's operator array M (stage points x d^2), at most: caps
+# a block below STAGE_BLOCK stage points from n = 3 on (567 at d = 43, 196 at
+# d = 73).  The kernel's workspace holds M and three arrays of half its size.
+OPERATOR_FLOATS = 2**20
 # Steps one curve may take; a finer step is rejected as an input error.
 MAX_STEPS = 10**6
 # Singular values at or below this count as zero whatever the relative
@@ -579,10 +590,12 @@ def _skew_part(y: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     return out, np.abs(sym).reshape(len(y), -1).max(axis=1, initial=0.0)
 
 
-def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray):
+def _operator(
+    cd: CurvatureData, pts: np.ndarray, vel: np.ndarray, out: np.ndarray | None = None
+):
     """The matrix M (S, d, d) of y' = M y at stage points pts (S, dim) with
     curve velocities vel (S, dim), and the frame+xi components v (S, dim)
-    of the velocities.
+    of the velocities.  M is written into out (S, d, d) when one is given.
 
     Only the coefficients that are not literal zeros take part: the stored
     entries of Gamma_h, Gamma_xi, R and dalpha (cd.transport_coefficients),
@@ -616,7 +629,11 @@ def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray):
         G[:, k, j] += vh[:, a] * g
     for (j, k), g in zip(G0.entries, G0_v):
         G[:, k, j] += v[:, h] * g
-    M = np.zeros((npts, h + hh + 1, h + hh + 1))
+    if out is None:
+        M = np.zeros((npts, h + hh + 1, h + hh + 1))
+    else:
+        M = out
+        M.fill(0.0)
     # x' = -A v - Gamma(v) x: x^k reads -(0 + v^j) from A[k, j], -0.0 from
     # the rest of A.  A' = R(x, v) - Gamma(v) A + A Gamma(v), A row-major:
     # its A block is I (x) Gamma(v)^T - Gamma(v) (x) I, zeros +0.0
@@ -644,41 +661,71 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
     (b, k1 - k0, dim), of the curves in the slice rows at stage indices
     k0..k1-1; stage k sits at t0 + k hstep / 2.  A block's first stage is
     the previous block's last, so its M is carried over and each stage
-    point is evaluated once.  Returns the end states and max |alpha(gamma')|
-    over the stages of each curve."""
+    point is evaluated once.  Every block-sized array is a view of one
+    workspace, allocated here for the largest block of the call: the stage
+    operators M, stage-major, and per step the scratch I + c K, the
+    increment D and the stage product K.  Returns the end states and
+    max |alpha(gamma')| over the stages of each curve."""
     nb_total, d = y.shape
     h = cd.structure.h
+    dd = d * d
     y = y.copy()
     viol = np.zeros(nb_total)
     eye = np.eye(d)
-    chunk = STAGE_BLOCK // 3  # curves per pass: one step is 3 stage points
-    for b0 in range(0, nb_total, chunk):
-        rows = slice(b0, min(nb_total, b0 + chunk))
-        nb = rows.stop - b0
-        per_block = (STAGE_BLOCK // nb - 1) // 2
+    block = max(3, min(STAGE_BLOCK, OPERATOR_FLOATS // dd))  # stage points a block, 3 at least
+    chunk = block // 3  # curves per pass: one step is 3 stage points
+    passes = [slice(b0, min(nb_total, b0 + chunk)) for b0 in range(0, nb_total, chunk)]
+
+    def steps(nb: int) -> int:  # RK4 steps a block of nb curves takes
+        return min(nsteps, (block // nb - 1) // 2)
+
+    widths = {rows.stop - rows.start for rows in passes}
+    nstage = max(((2 * steps(nb) + 1) * nb for nb in widths), default=0)
+    nstep = max((steps(nb) * nb for nb in widths), default=0)
+    Mw, tw, Dw, Kw = np.split(
+        np.empty((nstage + 3 * nstep) * dd), np.cumsum([nstage, nstep, nstep]) * dd
+    )
+    for rows in passes:
+        nb = rows.stop - rows.start
+        per_block = steps(nb)
         yb = y[rows]
-        last = None  # M at the last stage of the previous block
         for i0 in range(0, nsteps, per_block):
             k = min(per_block, nsteps - i0)
-            k0 = 2 * i0 if last is None else 2 * i0 + 1
-            pts, vel = stages(rows, k0, 2 * (i0 + k) + 1)
+            carried = int(i0 > 0)  # stage 0 then holds the previous block's last M
+            pts, vel = stages(rows, 2 * i0 + carried, 2 * (i0 + k) + 1)
             dim = pts.shape[-1]
-            M, v = _operator(cd, pts.reshape(-1, dim), vel.reshape(-1, dim))
-            M = M.reshape(nb, -1, d, d)
-            viol[rows] = np.maximum(viol[rows], np.abs(v[:, h]).reshape(nb, -1).max(axis=1))
-            if last is None:
-                M0, M1, M2 = M[:, 0:-1:2], M[:, 1::2], M[:, 2::2]
-            else:
-                M1, M2 = M[:, 0::2], M[:, 1::2]
-                M0 = np.concatenate([last, M2[:, :-1]], axis=1)
-            last = M2[:, -1:].copy()
-            K2 = M1 @ (eye + 0.5 * hstep * M0)
-            K3 = M1 @ (eye + 0.5 * hstep * K2)
-            K4 = M2 @ (eye + hstep * K3)
-            # P - I: adding the increment D y to y rounds once per step
-            D = hstep / 6.0 * (M0 + 2 * K2 + 2 * K3 + K4)
+            _, v = _operator(
+                cd,
+                np.swapaxes(pts, 0, 1).reshape(-1, dim),
+                np.swapaxes(vel, 0, 1).reshape(-1, dim),
+                out=Mw[carried * nb * dd : (2 * k + 1) * nb * dd].reshape(-1, d, d),
+            )
+            viol[rows] = np.maximum(viol[rows], np.abs(v[:, h]).reshape(-1, nb).max(axis=0))
+            M = Mw[: (2 * k + 1) * nb * dd].reshape(2 * k + 1, nb, d, d)
+            M0, M1, M2 = M[0:-1:2], M[1::2], M[2::2]
+            t, D, K = (w[: k * nb * dd].reshape(k, nb, d, d) for w in (tw, Dw, Kw))
+            # K2 = M1 (I + h/2 M0) into D, then K3 = M1 (I + h/2 K2) and
+            # K4 = M2 (I + h K3) into K; each I + c K is built in t
+            np.multiply(M0, 0.5 * hstep, out=t)
+            t += eye
+            np.matmul(M1, t, out=D)
+            np.multiply(D, 0.5 * hstep, out=t)
+            t += eye
+            np.matmul(M1, t, out=K)
+            np.multiply(K, hstep, out=t)
+            t += eye
+            # P - I = h/6 (((M0 + 2 K2) + 2 K3) + K4), rounded as that sum is
+            D *= 2
+            D += M0
+            K *= 2
+            D += K
+            np.matmul(M2, t, out=K)
+            D += K
+            D *= hstep / 6.0
+            # adding the increment D y to y rounds once per step
             for j in range(k):
-                yb = yb + (D[:, j] @ yb[..., None])[..., 0]
+                yb = yb + (D[j] @ yb[..., None])[..., 0]
+            M[0] = M[-1]  # carried to the next block
         y[rows] = yb
     return y, viol
 
@@ -984,8 +1031,10 @@ def verify_killing_field(
 
     rows = {"eqs_x_gradient": slice(h), "eqs_a_curvature": slice(h, -1), "eqs_c_gradient": -1}
     worst = dict.fromkeys(rows, 0.0)
-    for sel in point_blocks(len(inner), (h + h * h + 1) ** 2):  # M of a point
+    d = h + h * h + 1
+    for sel in point_blocks(len(inner), d * d):  # M of a point
         pts = inner[sel]
+        M = np.empty((len(pts), d, d))  # the operator of each frame direction in turn
         idx = np.stack(np.unravel_index(np.arange(sel.start, sel.stop), inner.shape)) + 1
         dy = np.stack(
             [(state(idx + e) - state(idx - e)) / (2.0 * dx) for e, dx in zip(unit, grid.spacings)]
@@ -993,7 +1042,7 @@ def verify_killing_field(
         y = state(idx)[..., None]
         frame = s.eval_table(s.frame, pts)  # (h, dim, P)
         for a in range(h):
-            M, _ = _operator(cd, pts, frame[a].T)
+            _operator(cd, pts, frame[a].T, out=M)
             res = np.einsum("ip,ipk->pk", frame[a], dy) - (M @ y)[..., 0]
             worst = {name: _max_abs([res[:, r], worst[name]]) for name, r in rows.items()}
     return [CheckRecord(name, r, len(inner), r < tol) for name, r in worst.items()]

@@ -346,6 +346,15 @@ class TestTransportInputs:
         (files / "inf.toml").write_text(CURVE_Y.replace("t_range = 0 1", "t_range = 0 inf"))
         assert input_error(*self.prolong(capsys, files, curve="inf.toml"))
 
+    def test_decimal_literal_in_a_curve_file(self, capsys, files):
+        (files / "decimal.toml").write_text(CURVE_Y.replace("0, t, 0", "-0.390625 + t, t, 0"))
+        code, out = self.prolong(capsys, files, curve="decimal.toml")
+        assert input_error(code, out)
+        assert json.loads(out)["error"]["message"] == (
+            "decimal literal '0.390625': numbers are exact rationals, write it as a "
+            "ratio of integers such as 1/2 (at offset 1)"
+        )
+
     def test_prolong_curve_with_a_pole_at_its_start(self, capsys, files):
         (files / "pole.toml").write_text(CURVE_POLE)
         assert input_error(*self.prolong(capsys, files, curve="pole.toml"))

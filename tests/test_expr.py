@@ -55,6 +55,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expression("x + 1 )", XYZ)
 
+    @pytest.mark.parametrize(
+        "text, literal, offset",
+        [("0.5", "0.5", 0), ("-0.5 + t", "0.5", 1), ("1e-3*t", "1e-3", 0), ("t^2.5", "2.5", 2)],
+    )
+    def test_decimal_literal_is_named(self, text, literal, offset):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, ["t"])
+        assert str(err.value) == (
+            f"decimal literal {literal!r}: numbers are exact rationals, write it as a "
+            f"ratio of integers such as 1/2 (at offset {offset})"
+        )
+
     def test_depth_limit(self):
         k = ex.MAX_PARSE_DEPTH
         assert ex.expression_depth(parse_expression(" + ".join(["x"] * k), XYZ)) == k

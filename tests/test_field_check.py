@@ -94,15 +94,19 @@ def test_blocks_leave_the_records_bitwise_unchanged(su2c_cd, monkeypatch):
     fieldv = exact_field(su2c_cd, SU2C_KILLING["Y2"], cube(-0.25, 0.25, 9))
     whole = [r.as_dict() for r in verify_killing_field(su2c_cd, fieldv)]
     d = 2 + 4 + 1  # transport state size for n = 1
-    calls = []
+    calls, buffers = [], []
     operator = killing._operator
 
-    def spy(cd, pts, vel):
+    def spy(cd, pts, vel, out):
         calls.append(len(pts))
-        return operator(cd, pts, vel)
+        buffers.append(out)
+        return operator(cd, pts, vel, out=out)
 
     monkeypatch.setattr(frame, "BLOCK_ENTRIES", 3 * d * d)
     monkeypatch.setattr(killing, "_operator", spy)
     assert [r.as_dict() for r in verify_killing_field(su2c_cd, fieldv)] == whole
     # the 7^3 interior points, three a block, once for each frame direction
     assert max(calls) == 3 and sum(calls) == 2 * 7**3
+    # both frame directions of a block write one operator buffer
+    assert all(a is b for a, b in zip(buffers[0::2], buffers[1::2]))
+    assert len({id(b) for b in buffers}) == len(calls) // 2

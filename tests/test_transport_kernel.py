@@ -3,8 +3,11 @@ and its operator against the dense einsum operator.
 
 The kernel forms each step's propagator before applying it, so it sums in
 another order than the serial loop; the two agree to within 1e-12.  The
-operator M is bit for bit the dense one.
+operator M is bit for bit the dense one, and how the kernel cuts its stage
+points into blocks changes no bit of the result.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,7 +138,55 @@ def test_block_bounds_stage_points_per_call(heis_cd, monkeypatch, block):
     assert sum(calls["basis_matrix_at"]) >= 125 * (2 * 40 + 1)
     monkeypatch.undo()
     whole, _ = killing._segment_transport(heis_cd, y, starts, ends, 40)
-    assert np.max(np.abs(y_end - whole)) < TOL
+    assert np.array_equal(y_end, whole)
+
+
+@pytest.fixture(scope="module")
+def heis3_cd():
+    return curvature(compute_connection(load_structure("heisenberg:3")))
+
+
+def segment_batch(cd, nb, seed):
+    rng = np.random.default_rng(seed)
+    dim, h = cd.structure.dim, cd.structure.h
+    starts = rng.uniform(-0.5, 0.5, (nb, dim))
+    ends = rng.uniform(-0.5, 0.5, (nb, dim))
+    return rng.standard_normal((nb, h + h * h + 1)), starts, ends
+
+
+def test_operator_float_cap_changes_no_bit(heis3_cd, monkeypatch):
+    # d = 43: the 2^20-float cap holds a block to 567 stage points, below
+    # STAGE_BLOCK, and three curves take several blocks either way
+    calls = []
+    original = ContactStructure.basis_matrix_at
+
+    def counted(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(ContactStructure, "basis_matrix_at", counted)
+    y, starts, ends = segment_batch(heis3_cd, 3, seed=11)
+    capped, _ = killing._segment_transport(heis3_cd, y, starts, ends, 400)
+    assert max(calls) == killing.OPERATOR_FLOATS // 43**2 == 567
+    calls.clear()
+    monkeypatch.setattr(killing, "OPERATOR_FLOATS", 2**40)
+    whole, _ = killing._segment_transport(heis3_cd, y, starts, ends, 400)
+    assert 567 < max(calls) <= killing.STAGE_BLOCK and len(calls) > 1
+    assert np.array_equal(capped, whole)
+
+
+def test_kernel_memory_is_bounded(heis3_cd):
+    # one curve of 1000 steps at d = 43 stays under five operator arrays of
+    # 2^20 floats, whatever the step count
+    y, starts, ends = segment_batch(heis3_cd, 1, seed=12)
+    killing._segment_transport(heis3_cd, y, starts, ends, 1)  # compile the tapes
+    tracemalloc.start()
+    try:
+        killing._segment_transport(heis3_cd, y, starts, ends, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20 * 8
 
 
 # ---------------------------------------------------------------------------
