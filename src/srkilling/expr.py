@@ -814,7 +814,8 @@ def poly_to_expr(p: Poly) -> Expression:
         return ZERO
     names, shifts = _fields(p)
     parts: list[Expression] = []
-    for k, m in sorted(((_decode(m, shifts), m) for m in p.terms), reverse=True):
+    monomials = sorted(((_decode(m, shifts), m) for m in p.terms), reverse=True)
+    for k, m in monomials:
         num = p.terms[m]
         term: Expression | None = None
         for name, e in zip(names, k):
@@ -838,7 +839,15 @@ def poly_to_expr(p: Poly) -> Expression:
         if len(parts) % 2 == 1:
             nxt.append(parts[-1])
         parts = nxt
-    return parts[0]
+    out = parts[0]
+    # as_poly(out) hits here instead of walking the tree just built.  A
+    # Poly is canonical, so the walk would give p's terms and den, and as
+    # deg the largest total degree of a monomial; past _FIELD_MASK the walk
+    # gives None, so such a tree is left to it.
+    deg = max(sum(k) for k, _ in monomials)
+    if deg <= _FIELD_MASK:
+        _POLY_CACHE[id(out)] = (out, p if deg == p.deg else Poly(p.terms, p.den, deg))
+    return out
 
 
 _POLY_CACHE: dict[int, tuple[Expression, Poly | None]] = {}

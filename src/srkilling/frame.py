@@ -95,6 +95,9 @@ DEFAULT_TOL = 1e-10
 # as at least POINT_ENTRIES floats (coordinates, grid indices, value rows).
 BLOCK_ENTRIES = 2**16
 POINT_ENTRIES = 16
+# Points of one seeded draw of a BoxSample: the most points a block of
+# point_blocks holds.
+SAMPLE_BLOCK = BLOCK_ENTRIES // POINT_ENTRIES
 
 
 def sample_box_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
@@ -148,9 +151,66 @@ class Grid:
         return [float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in self.axes]
 
 
+class BoxSample:
+    """The origin, then count seeded points of the box [-1, 1]^dim, made
+    block by block.  Sample point j (point j + 1) is row j % SAMPLE_BLOCK of
+    the draw of block j // SAMPLE_BLOCK, seeded with (seed, block), so a
+    point does not depend on the slices it is read by.  Indexed like the
+    (N, dim) array of its points, by an int or a slice of step 1, it makes
+    just those points.  A slice is written into one buffer that every
+    slice reuses: it holds until the next slice is read."""
+
+    def __init__(self, dim: int, count: int, seed: int = 0):
+        self.dim, self.count, self.seed = dim, count, seed
+        self._draw = np.empty((SAMPLE_BLOCK, dim))
+        self._drawn = -1  # the block _draw holds
+        self._out = np.empty((0, dim))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self), self.dim)
+
+    def __len__(self) -> int:
+        return self.count + 1
+
+    def __getitem__(self, sel) -> np.ndarray:
+        r = range(len(self))[sel]
+        if isinstance(r, int):
+            return self[r : r + 1][0].copy()
+        if r.step != 1:
+            raise IndexError("a box sample takes slices of step 1 only")
+        if len(self._out) < len(r):
+            self._out = np.empty((len(r), self.dim))
+        out = self._out[: len(r)]
+        k = r.start
+        while k < r.stop:
+            if k == 0:
+                out[0] = 0.0
+                k = 1
+                continue
+            block, row = divmod(k - 1, SAMPLE_BLOCK)
+            take = min(SAMPLE_BLOCK - row, r.stop - k)
+            out[k - r.start : k - r.start + take] = self._block(block)[row : row + take]
+            k += take
+        return out
+
+    def _block(self, block: int) -> np.ndarray:
+        """The draw of a block, into the one draw buffer: as
+        rng.uniform(-1.0, 1.0) computes it, -1 + 2 u."""
+        if block != self._drawn:
+            np.random.default_rng((self.seed, block)).random(out=self._draw)
+            self._draw *= 2.0
+            self._draw += -1.0
+            self._drawn = block
+        return self._draw
+
+
 def as_points(points):
-    """points as a Grid or an (N, dim) float array: both take len and slices."""
-    return points if isinstance(points, Grid) else np.atleast_2d(np.asarray(points, dtype=float))
+    """points as a Grid, a BoxSample or an (N, dim) float array: each takes
+    len and slices."""
+    if isinstance(points, (Grid, BoxSample)):
+        return points
+    return np.atleast_2d(np.asarray(points, dtype=float))
 
 
 def point_blocks(npts: int, per_point: int):
@@ -733,14 +793,15 @@ def structure_checks(s: ContactStructure, pts) -> dict[str, float]:
 
 
 # Points of the default special-certification set: the 5^dim grid up to
-# dim 9, made block by block; above, where that grid would take minutes
-# (5^11 = 4.9e7 points), the origin and a seeded sample in the box.
+# dim 9; above, where that grid would take minutes (5^11 = 4.9e7 points),
+# the origin and a seeded sample in the box (BoxSample).  Both are made
+# block by block.
 MAX_SPECIAL_POINTS = 5**9
 
 
 def _default_special_grid(s: ContactStructure):
     if 5**s.dim > MAX_SPECIAL_POINTS:
-        return _origin_and_box_points(s.dim, MAX_SPECIAL_POINTS - 1)
+        return BoxSample(s.dim, MAX_SPECIAL_POINTS - 1)
     return Grid(list(s.coords), [np.linspace(-1.0, 1.0, 5)] * s.dim)
 
 

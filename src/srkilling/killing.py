@@ -8,7 +8,11 @@ map f_q sending (X, A, c) to the values of (nabla_{X + c xi} + A) applied
 to nabla^i R and nabla^i dalpha for i <= m; it is computed by SVD with a
 relative threshold, and the order m is raised until the dimension
 sequence stabilizes twice.  f_q is built one row block per tensor
-(_fq_columns), which derivation_apply also reads.  A scan assembles f_q
+(_fq_columns), which derivation_apply also reads.  It holds only the row
+blocks that store something: the block of nabla^i T is a literal zero, at
+every point, when nabla^(i+1) T, nabla^i T and nabla_xi nabla^i T store
+nothing, so it is left out, and a tensor that stores nothing is never
+evaluated.  The dense budget counts the kept rows.  A scan assembles f_q
 for a block of grid points at once and ranks the stack with one SVD call.
 
 Transport integrates the linear system
@@ -335,18 +339,23 @@ def _tensor_value_cache(
 ) -> dict:
     """Values at points of nabla^i T ("R", "B") for i <= m + 1 and
     nabla_xi nabla^i T ("Rxi", "Bxi") for i <= m, T = R, dalpha.  Extends
-    cache in place when one is given: each tensor goes through eval_tensor
-    once."""
+    cache in place when one is given: each tensor that stores something
+    goes through eval_tensor once.  A tensor that stores nothing is not
+    evaluated: its value is a read-only zero view, which holds no memory
+    whatever its shape."""
     higher_derivatives(cd, m + 1)
     s = cd.structure
     cache = {} if cache is None else cache
     for key, tower, xi_tower in (("R", cd.nabla_R, cd.xi_R), ("B", cd.nabla_dalpha, cd.xi_dalpha)):
-        for i in range(m + 2):
-            if (key, i) not in cache:
-                cache[(key, i)] = eval_tensor(s, tower[i], points)
-        for i in range(m + 1):
-            if (key + "xi", i) not in cache:
-                cache[(key + "xi", i)] = eval_tensor(s, xi_tower[i], points)
+        tensors = [((key, i), tower[i]) for i in range(m + 2)]
+        tensors += [((key + "xi", i), xi_tower[i]) for i in range(m + 1)]
+        for k, T in tensors:
+            if k in cache:
+                continue
+            if T.entries:
+                cache[k] = eval_tensor(s, T, points)
+            else:
+                cache[k] = np.broadcast_to(0.0, T.shape + (len(points),))
     return cache
 
 
@@ -367,7 +376,8 @@ def _fq_columns(cd: CurvatureData, cache: dict, key: str, i: int) -> np.ndarray:
     of T flattened in C order.  Columns follow the packing order of
     pack_generator: X^a takes slice a of nabla^(i+1) T, each skew basis
     element applies its derivation to T (endomorphism_action), c takes the
-    xi-derivative of T.  The columns are exact +-1 selections, so every
+    xi-derivative of T; a source tensor that stores nothing gives zero
+    columns.  The columns are exact +-1 selections, so every
     entry equals, bit for bit, the per-point value whatever the block."""
     h = cd.structure.h
     skew = _skew_basis(h)
@@ -379,13 +389,41 @@ def _fq_columns(cd: CurvatureData, cache: dict, key: str, i: int) -> np.ndarray:
     return np.concatenate([X, A, c]).transpose(2, 1, 0)
 
 
+def _block_sources(cd: CurvatureData, key: str, i: int) -> tuple[HTensor, HTensor, HTensor]:
+    """The tensors the row block of nabla^i T in f_q reads (_fq_columns),
+    T = R (key "R") or dalpha ("B"): nabla^(i+1) T for the X columns,
+    nabla^i T for the A columns, nabla_xi nabla^i T for the c column."""
+    tower, xi_tower = (cd.nabla_R, cd.xi_R) if key == "R" else (cd.nabla_dalpha, cd.xi_dalpha)
+    return tower[i + 1], tower[i], xi_tower[i]
+
+
+def _kept_blocks(cd: CurvatureData, m: int) -> list[tuple[str, int]]:
+    """The row blocks (key, i) of f_q of order m that _assemble_block
+    keeps, i <= m, R before dalpha: a block whose three source tensors
+    (_block_sources) all store nothing is a literal zero at every point.
+    Builds the tower through order m + 1; evaluates nothing."""
+    higher_derivatives(cd, m + 1)
+    return [
+        (key, i)
+        for i in range(m + 1)
+        for key in ("R", "B")
+        if any(T.entries for T in _block_sources(cd, key, i))
+    ]
+
+
+def _kept_rows(cd: CurvatureData, m: int) -> int:
+    """Rows of f_q of order m: h^rank for the tensor of each kept block."""
+    h = cd.structure.h
+    return sum(h ** _block_sources(cd, key, i)[1].rank for key, i in _kept_blocks(cd, m))
+
+
 def _assemble_block(cd: CurvatureData, m: int, cache: dict) -> np.ndarray:
     """Stack (P, rows, unknowns) of the f_q matrices at the cached points,
-    each with kernel i_m(q): the row blocks of _fq_columns over i <= m,
-    R before dalpha."""
-    stack = np.concatenate(
-        [_fq_columns(cd, cache, key, i) for i in range(m + 1) for key in ("R", "B")], axis=1
-    )
+    each with kernel i_m(q): the row blocks of _fq_columns that are kept
+    (_kept_blocks), R before dalpha.  The blocks left out are literal
+    zeros, which change no kernel; dalpha stores something on every contact
+    structure, so its block of order 0 is always kept."""
+    stack = np.concatenate([_fq_columns(cd, cache, key, i) for key, i in _kept_blocks(cd, m)], axis=1)
     # -0.0 becomes +0.0, as in the full sum X . nabla T + c xi T + A . T that
     # each column selects from; LAPACK's reflector signs read the sign of zero
     stack += 0.0
@@ -399,20 +437,20 @@ def _ranks(sv: np.ndarray, rel: float) -> np.ndarray:
     return np.sum(sv > thresh[..., None], axis=-1)
 
 
+def _padded(M: np.ndarray) -> np.ndarray:
+    """Matrices (..., rows, cols) with zero rows appended up to cols rows:
+    an SVD then gives a singular value for every unknown."""
+    short = M.shape[-1] - M.shape[-2]
+    if short <= 0:
+        return M
+    return np.concatenate([M, np.zeros(M.shape[:-2] + (short, M.shape[-1]))], axis=-2)
+
+
 def _kernel(M: np.ndarray, rel: float) -> tuple[int, np.ndarray, np.ndarray]:
     """(kernel dim, orthonormal kernel basis rows, singular values)."""
-    ncols = M.shape[1]
-    if M.shape[0] < ncols:
-        M = np.vstack([M, np.zeros((ncols - M.shape[0], ncols))])
-    _, sv, Vh = np.linalg.svd(M, full_matrices=False)
+    _, sv, Vh = np.linalg.svd(_padded(M), full_matrices=False)
     rank = int(_ranks(sv, rel))
-    return ncols - rank, Vh[rank:], sv
-
-
-def _fq_rows(h: int, m: int) -> int:
-    """Rows of f_q of order m, as _assemble_block lays them out: block i
-    holds nabla^i R and nabla^i dalpha, h^(4+i) + h^(2+i) rows."""
-    return sum(h ** (4 + i) + h ** (2 + i) for i in range(m + 1))
+    return M.shape[1] - rank, Vh[rank:], sv
 
 
 def generator_space(
@@ -426,10 +464,12 @@ def generator_space(
     order, and the stabilization certificate (three equal consecutive
     dims).  With an explicit order, exactly that order is used and the
     certificate reflects the dims computed up to it.  Each order assembles
-    f_q with the scan's assembler at the single point q and takes a full
-    SVD: the rank counts singular values above max(rel_threshold * largest,
+    f_q with the scan's assembler at the single point q, from the row
+    blocks that store something (_kept_blocks), and takes a full SVD: the
+    rank counts singular values above max(rel_threshold * largest,
     ABS_FLOOR) and the kernel basis is the trailing right singular
-    vectors."""
+    vectors.  The dense budget (check_dense) counts the kept rows and is
+    checked before any tensor is evaluated."""
     s = cd.structure
     q = _as_point(s, q) if s.coords else None
     pts = q[None, :] if q is not None else np.zeros((1, 0))
@@ -445,7 +485,7 @@ def generator_space(
     # certificate is three equal dims
     nunk = ambient_dimension(s.n)
     first = min(target, 2) if auto else target
-    check_dense(_fq_rows(s.h, first) * nunk, f"f_q of order {first} at a point")
+    check_dense(_kept_rows(cd, first) * nunk, f"f_q of order {first} at a point")
     dims: list[int] = []
     kernel_basis: np.ndarray | None = None
     sv: np.ndarray = np.zeros(0)
@@ -453,7 +493,7 @@ def generator_space(
     certified = False
     cache: dict = {}
     for m in range(target + 1):
-        check_dense(_fq_rows(s.h, m) * nunk, f"f_q of order {m} at a point")
+        check_dense(_kept_rows(cd, m) * nunk, f"f_q of order {m} at a point")
         _tensor_value_cache(cd, m, pts, cache)
         M = _assemble_block(cd, m, cache)[0]
         dim, kernel_basis, sv = _kernel(M, rel_threshold)
@@ -504,11 +544,11 @@ def scan_regularity(
     neighbors have strictly larger dimension is flagged as a violation.
 
     The order m is the one generator_space settles on at the first grid
-    point.  The points then go in blocks (point_blocks) sized by f_q, the
-    largest array of a point: each block's tensor values are evaluated,
-    assembled as one stack of f_q matrices (_assemble_block) and ranked by
-    one stacked np.linalg.svd without singular vectors, under the threshold
-    rule of generator_space."""
+    point.  The points then go in blocks (point_blocks) sized by the kept
+    rows of f_q, the largest array of a point: each block's tensor values
+    are evaluated, assembled as one stack of f_q matrices (_assemble_block)
+    and ranked by one stacked np.linalg.svd without singular vectors, under
+    the threshold rule of generator_space."""
     s = cd.structure
     if s.mode == "lie":
         gs = generator_space(cd, None, order, rel_threshold, m_max)
@@ -529,9 +569,9 @@ def scan_regularity(
     m = gs0.m_used
     nunk = ambient_dimension(s.n)
     dims = np.empty(npts, dtype=int)
-    for sel in point_blocks(npts, _fq_rows(s.h, m) * nunk):
+    for sel in point_blocks(npts, _kept_rows(cd, m) * nunk):
         # the tensor values of a block go as soon as its f_q is assembled
-        stack = _assemble_block(cd, m, _tensor_value_cache(cd, m, grid[sel]))
+        stack = _padded(_assemble_block(cd, m, _tensor_value_cache(cd, m, grid[sel])))
         dims[sel] = nunk - _ranks(np.linalg.svd(stack, compute_uv=False), rel_threshold)
 
     regular, pit = _neighbour_flags(dims.reshape(grid.shape))

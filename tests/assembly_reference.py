@@ -6,7 +6,9 @@ builds each column of f_q from one basis unknown (X, A, c) of a(q) as
     X . nabla^(i+1) T + c xi T + A . T,
 
 where A . T is the derivation of the single endomorphism A on T, one
-tensordot per slot, the slot terms added in slot order.
+tensordot per slot, the slot terms added in slot order.  The row block of
+nabla^i T is left out when nabla^(i+1) T, nabla^i T and nabla_xi nabla^i T
+all store nothing: it is a literal zero.
 """
 
 from __future__ import annotations
@@ -46,13 +48,24 @@ def unknown_basis(h):
     return out
 
 
+def stores_something(cd, key, i):
+    """Does one of the three tensors the row block of nabla^i T reads store
+    an entry?  T = R (key "R") or dalpha ("B")."""
+    tower = cd.nabla_R if key == "R" else cd.nabla_dalpha
+    xi_tower = cd.xi_R if key == "R" else cd.xi_dalpha
+    return bool(tower[i + 1].entries or tower[i].entries or xi_tower[i].entries)
+
+
 def assemble_map(cd, m, cache, p):
-    """Dense matrix of f_q at cached point index p."""
+    """Dense matrix of f_q at cached point index p, its literal-zero row
+    blocks left out."""
     cols = []
     for X, A, c in unknown_basis(cd.structure.h):
         rows = []
         for i in range(m + 1):
             for key, n_upper in (("R", 1), ("B", 0)):
+                if not stores_something(cd, key, i):
+                    continue
                 Tv = cache[(key, i)][..., p]
                 Tnv = cache[(key, i + 1)][..., p]
                 Txiv = cache[(key + "xi", i)][..., p]

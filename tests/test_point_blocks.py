@@ -126,6 +126,33 @@ def test_certification_grid_is_made_block_by_block(monkeypatch, grid_blocks):
     assert grid_blocks == [10] * 12 + [5]
 
 
+def test_box_sample_is_made_block_by_block_in_one_buffer():
+    """Above 5^9 points the certification set is the origin and a seeded
+    sample of the box, drawn SAMPLE_BLOCK points at a time with one seed a
+    block: a point does not depend on the slices it is read by, so blocks
+    of 7 and of 3,000 points read the same sample, and every slice is
+    written into the one buffer (the last slice read is valid until the
+    next)."""
+    s = load_structure("heisenberg:5")
+    sample = frame._default_special_grid(s)
+    assert isinstance(sample, frame.BoxSample)
+    assert len(sample) == frame.MAX_SPECIAL_POINTS and sample.shape == (5**9, 11)
+
+    small = frame.BoxSample(3, 2 * frame.SAMPLE_BLOCK + 10, seed=5)
+    by_7 = np.concatenate([small[i : i + 7].copy() for i in range(0, len(small), 7)])
+    by_3000 = np.concatenate([small[i : i + 3000].copy() for i in range(0, len(small), 3000)])
+    assert np.array_equal(by_7, by_3000) and by_7.shape == (len(small), 3)
+    assert not by_7[0].any() and np.array_equal(small[0], by_7[0])
+    assert np.array_equal(small[len(small) - 1], by_7[-1])
+    assert np.all(np.abs(by_7[1:]) <= 1.0)
+    # block 0 of seed 5 is the draw rng.uniform makes from the same seed
+    want = np.random.default_rng((5, 0)).uniform(-1.0, 1.0, (frame.SAMPLE_BLOCK, 3))
+    assert np.array_equal(by_7[1 : frame.SAMPLE_BLOCK + 1], want)
+    assert np.shares_memory(small[0:50], small[100:150])
+    with pytest.raises(IndexError):
+        small[::2]
+
+
 def test_literal_constants_are_read_once(grid_blocks):
     """The special residuals of heisenberg:3 are literal zeros: their value
     is the same at every point, so none of the 5^7 points is made."""

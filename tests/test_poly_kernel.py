@@ -6,6 +6,10 @@ expression at rational points, which as_poly must agree with."""
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,7 @@ from srkilling import expr as ex
 import poly_reference as ref
 
 NAMES = ["x", "y", "z", "w"]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def exact(e: ex.Expression, point: dict[str, Fraction]) -> Fraction:
@@ -153,3 +158,86 @@ def test_exponent_that_could_carry_gives_no_polynomial():
 def test_normal_form_matches_reference(text):
     e = ex.parse_expression(text, ["x", "y"])
     assert ex.to_string(ex.normalize(e)) == ex.to_string(ref.normalize(e))
+
+
+# ---------------------------------------------------------------------------
+# poly_to_expr seeds the Poly memo with the root of the tree it builds.
+# ---------------------------------------------------------------------------
+
+
+def library_monomials(p: ex.Poly) -> dict[tuple[int, ...], Fraction]:
+    """{exponents over NAMES: coefficient} of a packed polynomial."""
+    return {
+        tuple(m >> ex._FIELD[v] & ex._FIELD_MASK if v in ex._FIELD else 0 for v in NAMES): Fraction(
+            c, p.den
+        )
+        for m, c in p.terms.items()
+    }
+
+
+def reference_monomials(p: ref.Poly) -> dict[tuple[int, ...], Fraction]:
+    """{exponents over NAMES: coefficient} of a reference polynomial."""
+    return {
+        tuple(dict(zip(p.vars, k)).get(v, 0) for v in NAMES): c for k, c in p.terms.items()
+    }
+
+
+terms_over_names = st.lists(
+    st.tuples(
+        st.tuples(*[st.integers(0, 3)] * len(NAMES)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms_over_names)
+def test_poly_to_expr_root_reads_back_the_polynomial(terms):
+    """p is built with the kernel's own sums and products; the expected
+    coefficients are summed in Fraction arithmetic.  as_poly of the tree
+    poly_to_expr builds hits the seeded root, and must equal both the
+    polynomial that walking the tree with a fresh memo gives (terms, den
+    and the degree bound) and the one the reference kernel reads from the
+    same tree."""
+    p = ex.Poly({})
+    want: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in terms:
+        term = ex.Poly.constant(c)
+        for v, k in zip(NAMES, exps):
+            term = ex._poly_mul(term, ex._poly_pow(ex.Poly.variable(v), k))
+        p = ex._poly_add(p, term)
+        want[exps] = want.get(exps, 0) + c
+    want = {k: c for k, c in want.items() if c}
+
+    out = ex.poly_to_expr(p)
+    seeded = ex.as_poly(out)
+    assert library_monomials(seeded) == library_monomials(p) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "_POLY_CACHE", {})
+        walked = ex.as_poly(out)
+        mp.setattr(ref, "_REF_POLY_CACHE", {})
+        reference = ref.as_poly(out)
+    assert (seeded.terms, seeded.den, seeded.deg) == (walked.terms, walked.den, walked.deg)
+    assert reference_monomials(reference) == want
+
+
+def test_check_su2_chart_leaves_a_small_poly_memo():
+    """Without the seed, as_poly walked every tree that poly_to_expr had
+    just built and pinned a Poly for each inner node: `check su2:chart`
+    left 8,768 memo entries, about 900 with it.  Counted in a fresh
+    process, so no other test's entries are seen."""
+    code = (
+        "import contextlib, io\n"
+        "from srkilling import expr\n"
+        "from srkilling.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['check', 'su2:chart']) == 0\n"
+        "print(len(expr._POLY_CACHE))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert int(out.stdout) < 2000

@@ -9,6 +9,7 @@ the tape; and the dense tower the sparse one replaced
 import contextlib
 import io
 import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from srkilling.connection import (
     higher_derivatives,
 )
 from srkilling.frame import check_special, load_structure, load_structure_text
-from srkilling.killing import generator_space
+from srkilling.killing import endomorphism_action, generator_space
 
 import tower_reference as ref
 from conftest import traced_peak
@@ -60,6 +61,7 @@ X2 = 0, 1, x/2 - 2*x*y/(1+y^2)^2
 """
 
 KINDS = ("nabla_R", "nabla_dalpha", "xi_R", "xi_dalpha")
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def run(*argv):
@@ -87,15 +89,47 @@ def test_heisenberg_dimension_is_closed_form(n):
     assert rep["certified"]
 
 
-def test_heisenberg_5_is_refused_before_any_tensor_is_evaluated(monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a tensor was evaluated past the f_q budget")
+@pytest.mark.parametrize("n", [5, 6])
+def test_heisenberg_5_and_6_are_certified_at_the_closed_form(monkeypatch, n):
+    """The dense budget refused heisenberg:5 (f_q of 6.3e7 entries) while f_q
+    held every row block, nearly all of them literal zeros.  With the
+    blocks that store something only, both are certified at (n+1)^2, and
+    no tensor that stores nothing goes through eval_tensor.  The working
+    memory stays far below the 172 MB that the certification sample of
+    dim 11 and 13 took when it was drawn at once."""
+    evaluated = []
 
-    monkeypatch.setattr(killing, "eval_tensor", no_work)
-    code, rep = run("dim", "heisenberg:5")
-    assert code == 2
-    assert rep["error"]["kind"] == "input_error"
-    assert "budget" in rep["error"]["message"]
+    def counted(s, T, points):
+        evaluated.append(len(T.entries))
+        return eval_tensor(s, T, points)
+
+    monkeypatch.setattr(killing, "eval_tensor", counted)
+    (code, rep), peak = traced_peak(lambda: run("dim", f"heisenberg:{n}"))
+    assert code == 0
+    assert rep["dim_i"] == (n + 1) ** 2 and rep["certified"]
+    assert evaluated and 0 not in evaluated
+    # the certification sample is made block by block, not as 5^9 x 11 floats
+    assert peak < 64 * 2**20
+
+
+def test_dim_heisenberg_4_works_in_bounded_memory(monkeypatch):
+    """f_q of heisenberg:4 at order 2 had 303,680 x 37 entries, all but 64
+    rows of them literal zeros, and `dim` peaked near 400 MB.  The kept
+    rows make it a 64 x 37 matrix: the traced peak stays under 64 MiB, and
+    every endomorphism_action call (one per kept block and order) reads a
+    tensor value that is not all zero."""
+    acted = []
+
+    def counted(A, values, n_upper):
+        acted.append(bool(np.any(values)))
+        return endomorphism_action(A, values, n_upper)
+
+    monkeypatch.setattr(killing, "endomorphism_action", counted)
+    (code, rep), peak = traced_peak(lambda: run("dim", "heisenberg:4"))
+    assert code == 0
+    assert rep["dim_i"] == 25 and rep["certified"]
+    assert peak < 64 * 2**20
+    assert acted and all(acted)
 
 
 def test_stored_nonzeros_are_bounded(monkeypatch):
@@ -169,15 +203,22 @@ def test_scan_runs_a_grid_whose_tensor_values_pass_the_budget(no_dense_over_budg
     assert peak < 64 * 2**20
 
 
-def test_scan_refuses_a_grid_when_one_point_is_over_the_budget(no_dense_over_budget):
-    """f_q of order 3 of heisenberg:4 has 2,433,600 x 37 entries at a single
-    point, so no block of points fits the budget: refused before any tensor
-    is evaluated, whatever the size of the grid."""
-    axes = [f"{c}:-1:1:2" for c in load_structure("heisenberg:4").coords]
-    code, rep = run("scan", "heisenberg:4", "--order", "3", "--grid", ",".join(axes))
+def test_scan_refuses_a_grid_when_one_point_is_over_the_budget(monkeypatch, no_dense_over_budget):
+    """f_q of order 4 of the warped heisenberg:3 keeps every row block, with
+    2,071,260 x 22 entries at a single point, so no block of points fits
+    the budget: refused before any tensor is evaluated, whatever the size
+    of the grid."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a tensor was evaluated past the f_q budget")
+
+    monkeypatch.setattr(killing, "eval_tensor", no_work)
+    path = str(DATA / "warped_heisenberg3.toml")
+    axes = [f"{c}:-1:1:2" for c in load_structure(path).coords]
+    code, rep = run("scan", path, "--order", "4", "--grid", ",".join(axes))
     assert code == 2
     assert rep["error"]["message"] == (
-        "f_q of order 3 at a point would have 90043200 dense entries, over the budget 16777216"
+        "f_q of order 4 at a point would have 45567720 dense entries, over the budget 16777216"
     )
 
 
