@@ -138,6 +138,8 @@ def _parse_grid(text: str, s: ContactStructure) -> Grid:
         name = bits[0]
         lo = _parse_number(bits[1], f"grid {name} min")
         hi = _parse_number(bits[2], f"grid {name} max")
+        if not math.isfinite(hi - lo):  # np.linspace would make inf and nan points
+            raise InputError(f"grid {name}: max - min is not finite")
         try:
             count = int(bits[3])
         except ValueError:

@@ -28,7 +28,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expression, Const, ZERO
 from .frame import CheckFailure, CheckRecord, ContactStructure, _max_abs, as_points
-from .frame import check_special, fold_max_abs
+from .frame import check_special, fold_max_abs, point_blocks
 
 __all__ = [
     "ConnectionData",
@@ -396,18 +396,22 @@ def higher_derivatives(cd: CurvatureData, order: int) -> CurvatureData:
     return cd
 
 
-def eval_tensor(s: ContactStructure, T: HTensor, points: np.ndarray) -> np.ndarray:
+def eval_tensor(s: ContactStructure, T: HTensor, points: np.ndarray, out=None) -> np.ndarray:
     """Numeric components at points: float array T.shape + (N,), refused
     over MAX_DENSE_ENTRIES (BudgetError).  The stored entries go through
-    one tape and are scattered into zeros."""
+    one tape and are scattered into zeros: a fresh array, or out (C
+    contiguous, of that shape), which is zeroed in place and returned."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     npts = points.shape[0]
     check_dense(T.h**T.rank * npts, f"a rank-{T.rank} tensor at {npts} points")
-    out = np.zeros((T.h**T.rank, npts))
+    if out is None:
+        out = np.zeros(T.shape + (npts,))
+    else:
+        out.fill(0.0)
     if T.entries:
         flat = np.ravel_multi_index(np.array(list(T.entries)).T, T.shape)
-        out[flat] = s.eval_table(list(T.entries.values()), points)
-    return out.reshape(T.shape + (npts,))
+        out.reshape(T.h**T.rank, npts)[flat] = s.eval_table(list(T.entries.values()), points)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -419,35 +423,60 @@ def verify_geometry(cd: CurvatureData, points=None, tol: float = 1e-10) -> list[
     """Max residuals of the geometric identity suite over points (as_points),
     block by block: metricity/torsion of Gamma, both horizontal Bianchi
     identities, R(xi, .) = 0 expanded from the curvature formula, skewness
-    of R, and the cyclic identity for nabla dalpha."""
+    of R, and the cyclic identity for nabla dalpha.
+
+    An identity over a tensor that stores nothing (R, nabla R or nabla
+    dalpha) is the exact 0.0, read without any point.  Each tensor that
+    stores something is evaluated once a block into its own buffer, and its
+    cyclic sums and skew part are formed in one spare buffer: all are views
+    of one workspace, allocated here for the largest block, so a block
+    allocates no array of its size.  fold_max_abs folds each identity before
+    the next is formed, which lets them share the spare buffer."""
     s = cd.structure
     points = as_points(s.validation_points(count=100) if points is None else points)
     higher_derivatives(cd, 1)
     # (a) metricity and torsion, and (d) R(xi, e_b) = 0 via the curvature
     # formula with Z = xi, each list through its cached tape
-    tapes = [s.evaluator(terms) for terms in cd.identity_terms]
+    metricity, torsion, reeb = (s.evaluator(terms) for terms in cd.identity_terms)
+    tensors = (cd.R, cd.nabla_R[1], cd.nabla_dalpha[1])  # [a,b,j,k], [v,a,b,j,k], [v,a,b]
+    per_point = s.h**5
+    largest = next(point_blocks(len(points), per_point), slice(0, 0))
+    sizes = [T.h**T.rank * (largest.stop - largest.start) if T.entries else 0 for T in tensors]
+    *buffers, spare = np.split(np.empty(sum(sizes) + max(sizes)), np.cumsum(sizes))
 
-    def residuals(pts: np.ndarray) -> dict[str, list[np.ndarray]]:
-        metricity, torsion, reeb = (f(pts) for f in tapes)
-        Rv = eval_tensor(s, cd.R, pts)  # [a,b,j,k,N]
-        dRv = eval_tensor(s, cd.nabla_R[1], pts)  # [v,a,b,j,k,N]
-        dBv = eval_tensor(s, cd.nabla_dalpha[1], pts)  # [v,a,b,N]
-        return {
-            "metricity": [metricity],
-            "torsion": [torsion],
-            "bianchi_first": [_cyclic_sum(Rv)],  # (b) R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0
-            "bianchi_second": [_cyclic_sum(dRv)],  # (c) (nabla_X R)(Y,Z) + cyclic = 0
-            "curvature_reeb": [reeb],
-            # (e) skewness of R(Z,W) w.r.t. g: R^k_ab,j symmetric part in (j,k)
-            "curvature_skew": [Rv + np.transpose(Rv, (0, 1, 3, 2, 4))],
-            "dalpha_bianchi": [_cyclic_sum(dBv)],  # (f) cyclic identity for nabla dalpha
-        }
+    def residuals(pts: np.ndarray):
+        n = len(pts)
+        Rv, dRv, dBv = (
+            eval_tensor(s, T, pts, out=b[: T.h**T.rank * n].reshape(T.shape + (n,)))
+            if T.entries else None
+            for T, b in zip(tensors, buffers)
+        )
 
-    worst = fold_max_abs(points, s.h**5, residuals)
+        def spare_like(vals: np.ndarray) -> np.ndarray:
+            return spare[: vals.size].reshape(vals.shape)
+
+        yield "metricity", [metricity(pts)]
+        yield "torsion", [torsion(pts)]
+        # (b) R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0
+        yield "bianchi_first", [0.0 if Rv is None else _cyclic_sum(Rv, spare_like(Rv))]
+        # (c) (nabla_X R)(Y,Z) + cyclic = 0
+        yield "bianchi_second", [0.0 if dRv is None else _cyclic_sum(dRv, spare_like(dRv))]
+        yield "curvature_reeb", [reeb(pts)]
+        # (e) skewness of R(Z,W) w.r.t. g: R^k_ab,j symmetric part in (j,k)
+        yield "curvature_skew", [
+            0.0 if Rv is None else np.add(Rv, np.transpose(Rv, (0, 1, 3, 2, 4)), out=spare_like(Rv))
+        ]
+        # (f) cyclic identity for nabla dalpha
+        yield "dalpha_bianchi", [0.0 if dBv is None else _cyclic_sum(dBv, spare_like(dBv))]
+
+    worst = fold_max_abs(points, per_point, residuals)
     return [CheckRecord(name, r, len(points), bool(r < tol)) for name, r in worst.items()]
 
 
-def _cyclic_sum(T: np.ndarray) -> np.ndarray:
-    """T plus T with its first three axes cycled once and twice."""
+def _cyclic_sum(T: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(T plus T with its first three axes cycled once) plus T with them
+    cycled twice, into out (which must not overlap T); returns out."""
     rest = tuple(range(3, T.ndim))
-    return T + np.transpose(T, (1, 2, 0) + rest) + np.transpose(T, (2, 0, 1) + rest)
+    np.add(T, np.transpose(T, (1, 2, 0) + rest), out=out)
+    out += np.transpose(T, (2, 0, 1) + rest)
+    return out

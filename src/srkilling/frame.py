@@ -113,11 +113,15 @@ def _origin_and_box_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
 
 def _max_abs(arrays) -> float:
     """max |v| over every entry of the arrays (or numbers), 0.0 when there
-    are none.  A NaN entry makes the result NaN, so a residual test
-    `residual < tol` fails on it instead of skipping it."""
+    are none.  It is read as max(max v, -min v), exact and with no array of
+    |v| made; + 0.0 turns the -0.0 of all-zero entries into |v|'s 0.0.  A
+    NaN entry makes the result NaN, so a residual test `residual < tol`
+    fails on it instead of skipping it."""
     worst = 0.0
     for vals in arrays:
-        worst = float(np.max(np.abs(vals), initial=worst))
+        vals = np.asarray(vals)
+        if vals.size:
+            worst = float(np.maximum(np.maximum(vals.max(), -vals.min()), worst)) + 0.0
     return worst
 
 
@@ -223,15 +227,16 @@ def point_blocks(npts: int, per_point: int):
 
 def fold_max_abs(points, per_point: int, residuals) -> dict[str, float]:
     """Max residuals over points (as_points), block by block: residuals(pts)
-    maps each check to its arrays at a block's points, and _max_abs (exact,
-    NaN-keeping, so blind to the blocks) folds them.  A block's arrays are
-    named only inside the comprehension: they go before the next block's."""
+    yields each check's (name, arrays) at a block's points, and _max_abs
+    (exact, NaN-keeping, so blind to the blocks) folds them.  Each check is
+    folded before the next is made, so its arrays may be overwritten by the
+    next one's, and a block's arrays go before the next block's."""
     points = as_points(points)
     worst: dict[str, float] = {}
     for sel in point_blocks(len(points), per_point):
         worst = {
             name: _max_abs([*arrays, worst.get(name, 0.0)])
-            for name, arrays in residuals(points[sel]).items()
+            for name, arrays in residuals(points[sel])
         }
     return worst
 
@@ -248,8 +253,8 @@ def residual_records(s: ContactStructure, checks: dict, points, tol: float) -> l
         live[name] = [e for e in terms if not isinstance(e, Const)]
     tapes = {k: s.evaluator(t, cached=False) for k, t in live.items() if t}
 
-    def residuals(p: np.ndarray) -> dict[str, list]:
-        return {k: [f(p), worst[k]] for k, f in tapes.items()}
+    def residuals(p: np.ndarray):
+        return ((k, [f(p), worst[k]]) for k, f in tapes.items())
 
     if tapes:
         worst.update(fold_max_abs(points, max(map(len, live.values())), residuals))
@@ -781,13 +786,13 @@ def structure_checks(s: ContactStructure, pts) -> dict[str, float]:
         [s.alpha_of(s.reeb)] + [s.dalpha_on(s.reeb, e) for e in unit], cached=False
     )
 
-    def residuals(p: np.ndarray) -> dict[str, list[np.ndarray]]:
+    def residuals(p: np.ndarray):
         r = reeb(p)
         return {
             "alpha_frame": [alpha_frame(p)],
             "normalization": [wedge_power(dalpha(p), s.n) - 1.0],
             "reeb": [r[0] - 1.0, r[1:]],
-        }
+        }.items()
 
     return fold_max_abs(pts, s.dim * s.dim, residuals)
 

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -7,6 +11,8 @@ from srkilling.frame import load_structure
 from srkilling.connection import compute_connection, curvature
 
 from eval_reference import evaluate
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +57,21 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - held
+
+
+def fresh_rusage(*args):
+    """(exit code, max-RSS in MB, minor page faults) of `python *args` in a
+    fresh process, run as perfbench runs a job: srkilling from this
+    checkout's src, one BLAS thread, and the child's own rusage read by
+    os.wait4.  Its output is dropped."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    proc = subprocess.Popen(
+        [sys.executable, *args], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def parse(text, coords=("x", "y", "z")):

@@ -1,8 +1,10 @@
 import json
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from srkilling import cli, killing
 from srkilling.cli import main
@@ -435,6 +437,22 @@ class TestPointAndGridInputs:
         assert input_error(code, out)
         assert "exceeds the bound" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["check", "scan", "verify-geometry", "reconstruct"])
+    def test_grid_axis_whose_span_overflows(self, capsys, tmp_path, monkeypatch, command):
+        """np.linspace(-1e308, 1e308, 3) is [nan, inf, 1e308]: check exited
+        3 on a NaN residual and scan passed its NaN points, each with numpy
+        warnings on stderr."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gen.toml").write_text(GEN_J)
+        more = ["--gen", "gen.toml", "--step", "0.1"] if command == "reconstruct" else []
+        grid = "x:0:0.1:3,y:0:0.1:3,z:-1e308:1e308:3"
+        code = main([command, "su2:chart", *more, "--grid", grid])
+        captured = capsys.readouterr()
+        assert input_error(code, captured.out)
+        assert json.loads(captured.out)["error"]["message"] == "grid z: max - min is not finite"
+        assert captured.err == ""
+
     def test_grid_at_the_point_bound_is_accepted(self, heis):
         from srkilling.cli import MAX_GRID_POINTS, _parse_grid
 
@@ -693,3 +711,50 @@ def test_each_subcommand_takes_its_pinned_options():
         positionals = [a.dest for a in parser._actions if not a.option_strings]
         assert options == COMMON_OPTIONS | SUBCOMMAND_OPTIONS[name], name
         assert positionals == ["structure"], name
+
+
+# Monomials x^i y^j of p with total degree at most 5, and their coefficients.
+POLYNOMIALS = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda ij: sum(ij) <= 5),
+    st.integers(-3, 3).filter(bool),
+    max_size=4,
+)
+
+
+def polynomial_text(terms):
+    """The sum of c x^i y^j over terms {(i, j): c}, as structure-file text."""
+    return " + ".join(f"({c})*x^{i}*y^{j}" for (i, j), c in terms.items()) or "0"
+
+
+@settings(max_examples=40, deadline=None)
+@example(p={(2, 3): 1, (3, 0): -1, (0, 5): 1}, at=(0.25, -0.5, 0.125))  # x^2 y^3 - x^3 + y^5
+@given(
+    p=POLYNOMIALS,
+    at=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3),
+)
+def test_isometric_copy_of_heisenberg(p, at):
+    """phi(x, y, z) = (x, y, z + p(x, y)) carries heisenberg:1 to the frame
+    X1 = (1, 0, -y/2 + p_x), X2 = (0, 1, x/2 + p_y), an isometric copy: its
+    identities hold exactly, its curvature is 0 and it has the 4 Killing
+    fields of Heisenberg at every point."""
+    p_x = {(i - 1, j): i * c for (i, j), c in p.items() if i}
+    p_y = {(i, j - 1): j * c for (i, j), c in p.items() if j}
+    text = (
+        "[manifold]\nmode = chart\nn = 1\ncoords = x, y, z\n[frame]\n"
+        f"X1 = 1, 0, -y/2 + {polynomial_text(p_x)}\n"
+        f"X2 = 0, 1, x/2 + {polynomial_text(p_y)}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        structure, out = pathlib.Path(tmp) / "copy.toml", pathlib.Path(tmp) / "report.json"
+        structure.write_text(text)
+
+        def report(*argv):
+            assert main([argv[0], str(structure), *argv[1:], "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        checks = report("verify-geometry")["checks"]
+        curv = report("curvature", "--order", "1")
+        dim = report("dim", "--at=" + ",".join(map(repr, at)))
+    assert len(checks) == 7 and all(r["max_residual"] == 0.0 for r in checks)
+    assert curv["max_abs_R"] == 0.0 and curv["nabla_R_max_abs"] == [0.0, 0.0]
+    assert dim["dim_i"] == 4 and dim["certified"] is True

@@ -6,26 +6,39 @@ makes each block's points from its axes.  Oracles: the working memory of a
 check traced at two grid sizes, which must not grow with the points; the
 records of a check with one or a few points a block, which must equal the
 default blocks bit for bit; and the meshgrid the grid points replaced.
+verify_geometry also has its own: the tensors it evaluates, the arrays
+its workspace holds, its traced peak on a large grid, and the minor page
+faults of a fresh process.
 """
 
+import functools
 import gc
 import operator
+import pathlib
 import weakref
 
 import numpy as np
 import pytest
 
+from srkilling import connection
 from srkilling import expr as ex
 from srkilling import frame
 from srkilling.connection import compute_connection, curvature, verify_geometry
 from srkilling.frame import Grid, check_special, load_structure, structure_checks
 from srkilling.killing import riemannian_extension_check, scan_regularity, verify_killing
 
-from conftest import HEIS_KILLING, SU2C_KILLING, field, traced_peak
+from conftest import HEIS_KILLING, SU2C_KILLING, field, fresh_rusage, traced_peak
+
+WARPED = str(pathlib.Path(__file__).resolve().parent / "data" / "warped_heisenberg3.toml")
 
 
 def grid(s, count, lo=-1.0, hi=1.0):
     return Grid(list(s.coords), [np.linspace(lo, hi, count)] * s.dim)
+
+
+@functools.cache
+def curvature_data(source):
+    return curvature(compute_connection(load_structure(source)))
 
 
 def checks(killing_fields, scan_order):
@@ -68,18 +81,144 @@ def bits(result):
     return repr([r.as_dict() for r in result])
 
 
+# verify_geometry on two more structures, (structure, points an axis):
+# warped_heisenberg3 stores R, nabla R and nabla dalpha, and its
+# dalpha_bianchi residual is not 0, so a sum formed in another order would
+# show; heisenberg:2 stores none of them
+MORE_BLOCK_CASES = {
+    "verify_geometry@warped_heisenberg3": (WARPED, 2),
+    "verify_geometry@heisenberg:2": ("heisenberg:2", 3),
+}
+
+
 @pytest.mark.parametrize("entries", [1, 3 * frame.POINT_ENTRIES])
-@pytest.mark.parametrize("name", SU2C_CHECKS)
+@pytest.mark.parametrize("name", [*SU2C_CHECKS, *MORE_BLOCK_CASES])
 def test_results_do_not_depend_on_the_blocks(su2c_cd, monkeypatch, name, entries):
     """su2:chart has nonzero rounding residuals, so a fold that lost or
     misplaced a block would show; 1 entry gives one point a block, three
     points' worth gives blocks of 3 to the cheap checks."""
-    call = SU2C_CHECKS[name]
-    pts = grid(su2c_cd.structure, 4, -0.9, 1.1)
-    base = call(su2c_cd, pts)
-    as_array = call(su2c_cd, pts.points) if name != "scan_regularity" else base
+    source, count = MORE_BLOCK_CASES.get(name, ("su2:chart", 4))
+    cd = su2c_cd if source == "su2:chart" else curvature_data(source)
+    call = SU2C_CHECKS[name.split("@")[0]]
+    pts = grid(cd.structure, count, -0.9, 1.1)
+    base = call(cd, pts)
+    as_array = call(cd, pts.points) if name != "scan_regularity" else base
     monkeypatch.setattr(frame, "BLOCK_ENTRIES", entries)
-    assert bits(call(su2c_cd, pts)) == bits(base) == bits(as_array)
+    assert bits(call(cd, pts)) == bits(base) == bits(as_array)
+
+
+def test_in_place_sums_are_the_allocating_sums():
+    """verify_geometry's sums, formed in its workspace, give the residuals
+    of the sums (T + T1) + T2 and R + R^T on fresh arrays, bit for bit, on
+    the structure above whose dalpha_bianchi residual is not 0."""
+    cd = curvature_data(WARPED)
+    s = cd.structure
+    pts = s.validation_points(count=100)
+    got = {r.check: r.max_residual for r in verify_geometry(cd, pts)}
+
+    def cyclic(T):
+        v = connection.eval_tensor(s, T, pts)
+        rest = tuple(range(3, v.ndim))
+        return v + np.transpose(v, (1, 2, 0) + rest) + np.transpose(v, (2, 0, 1) + rest)
+
+    Rv = connection.eval_tensor(s, cd.R, pts)
+    want = {
+        "bianchi_first": cyclic(cd.R),
+        "bianchi_second": cyclic(cd.nabla_R[1]),
+        "curvature_skew": Rv + np.transpose(Rv, (0, 1, 3, 2, 4)),
+        "dalpha_bianchi": cyclic(cd.nabla_dalpha[1]),
+    }
+    assert {k: got[k] for k in want} == {k: float(np.max(np.abs(v))) for k, v in want.items()}
+    assert got["dalpha_bianchi"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "source", ["heisenberg:1", "heisenberg:2", "su2", pytest.param(WARPED, id="warped_heisenberg3")]
+)
+def test_verify_geometry_evaluates_only_the_tensors_that_store_something(monkeypatch, source):
+    """An identity over a tensor that stores nothing is the exact 0.0, read
+    without any point: heisenberg:1 and heisenberg:2 store none of R,
+    nabla R and nabla dalpha, su2 only R, warped_heisenberg3 all three.
+    Each stored tensor is evaluated once a block, R for both of its
+    identities."""
+    cd = curvature_data(source)
+    verify_geometry(cd)  # extends the tower
+    evaluated = []
+    eval_tensor = connection.eval_tensor
+
+    def counted(s, T, *args, **kwargs):
+        evaluated.append(id(T))
+        return eval_tensor(s, T, *args, **kwargs)
+
+    monkeypatch.setattr(connection, "eval_tensor", counted)
+    records = verify_geometry(cd)
+    tensors = {
+        "bianchi_first": cd.R,
+        "curvature_skew": cd.R,
+        "bianchi_second": cd.nabla_R[1],
+        "dalpha_bianchi": cd.nabla_dalpha[1],
+    }
+    stored = [id(T) for T in (cd.R, cd.nabla_R[1], cd.nabla_dalpha[1]) if T.entries]
+    blocks = len(list(frame.point_blocks(records[0].points_tested, cd.structure.h**5)))
+    assert evaluated == stored * blocks
+    skipped = [r for r in records if r.check in tensors and not tensors[r.check].entries]
+    assert all(r.max_residual == 0.0 for r in skipped)
+    assert all(r.pass_ for r in records)
+
+
+@pytest.mark.parametrize(
+    "source,count,half_width,bound_mib",
+    [("heisenberg:1", 41, 1.0, 1.0), ("su2:chart", 61, 0.5, 2.0), ("heisenberg:2", 9, 0.5, 0.5)],
+)
+def test_verify_geometry_works_in_one_workspace(source, count, half_width, bound_mib):
+    """The traced working memory of verify_geometry on a large grid: one
+    workspace for the largest block, and no evaluation of a tensor that
+    stores nothing.  Before, every block made fresh zeros for R, nabla R
+    and nabla dalpha and a fresh array for each sum and each |.|: 2.68,
+    2.68 and 1.61 MiB."""
+    cd = curvature_data(source)
+    verify_geometry(cd, grid(cd.structure, 3))  # extends the tower and compiles the cached tapes
+    pts = grid(cd.structure, count, -half_width, half_width)
+    _, peak = traced_peak(lambda: verify_geometry(cd, pts))
+    assert peak < bound_mib * 2**20, peak
+
+
+def test_verify_geometry_forms_every_block_in_one_workspace(monkeypatch):
+    """With blocks of 3 points, every cyclic sum of every block and the
+    tensor it sums are views of one array, allocated once for the call,
+    and the three sums of a block share one spare buffer."""
+    cd = curvature_data(WARPED)
+    verify_geometry(cd)  # extends the tower
+    sums = []
+    cyclic_sum = connection._cyclic_sum
+
+    def recorded(T, *args):
+        out = cyclic_sum(T, *args)
+        sums.append((T, out))
+        return out
+
+    monkeypatch.setattr(connection, "_cyclic_sum", recorded)
+    monkeypatch.setattr(frame, "BLOCK_ENTRIES", 3 * cd.structure.h**5)
+    verify_geometry(cd, grid(cd.structure, 2))
+    assert len(sums) == 3 * 43  # 128 points: 42 blocks of 3 and one of 2
+    owners = {id(a.base) for pair in sums for a in pair}
+    assert len(owners) == 1 and sums[0][1].base is not None
+    assert np.shares_memory(sums[0][1], sums[1][1]) and np.shares_memory(sums[1][1], sums[2][1])
+
+
+def test_verify_geometry_does_not_churn_the_heap():
+    """Fresh-process minor page faults: a block that frees and re-allocates
+    its arrays makes glibc trim and regrow its heap, and every regrowth
+    faults pages in again.  verify-geometry su2:chart on 61^3 points made
+    about 62,000-68,000 faults that way; it now stays within 5,000 of the
+    import alone (about 5,700)."""
+    code, _, imported = fresh_rusage("-c", "import srkilling.cli")
+    assert code == 0
+    axes = ",".join(f"{c}:-0.5:0.5:61" for c in "xyz")
+    argv = ["-m", "srkilling.cli", "verify-geometry", "su2:chart", "--grid", axes]
+    code, _, faults = fresh_rusage(*argv)
+    assert code == 0
+    assert faults < imported + 5000, (imported, faults)
 
 
 def test_blocks_cover_the_points_in_order(monkeypatch):
