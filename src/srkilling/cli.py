@@ -84,9 +84,9 @@ def _parse_number(text: str, what: str) -> float:
     return val
 
 
-def _parse_tolerance(text: str, what: str) -> float:
+def _parse_positive(text: str, what: str) -> float:
     """A finite positive number: under a tolerance of 0 or less no residual
-    passes."""
+    passes, and a step of 0 or less takes a curve nowhere."""
     val = _parse_number(text, what)
     if val <= 0:
         raise InputError(f"{what}: {text.strip()!r} is not positive")
@@ -297,7 +297,7 @@ def cmd_dim(s: ContactStructure, args) -> dict:
 
 
 def cmd_prolong(s: ContactStructure, args) -> dict:
-    step = _parse_number(args.step, "--step")
+    step = _parse_positive(args.step, "--step")
     if len(args.curve) != 1:
         raise InputError("prolong needs exactly one --curve file")
     cd = _curvature(s, args)
@@ -317,7 +317,7 @@ def cmd_prolong(s: ContactStructure, args) -> dict:
 
 
 def cmd_path_check(s: ContactStructure, args) -> dict:
-    step = _parse_number(args.step, "--step")
+    step = _parse_positive(args.step, "--step")
     if len(args.curve) != 2:
         raise InputError("path-check needs exactly two --curve files")
     cd = _curvature(s, args)
@@ -329,7 +329,7 @@ def cmd_path_check(s: ContactStructure, args) -> dict:
 
 
 def cmd_reconstruct(s: ContactStructure, args) -> dict:
-    step = _parse_number(args.step, "--step")
+    step = _parse_positive(args.step, "--step")
     if not args.grid:
         raise InputError("reconstruct needs --grid")
     cd = _curvature(s, args)
@@ -352,7 +352,7 @@ def cmd_reconstruct(s: ContactStructure, args) -> dict:
 
 
 def cmd_verify(s: ContactStructure, args) -> dict:
-    tol = _parse_tolerance(args.field_tol, "--field-tol")
+    tol = _parse_positive(args.field_tol, "--field-tol")
     cd = _curvature(s, args)
     if not args.field:
         raise InputError("verify needs --field \"<expr>,...\"")
@@ -419,6 +419,7 @@ OPTIONS = {
     "--field-tol": {"default": "1e-9", "help": "check tolerance"},
 }
 COMMON_OPTIONS = ("--tol", "--seed", "--out", "--pretty")
+VALUE_OPTIONS = {flag for flag, kw in OPTIONS.items() if kw.get("action") != "store_true"}
 
 # (name, command, its options beyond the common ones, help)
 SUBCOMMANDS = [
@@ -479,10 +480,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each value flag joined as flag=value to a next argument that
+    starts with '-' and is no flag, which argparse alone reads as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in VALUE_OPTIONS and arg.startswith("-") and arg not in OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     args = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
         if not args.structure:
             raise InputError("missing structure argument")
         try:
@@ -493,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--seed: {args.seed} is not a nonnegative integer")
         s = load_structure(args.structure, seed=args.seed)
         args.tol_given = args.tol is not None
-        args.tol = _parse_tolerance(args.tol, "--tol") if args.tol_given else DEFAULT_TOL
+        args.tol = _parse_positive(args.tol, "--tol") if args.tol_given else DEFAULT_TOL
         report = {**_structure_header(s), **args.fn(s, args)}
         _write(report, args)
     except (InputError, StructureError, ExprError, TransportInputError, BudgetError) as e:

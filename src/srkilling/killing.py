@@ -7,10 +7,11 @@ alpha(Z)) at q.  The generator space i_m(q) is the kernel of the linear
 map f_q sending (X, A, c) to the values of (nabla_{X + c xi} + A) applied
 to nabla^i R and nabla^i dalpha for i <= m; it is computed by SVD with a
 relative threshold, and the order m is raised until the dimension
-sequence stabilizes twice.  f_q is built one row block per tensor
-(_fq_columns), which derivation_apply also reads.  It holds only the row
-blocks that store something: the block of nabla^i T is a literal zero, at
-every point, when nabla^(i+1) T, nabla^i T and nabla_xi nabla^i T store
+sequence stabilizes twice.  f_q is written in place into one stack, one
+row block per tensor (_fq_columns, also read by derivation_apply), whose
+A columns are sums of tensor values selected by index.  It holds only the
+row blocks that store something: the block of nabla^i T is a literal zero
+at every point when nabla^(i+1) T, nabla^i T and nabla_xi nabla^i T store
 nothing, so it is left out, and a tensor that stores nothing is never
 evaluated.  The dense budget counts the kept rows.  A scan assembles f_q
 for a block of grid points at once and ranks the stack with one SVD call.
@@ -158,21 +159,15 @@ class Generator:
 def pack_generator(X: np.ndarray, A: np.ndarray, c: float) -> np.ndarray:
     """Flatten (X, A, c) in the fixed unknown order: X entries, then the
     strictly lower triangle of A by rows, then c."""
-    h = len(X)
-    lower = [A[i, j] for i in range(h) for j in range(i)]
-    return np.concatenate([np.asarray(X, float), np.asarray(lower, float), [c]])
+    lower = np.asarray(A, float)[np.tril_indices(len(X), -1)]
+    return np.concatenate([np.asarray(X, float), lower, [c]])
 
 
 def unpack_generator(vec: np.ndarray, h: int, q: np.ndarray | None) -> Generator:
-    X = vec[:h]
     A = np.zeros((h, h))
-    k = h
-    for i in range(h):
-        for j in range(i):
-            A[i, j] = vec[k]
-            A[j, i] = -vec[k]
-            k += 1
-    return Generator(X=X, A=A, c=float(vec[k]), q=q)
+    A[np.tril_indices(h, -1)] = vec[h:-1]
+    A.T[np.tril_indices(h, -1)] = -vec[h:-1]
+    return Generator(X=vec[:h], A=A, c=float(vec[-1]), q=q)
 
 
 def ambient_dimension(n: int) -> int:
@@ -296,23 +291,6 @@ def a_z_matrix(conn: ConnectionData, Z: list[Expression], q) -> AZResult:
     return AZResult(gen, contact, skew, bracket_data)
 
 
-def endomorphism_action(A: np.ndarray, values: np.ndarray, n_upper: int) -> np.ndarray:
-    """Derivation induced by each endomorphism of the stack A (K, h, h) on a
-    tensor value with a trailing point axis, values (h,)*rank + (P,): +A on
-    each upper slot, minus composition with A on each lower slot, the slot
-    terms added in slot order.  Returns (K,) + values.shape."""
-    rank = values.ndim - 1
-    n_lower = rank - n_upper
-    out = np.zeros((A.shape[0],) + values.shape)
-    for r in range(rank):
-        if r < n_lower:
-            term = -np.moveaxis(np.tensordot(values, A, axes=([r], [1])), [-2, -1], [0, r + 1])
-        else:
-            term = np.moveaxis(np.tensordot(values, A, axes=([r], [2])), [-2, -1], [0, r + 1])
-        out = out + term
-    return out
-
-
 def derivation_apply(
     cd: CurvatureData, gen: Generator, which: str = "R", order: int = 0
 ) -> np.ndarray:
@@ -359,34 +337,33 @@ def _tensor_value_cache(
     return cache
 
 
-def _skew_basis(h: int) -> np.ndarray:
-    """The A unknowns of a(q) in the packing order of pack_generator,
-    E_ij - E_ji for i > j by rows: a stack (h(h-1)/2, h, h)."""
-    pairs = [(i, j) for i in range(h) for j in range(i)]
-    out = np.zeros((len(pairs), h, h))
-    for k, (i, j) in enumerate(pairs):
-        out[k, i, j] = 1.0
-        out[k, j, i] = -1.0
-    return out
-
-
-def _fq_columns(cd: CurvatureData, cache: dict, key: str, i: int) -> np.ndarray:
+def _fq_columns(
+    cd: CurvatureData, cache: dict, key: str, i: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Row block of nabla^i T in f_q, T = R (key "R") or dalpha ("B"), at
-    the cached points: a stack (P, h^rank, unknowns), rows the entries
-    of T flattened in C order.  Columns follow the packing order of
-    pack_generator: X^a takes slice a of nabla^(i+1) T, each skew basis
-    element applies its derivation to T (endomorphism_action), c takes the
-    xi-derivative of T; a source tensor that stores nothing gives zero
-    columns.  The columns are exact +-1 selections, so every
-    entry equals, bit for bit, the per-point value whatever the block."""
+    the cached points: a stack (P, h^rank, unknowns), rows the entries of T
+    in C order, written into out (its rows of a larger stack) if given.
+    Columns follow pack_generator: X^a takes slice a of nabla^(i+1) T, c
+    the xi-derivative of T, and E_ab - E_ba (a > b) its derivation of T,
+    alike on upper and lower slots as -A^T = A: slot by slot, + T read at b
+    into the entries at a, - T read at a into those at b.  Each entry is the
+    same sum of cached values at every point, so it equals, bit for bit,
+    the per-point value whatever the block."""
     h = cd.structure.h
-    skew = _skew_basis(h)
-    Tv = cache[(key, i)]
-    npts = Tv.shape[-1]
-    X = cache[(key, i + 1)].reshape(h, -1, npts)
-    A = endomorphism_action(skew, Tv, 1 if key == "R" else 0).reshape(len(skew), -1, npts)
-    c = cache[(key + "xi", i)].reshape(1, -1, npts)
-    return np.concatenate([X, A, c]).transpose(2, 1, 0)
+    T = np.moveaxis(cache[(key, i)], -1, 0)
+    if out is None:
+        out = np.empty((len(T), T[0].size, ambient_dimension(cd.structure.n)))
+    cols = out.reshape(T.shape + (-1,))  # splits the row axis: a view of out
+    cols[..., :h] = np.moveaxis(cache[(key, i + 1)], (0, -1), (-1, 0))
+    cols[..., h:-1] = 0.0
+    cols[..., -1] = np.moveaxis(cache[(key + "xi", i)], -1, 0)
+    for k, (a, b) in enumerate(zip(*np.tril_indices(h, -1))):  # pack_generator's order
+        col = cols[..., h + k]
+        for r in range(1, T.ndim):
+            at = (slice(None),) * r
+            col[at + (a,)] += T[at + (b,)]
+            col[at + (b,)] -= T[at + (a,)]
+    return out
 
 
 def _block_sources(cd: CurvatureData, key: str, i: int) -> tuple[HTensor, HTensor, HTensor]:
@@ -420,10 +397,18 @@ def _kept_rows(cd: CurvatureData, m: int) -> int:
 def _assemble_block(cd: CurvatureData, m: int, cache: dict) -> np.ndarray:
     """Stack (P, rows, unknowns) of the f_q matrices at the cached points,
     each with kernel i_m(q): the row blocks of _fq_columns that are kept
-    (_kept_blocks), R before dalpha.  The blocks left out are literal
-    zeros, which change no kernel; dalpha stores something on every contact
-    structure, so its block of order 0 is always kept."""
-    stack = np.concatenate([_fq_columns(cd, cache, key, i) for key, i in _kept_blocks(cd, m)], axis=1)
+    (_kept_blocks), R before dalpha, written in place into one stack.  The
+    blocks left out are literal zeros, which change no kernel.  dalpha's
+    block of order 0 is always kept, as dalpha stores something on every
+    contact structure: its (2n)^2 >= 2n^2 + n + 1 rows leave f_q no shorter
+    than wide, so an SVD gives a singular value for every unknown."""
+    blocks = _kept_blocks(cd, m)
+    rows = [math.prod(cache[b].shape[:-1]) for b in blocks]
+    stack = np.empty((cache[blocks[0]].shape[-1], sum(rows), ambient_dimension(cd.structure.n)))
+    start = 0
+    for (key, i), n in zip(blocks, rows):
+        _fq_columns(cd, cache, key, i, stack[:, start : start + n])
+        start += n
     # -0.0 becomes +0.0, as in the full sum X . nabla T + c xi T + A . T that
     # each column selects from; LAPACK's reflector signs read the sign of zero
     stack += 0.0
@@ -437,18 +422,9 @@ def _ranks(sv: np.ndarray, rel: float) -> np.ndarray:
     return np.sum(sv > thresh[..., None], axis=-1)
 
 
-def _padded(M: np.ndarray) -> np.ndarray:
-    """Matrices (..., rows, cols) with zero rows appended up to cols rows:
-    an SVD then gives a singular value for every unknown."""
-    short = M.shape[-1] - M.shape[-2]
-    if short <= 0:
-        return M
-    return np.concatenate([M, np.zeros(M.shape[:-2] + (short, M.shape[-1]))], axis=-2)
-
-
 def _kernel(M: np.ndarray, rel: float) -> tuple[int, np.ndarray, np.ndarray]:
     """(kernel dim, orthonormal kernel basis rows, singular values)."""
-    _, sv, Vh = np.linalg.svd(_padded(M), full_matrices=False)
+    _, sv, Vh = np.linalg.svd(M, full_matrices=False)
     rank = int(_ranks(sv, rel))
     return M.shape[1] - rank, Vh[rank:], sv
 
@@ -463,13 +439,13 @@ def generator_space(
     """Compute i_m(q): dims for m = 0.., the kernel basis at the final
     order, and the stabilization certificate (three equal consecutive
     dims).  With an explicit order, exactly that order is used and the
-    certificate reflects the dims computed up to it.  Each order assembles
+    certificate reflects the dims computed up to it.  Each order writes
     f_q with the scan's assembler at the single point q, from the row
     blocks that store something (_kept_blocks), and takes a full SVD: the
-    rank counts singular values above max(rel_threshold * largest,
-    ABS_FLOOR) and the kernel basis is the trailing right singular
-    vectors.  The dense budget (check_dense) counts the kept rows and is
-    checked before any tensor is evaluated."""
+    rank counts singular values, one for each unknown, above
+    max(rel_threshold * largest, ABS_FLOOR), and the kernel basis is the
+    trailing right singular vectors.  The dense budget (check_dense)
+    counts the kept rows and is checked before any tensor is evaluated."""
     s = cd.structure
     q = _as_point(s, q) if s.coords else None
     pts = q[None, :] if q is not None else np.zeros((1, 0))
@@ -568,10 +544,10 @@ def scan_regularity(
     gs0 = generator_space(cd, grid[0], order, rel_threshold, m_max)
     m = gs0.m_used
     nunk = ambient_dimension(s.n)
-    dims = np.empty(npts, dtype=int)
+    dims = np.empty(npts, dtype=np.min_scalar_type(nunk))  # a byte a point up to n = 11
     for sel in point_blocks(npts, _kept_rows(cd, m) * nunk):
         # the tensor values of a block go as soon as its f_q is assembled
-        stack = _padded(_assemble_block(cd, m, _tensor_value_cache(cd, m, grid[sel])))
+        stack = _assemble_block(cd, m, _tensor_value_cache(cd, m, grid[sel]))
         dims[sel] = nunk - _ranks(np.linalg.svd(stack, compute_uv=False), rel_threshold)
 
     regular, pit = _neighbour_flags(dims.reshape(grid.shape))
@@ -1181,11 +1157,8 @@ def load_generator_text(text: str, s: ContactStructure) -> Generator:
         raise StructureError(f"at needs {s.dim} coordinates")
     A = np.zeros((h, h))
     rows = [r.strip() for r in body.get("A", "").split(";") if r.strip()]
-    expected = [i for i in range(1, h)]  # row i has i entries (strict lower)
-    if len(rows) != len(expected):
-        raise StructureError(
-            f"A needs {len(expected)} strictly-lower-triangle rows separated by ';'"
-        )
+    if len(rows) != h - 1:  # row i has i entries (strict lower)
+        raise StructureError(f"A needs {h - 1} strictly-lower-triangle rows separated by ';'")
     for i, row in enumerate(rows, start=1):
         try:
             vals = [float(v) for v in row.replace(",", " ").split()]
@@ -1195,7 +1168,6 @@ def load_generator_text(text: str, s: ContactStructure) -> Generator:
             raise StructureError(f"A row {i} needs {i} entries")
         if not np.isfinite(vals).all():
             raise StructureError(f"A row {i} must be finite")
-        for j, v in enumerate(vals):
-            A[i, j] = v
-            A[j, i] = -v
+        A[i, :i] = vals
+        A[:i, i] = np.negative(vals)
     return Generator(X=X, A=A, c=c, q=at if s.coords else None)

@@ -313,6 +313,12 @@ class TestTransportInputs:
     def test_prolong_bad_step(self, capsys, files, step):
         assert input_error(*self.prolong(capsys, files, f"--step={step}"))
 
+    def test_negative_step_is_not_positive(self, capsys, files):
+        code, out = self.prolong(capsys, files, "--step", "-1e-3")
+        assert (code, out) == self.prolong(capsys, files, "--step=-1e-3")
+        assert input_error(code, out)
+        assert json.loads(out)["error"]["message"] == "--step: '-1e-3' is not positive"
+
     def test_path_check_bad_step(self, capsys, files):
         code, out = run(
             capsys, "path-check", "heisenberg:1", "--curve", str(files / "curve.toml"),
@@ -611,6 +617,23 @@ class TestReporting:
         assert rep["R"][0][1][0][1] == -1.0
 
 
+# argparse alone reads a value that starts with '-', other than a plain
+# negative decimal, as an unknown option
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dim", "heisenberg:1", "--at", "-0.5,0,0"),
+        ("verify", "heisenberg:1", "--field", "-y,x,0"),
+        ("check", "heisenberg:1", "--tol", "-1e-3"),
+    ],
+)
+def test_a_value_that_starts_with_a_minus_is_the_flags_value(capsys, argv):
+    *head, flag, value = argv
+    code, out = run(capsys, *argv)
+    assert (code, out) == run(capsys, *head, f"{flag}={value}")
+    assert "expected one argument" not in out
+
+
 class TestLieModeSL2:
     def test_sl2_type_structure(self, capsys, tmp_path):
         # hyperbolic analogue: [e1,e2]=e3, [e2,e3]=-e1, [e3,e1]=-e2
@@ -676,8 +699,9 @@ class TestExitCodes:
             (("prolong", "heisenberg:1", "--gen", "gen.toml"),
              "the following arguments are required: --curve"),
             (("check", "heisenberg:1", "--bogus"), "unrecognized arguments: --bogus"),
-            # argparse reads a value that starts with '-' as an option
-            (("check", "heisenberg:1", "--tol", "-1e-3"), "argument --tol: expected one argument"),
+            (("check", "heisenberg:1", "--tol"), "argument --tol: expected one argument"),
+            # a flag is never read as the value of the flag before it
+            (("dim", "heisenberg:1", "--at", "--pretty"), "argument --at: expected one argument"),
         ],
     )
     def test_argument_parser_errors_get_the_json_report(self, capsys, argv, message):

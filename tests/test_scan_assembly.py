@@ -9,6 +9,8 @@ constant and rotation invariant, so its f_q is zero; the warped structure
 below has nonconstant curvature and a nonzero f_q.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from srkilling.killing import (
 )
 
 import assembly_reference as ref
+from conftest import traced_peak
 
 
 # The contact circle bundle over the plane with metric dx^2/u^2 + dy^2/u^2,
@@ -44,6 +47,14 @@ X2 = 0, 1 + x^2, 0
 
 
 @pytest.fixture(scope="module")
+def warped3_cd():
+    """heisenberg:3 with its first pair warped: h = 6, 15 skew pairs, and R
+    blocks of rank up to 6 that store something at every order."""
+    path = pathlib.Path(__file__).resolve().parent / "data" / "warped_heisenberg3.toml"
+    return curvature(compute_connection(load_structure(str(path))))
+
+
+@pytest.fixture(scope="module")
 def heis2_cd():
     return curvature(compute_connection(load_structure("heisenberg:2")))
 
@@ -59,7 +70,8 @@ def warped_cd(warped):
 
 
 @pytest.mark.parametrize(
-    "which,npts,m", [("su2c_cd", 9, 2), ("heis2_cd", 4, 2), ("warped_cd", 3, 2)]
+    "which,npts,m",
+    [("su2c_cd", 9, 2), ("heis2_cd", 4, 2), ("warped_cd", 3, 2), ("warped3_cd", 2, 2)],
 )
 def test_stack_equals_single_point_assemblies(request, which, npts, m):
     cd = request.getfixturevalue(which)
@@ -74,6 +86,17 @@ def test_stack_equals_single_point_assemblies(request, which, npts, m):
             assert other.shape == stack[p].shape
             assert np.array_equal(stack[p].view(np.int64), other.view(np.int64))
     assert np.any(stack != 0) == (which != "su2c_cd")
+
+
+def test_assembly_works_in_place(warped3_cd):
+    """The row blocks are written into the one stack: beyond the stack, the
+    assembly holds under 5 % of it (77 MiB here).  Building each block's
+    columns apart and concatenating them took 1.38 times the stack."""
+    pts = np.random.default_rng(3).uniform(-1, 1, (8, warped3_cd.structure.dim))
+    cache = _tensor_value_cache(warped3_cd, 2, pts)
+    stack, peak = traced_peak(lambda: _assemble_block(warped3_cd, 2, cache))
+    assert stack.nbytes > 64 * 2**20
+    assert peak < 0.05 * stack.nbytes, (peak, stack.nbytes)
 
 
 def test_block_boundaries_leave_dims_unchanged(warped, warped_cd, monkeypatch):

@@ -30,7 +30,7 @@ from srkilling.connection import (
     higher_derivatives,
 )
 from srkilling.frame import check_special, load_structure, load_structure_text
-from srkilling.killing import endomorphism_action, generator_space
+from srkilling.killing import _fq_columns, generator_space
 
 import tower_reference as ref
 from conftest import traced_peak
@@ -116,15 +116,15 @@ def test_dim_heisenberg_4_works_in_bounded_memory(monkeypatch):
     """f_q of heisenberg:4 at order 2 had 303,680 x 37 entries, all but 64
     rows of them literal zeros, and `dim` peaked near 400 MB.  The kept
     rows make it a 64 x 37 matrix: the traced peak stays under 64 MiB, and
-    every endomorphism_action call (one per kept block and order) reads a
-    tensor value that is not all zero."""
+    every _fq_columns call (one per kept block and order) reads a value of
+    T, the tensor its A columns act on, that is not all zero."""
     acted = []
 
-    def counted(A, values, n_upper):
-        acted.append(bool(np.any(values)))
-        return endomorphism_action(A, values, n_upper)
+    def counted(cd, cache, key, i, out=None):
+        acted.append(bool(np.any(cache[(key, i)])))
+        return _fq_columns(cd, cache, key, i, out)
 
-    monkeypatch.setattr(killing, "endomorphism_action", counted)
+    monkeypatch.setattr(killing, "_fq_columns", counted)
     (code, rep), peak = traced_peak(lambda: run("dim", "heisenberg:4"))
     assert code == 0
     assert rep["dim_i"] == 25 and rep["certified"]
