@@ -375,6 +375,8 @@ def cmd_verify(s: ContactStructure, args) -> dict:
 
 
 def cmd_scan(s: ContactStructure, args) -> dict:
+    if s.coords and not args.grid:
+        raise InputError("scan needs --grid")
     cd = _curvature(s, args)
     grid = _parse_grid(args.grid, s) if args.grid else Grid(names=[], axes=[])
     m_max = _parse_order(args.max_order, "--max-order", auto=False)

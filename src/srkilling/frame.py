@@ -241,12 +241,11 @@ def fold_max_abs(points, per_point: int, residuals) -> dict[str, float]:
     return worst
 
 
-def residual_records(s: ContactStructure, checks: dict, points, tol: float) -> list[CheckRecord]:
-    """A record for each name -> residual expressions of checks: max |value|
-    of each list at points (as_points).  A literal constant has one value at
-    every point and is read once; the other expressions of a list go
-    through one tape compiled for this call, folded over the blocks."""
-    points = as_points(points)
+def max_residuals(s: ContactStructure, checks: dict, points) -> dict[str, float]:
+    """name -> max |value| at points (as_points) of each list of residual
+    expressions in checks.  A literal constant has one value at every point
+    and is read once; the other expressions of a list go through one tape
+    compiled for this call, folded over the blocks."""
     worst, live = {}, {}
     for name, terms in checks.items():
         worst[name] = _max_abs(abs(ex._const_float(e.value)) for e in terms if isinstance(e, Const))
@@ -258,7 +257,15 @@ def residual_records(s: ContactStructure, checks: dict, points, tol: float) -> l
 
     if tapes:
         worst.update(fold_max_abs(points, max(map(len, live.values())), residuals))
-    return [CheckRecord(name, r, len(points), bool(r < tol)) for name, r in worst.items()]
+    return worst
+
+
+def residual_records(s: ContactStructure, checks: dict, points, tol: float) -> list[CheckRecord]:
+    """A record for each name -> residual expressions of checks: its
+    max_residuals at points (as_points), passing under tol."""
+    points = as_points(points)
+    worst = max_residuals(s, checks, points).items()
+    return [CheckRecord(name, r, len(points), bool(r < tol)) for name, r in worst]
 
 
 def _evaluate(fn, points: np.ndarray) -> np.ndarray:
@@ -307,53 +314,39 @@ def determinant_minors(mat):
 
 
 def pfaffian_minors(A):
-    """pf(idx): the Pfaffian of the skew matrix A restricted to the rows and
-    columns in idx, an increasing tuple of even length.
+    """pf(idx): the Pfaffian of the skew Expression matrix A restricted to
+    the rows and columns in idx, an increasing tuple of even length.
 
     Expands along the first remaining row,
         Pf = sum_p (-1)^(p+1) A[idx[0]][idx[p]] Pf(idx without 0 and p),
     memoized on idx, so all Pfaffian minors of one matrix share their
-    subterms.  Entries may be Expressions (built with the smart
-    constructors) or numbers (Fraction, float, arrays).  The term of a
-    literal-zero Const is skipped, as in determinant_minors: it would add
-    ZERO.  Numeric entries are never skipped.
+    subterms.  The term of a literal-zero entry is skipped, as in
+    determinant_minors: it would add ZERO.
     """
-    if isinstance(A[0][0], Expression):
-        add, sub, mul, zero = ex.add, ex.sub, ex.mul, ZERO
-        memo: dict = {(): ONE}
-    else:
-        add, sub, mul, zero = operator.add, operator.sub, operator.mul, 0
-        memo = {(): 1}
+    memo: dict = {(): ONE}
 
-    def pf(idx: tuple[int, ...], rec):
+    def pf(idx: tuple[int, ...], rec) -> Expression:
         hit = memo.get(idx)
         if hit is None:
-            i, hit = idx[0], zero
+            i, hit = idx[0], ZERO
             for p in range(1, len(idx)):
                 a = A[i][idx[p]]
                 if isinstance(a, Const) and not a.value:
                     continue
-                term = mul(a, rec(idx[1:p] + idx[p + 1 :], rec))
-                hit = term if p == 1 else (add if p % 2 else sub)(hit, term)
+                term = ex.mul(a, rec(idx[1:p] + idx[p + 1 :], rec))
+                hit = ex.add(hit, term) if p % 2 else ex.sub(hit, term)
             memo[idx] = hit
         return hit
 
     # pf reaches itself through an argument, not its closure: no reference
-    # cycle holds the memo, so a numeric A's arrays go as soon as pf does
+    # cycle holds the memo, so its minors go as soon as pf does
     return lambda idx: pf(idx, pf)
 
 
-def wedge_power(B, n: int):
-    """n-fold wedge of a 2-form given by its frame matrix B, on e_1..e_2n.
-
-    wedge^n B (e_1..e_2n) = n! Pf(B), with the Pfaffian expanded by
-    pfaffian_minors.  Works for Expression matrices and for numeric
-    (Fraction or float) matrices and arrays.
-    """
-    pf = pfaffian_minors(B)(tuple(range(2 * n)))
-    if isinstance(pf, Expression):
-        return ex.mul(Const(Fraction(math.factorial(n))), pf)
-    return math.factorial(n) * pf
+def wedge_power(B, n: int) -> Expression:
+    """wedge^n B (e_1..e_2n) = n! Pf(B) of the 2-form whose Expression matrix
+    on e_1..e_2n is B, with the Pfaffian expanded by pfaffian_minors."""
+    return ex.mul(Const(Fraction(math.factorial(n))), pfaffian_minors(B)(tuple(range(2 * n))))
 
 
 # ---------------------------------------------------------------------------
@@ -775,26 +768,16 @@ def check_special(s: ContactStructure, points=None, tol: float = DEFAULT_TOL) ->
 
 
 def structure_checks(s: ContactStructure, pts) -> dict[str, float]:
-    """Max residuals at pts (an (N, dim) array or a Grid) of the identities
-    the normalization guarantees: "alpha_frame" of alpha(e_i) = 0,
-    "normalization" of wedge^n dalpha(e_1..e_2n) = 1, and "reeb" of
+    """max_residuals at pts of the identities the normalization guarantees:
+    "alpha_frame" of alpha(e_i) = 0, "normalization" of wedge^n dalpha
+    (e_1..e_2n) = 1 on the symbolic dalpha frame matrix, and "reeb" of
     alpha(xi) = 1 together with dalpha(xi, .) = 0."""
-    unit = _unit_fields(s.dim)
-    alpha_frame = s.evaluator([s.alpha_of(vec) for vec in s.frame], cached=False)
-    dalpha = s.evaluator(s.dalpha_frame(), cached=False)  # (2n, 2n, N)
-    reeb = s.evaluator(
-        [s.alpha_of(s.reeb)] + [s.dalpha_on(s.reeb, e) for e in unit], cached=False
-    )
-
-    def residuals(p: np.ndarray):
-        r = reeb(p)
-        return {
-            "alpha_frame": [alpha_frame(p)],
-            "normalization": [wedge_power(dalpha(p), s.n) - 1.0],
-            "reeb": [r[0] - 1.0, r[1:]],
-        }.items()
-
-    return fold_max_abs(pts, s.dim * s.dim, residuals)
+    checks = {
+        "alpha_frame": [s.alpha_of(vec) for vec in s.frame],
+        "normalization": [ex.sub(wedge_power(s.dalpha_frame(), s.n), ONE)],
+        "reeb": [ex.sub(s.alpha_of(s.reeb), ONE)] + [s.dalpha_on(s.reeb, e) for e in _unit_fields(s.dim)],
+    }
+    return max_residuals(s, checks, pts)
 
 
 # Points of the default special-certification set: the 5^dim grid up to
@@ -980,7 +963,7 @@ def load_structure_text(text: str, name: str = "", seed: int = 0) -> ContactStru
     s.brackets = structure_functions(s)
     if mode == "lie":
         return s
-    # chart mode: the identities the normalization guarantees, in floats
+    # chart mode: the identities the normalization guarantees, at the samples
     res = structure_checks(s, samples)
     for key, bound, message in (
         ("alpha_frame", 1e-12, "alpha(e_i) != 0 after normalization"),
@@ -1083,5 +1066,7 @@ def load_structure(source: str, seed: int = 0) -> ContactStructure:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
+        if isinstance(e, FileNotFoundError) and source.startswith("heisenberg:"):
+            raise StructureError(f"no file {source!r}, and heisenberg:<n> needs an integer n >= 1") from None
         raise StructureError(f"cannot read structure file {source!r}: {e}") from None
     return load_structure_text(text, name=source, seed=seed)

@@ -65,7 +65,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expression, Const, ZERO
 from .frame import CheckFailure, ContactStructure, Grid, StructureError, _max_abs
-from .frame import point_blocks, residual_records, split_components
+from .frame import _parse_sections, point_blocks, residual_records, split_components
 from .connection import (
     BudgetError,
     ConnectionData,
@@ -1114,8 +1114,6 @@ def pushforward_generator(
 
 
 def load_curve_text(text: str, s: ContactStructure) -> Curve:
-    from .frame import _parse_sections  # shared section format
-
     sections = _parse_sections(text)
     if "curve" not in sections:
         raise StructureError("missing [curve] section")
@@ -1136,8 +1134,6 @@ def load_curve_text(text: str, s: ContactStructure) -> Curve:
 
 
 def load_generator_text(text: str, s: ContactStructure) -> Generator:
-    from .frame import _parse_sections
-
     sections = _parse_sections(text)
     if "generator" not in sections:
         raise StructureError("missing [generator] section")

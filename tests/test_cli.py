@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from srkilling import cli, killing
+from srkilling import cli, frame, killing
 from srkilling.cli import main
 from srkilling.frame import ContactStructure
 
@@ -257,6 +257,23 @@ def test_reconstruct_grid_under_three_points_per_axis_runs_no_transport(
     assert input_error(code, out)
     assert message in json.loads(out)["error"]["message"]
 
+
+
+@pytest.mark.parametrize("name", ["heisenberg:0", "heisenberg:x", "heisenberg:-1"])
+def test_invalid_builtin_name_names_the_rule(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)  # where no file has the name
+    code, out = run(capsys, "check", name)
+    assert input_error(code, out)
+    message = json.loads(out)["error"]["message"]
+    assert "heisenberg:<n> needs an integer n >= 1" in message
+    assert "Errno" not in message
+
+
+def test_a_file_named_like_an_invalid_builtin_is_read(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "heisenberg:0").write_text(frame.builtin_text("heisenberg:1"))
+    code, out = run(capsys, "check", "heisenberg:0")
+    assert code == 0 and json.loads(out)["structure"]["name"] == "heisenberg:0"
 
 
 def test_lie_mode_refuses_a_huge_n_before_it_allocates(capsys, tmp_path):
@@ -540,6 +557,12 @@ class TestVerifyAndScan:
         rep = json.loads(out)
         assert set(rep["dims"]) == {4}
         assert all(rep["regular"])
+
+    def test_scan_needs_a_grid_in_chart_mode(self, capsys):
+        # without one it scanned nothing and passed
+        code, out = run(capsys, "scan", "heisenberg:1")
+        assert input_error(code, out)
+        assert json.loads(out)["error"]["message"] == "scan needs --grid"
 
     def test_scan_lie(self, capsys):
         code, out = run(capsys, "scan", "su2")

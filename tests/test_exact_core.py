@@ -27,6 +27,8 @@ from srkilling.expr import Const, Expression
 from srkilling.frame import determinant_minors, load_structure, pfaffian_minors, wedge_power
 from srkilling.killing import generator_space
 
+from eval_reference import evaluate
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -137,16 +139,37 @@ class TestDeterminantMinors:
         self.assert_every_minor_matches_leibniz(mat)
 
 
+def lie_heisenberg(tmp_path, n):
+    """The file of the lie Heisenberg algebra [e_(2i-1), e_(2i)] = w_i e_(2n+1)
+    with w_1 = n!^(n-1) and the others 1, so that v = n! Pf(B0) is an exact
+    n-th power."""
+    weights = [math.factorial(n) ** (n - 1)] + [1] * (n - 1)
+    path = tmp_path / f"heisenberg{n}.toml"
+    path.write_text(
+        f"[manifold]\nmode = lie\nn = {n}\n[brackets]\n"
+        + "".join(f"c {2 * i + 1} {2 * i + 2} {2 * n + 1} = {w}\n" for i, w in enumerate(weights))
+    )
+    return str(path)
+
+
+def pf_calls(fn, *args):
+    """(calls of pfaffian_minors' pf, the result) of fn(*args), by cProfile."""
+    prof = cProfile.Profile()
+    result = prof.runcall(fn, *args)
+    stats = pstats.Stats(prof).stats
+    return sum(stat[1] for (_, _, name), stat in stats.items() if name == "pf"), result
+
+
 class TestPfaffian:
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_square_is_determinant(self, m):
         rng = np.random.default_rng(300 + m)
         for _ in range(3):
-            A = random_skew(rng, m)
+            A = [[Const(v) for v in row] for row in random_skew(rng, m)]
             pf = pfaffian_minors(A)(tuple(range(m)))
-            det = leibniz_det([[Const(v) for v in row] for row in A])
-            assert isinstance(det, Const)
-            assert pf * pf == det.value
+            det = leibniz_det(A)
+            assert isinstance(pf, Const) and isinstance(det, Const)
+            assert pf.value * pf.value == det.value
 
     def test_square_is_determinant_with_zero_entries(self):
         # a third of the entries zeros, whose terms the expansion of the
@@ -159,25 +182,24 @@ class TestPfaffian:
                 A[i][j] = A[j][i] = Fraction(0)
         det = leibniz_det([[Const(v) for v in row] for row in A])
         assert det.value != 0
-        assert pfaffian_minors(A)(tuple(range(6))) ** 2 == det.value
         pf = pfaffian_minors([[Const(v) for v in row] for row in A])(tuple(range(6)))
+        # the matching sum: wedge^3 A = 3! Pf(A)
+        assert pf == Const(perm_sum_wedge(A, 3) / 6)
         assert ex.normalize(ex.mul(pf, pf)) == det
 
     def test_lie_heisenberg_load_skips_zero_entries(self, tmp_path):
-        # weights w_1 = 8!^7 and the others 1, so that v = 8! Pf(B0) is an
-        # exact 8th power; expanding every entry takes 40,737 pf calls
-        n = 8
-        weights = [math.factorial(n) ** (n - 1)] + [1] * (n - 1)
-        path = tmp_path / "heisenberg8.toml"
-        path.write_text(
-            f"[manifold]\nmode = lie\nn = {n}\n[brackets]\n"
-            + "".join(f"c {2 * i + 1} {2 * i + 2} {2 * n + 1} = {w}\n" for i, w in enumerate(weights))
-        )
-        prof = cProfile.Profile()
-        prof.runcall(load_structure, str(path))
-        stats = pstats.Stats(prof).stats
-        calls = sum(stat[1] for (_, _, name), stat in stats.items() if name == "pf")
+        # expanding every entry takes 40,737 pf calls
+        calls, _ = pf_calls(load_structure, lie_heisenberg(tmp_path, 8))
         assert 0 < calls <= 200
+
+    def test_lie_heisenberg_structure_checks_skip_zero_entries(self, tmp_path):
+        # the normalization residual expands the symbolic dalpha frame
+        # matrix, whose zero entries are skipped; a float Pfaffian of its
+        # values expands all of them, in 10,227 pf calls
+        s = load_structure(lie_heisenberg(tmp_path, 8))
+        calls, res = pf_calls(frame.structure_checks, s, s.validation_points())
+        assert 0 < calls <= 50
+        assert res == {"alpha_frame": 0.0, "normalization": 0.0, "reeb": 0.0}
 
     def test_symbolic_square_is_determinant(self):
         names = ["a", "b", "c", "d", "e", "f"]
@@ -192,13 +214,18 @@ class TestPfaffian:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_wedge_power_is_n_factorial_pfaffian(self, n):
         rng = np.random.default_rng(400 + n)
+        # B as Var entries b_ij (i < j), so the expansion is symbolic
+        names = {(i, j): f"b{i}{j}" for i, j in itertools.combinations(range(2 * n), 2)}
+        Bv = [[ex.ZERO] * (2 * n) for _ in range(2 * n)]
+        for (i, j), name in names.items():
+            Bv[i][j], Bv[j][i] = ex.Var(name), ex.neg(ex.Var(name))
+        wedge = wedge_power(Bv, n)
         for _ in range(3):
             B = random_skew(rng, 2 * n)
-            assert wedge_power(B, n) == perm_sum_wedge(B, n)
             Bs = [[Const(v) for v in row] for row in B]
-            assert ex.normalize(wedge_power(Bs, n)) == Const(perm_sum_wedge(B, n))
-            Bf = np.array([[float(v) for v in row] for row in B])
-            assert wedge_power(Bf, n) == pytest.approx(float(perm_sum_wedge(B, n)), abs=1e-12)
+            assert wedge_power(Bs, n) == Const(perm_sum_wedge(B, n))
+            env = {name: float(B[i][j]) for (i, j), name in names.items()}
+            assert evaluate(wedge, env) == pytest.approx(float(perm_sum_wedge(B, n)), abs=1e-12)
 
 
 BUILTINS = ["heisenberg:1", "su2", "su2:chart", "heisenberg:2", "heisenberg:3", "heisenberg:5"]

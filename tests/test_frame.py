@@ -7,6 +7,7 @@ import pytest
 
 from srkilling import expr as ex
 from srkilling.frame import (
+    Grid,
     NotContactError,
     OrientationError,
     StructureError,
@@ -16,11 +17,12 @@ from srkilling.frame import (
     load_structure,
     load_structure_text,
     sample_box_points,
-    wedge_power,
+    structure_checks,
 )
 
 from conftest import SU2C_KILLING, field
 from eval_reference import evaluate
+import structure_checks_reference
 
 XYZ = ["x", "y", "z"]
 
@@ -147,7 +149,7 @@ X4 = 0, 0, 1, 0, -y2/2
         pts = np.vstack([np.zeros((1, 3)), sample_box_points(3, 100, seed=3)])
         B = heis.dalpha_frame()
         Bv = np.stack([np.stack([ev(heis, e, pts) for e in row]) for row in B])
-        wed = np.array([wedge_power(Bv[:, :, p], heis.n) for p in range(Bv.shape[2])])
+        wed = Bv[0, 1]  # wedge^1 B (e_1, e_2) = 1! Pf(B) = B01
         assert np.max(np.abs(wed - 1.0)) < 1e-10
 
     def test_wedge_normalization_n2(self):
@@ -155,8 +157,26 @@ X4 = 0, 0, 1, 0, -y2/2
         pts = np.vstack([np.zeros((1, 5)), sample_box_points(5, 50, seed=4)])
         B = s.dalpha_frame()
         Bv = np.stack([np.stack([ev(s, e, pts) for e in row]) for row in B])
-        wed = np.array([wedge_power(Bv[:, :, p], s.n) for p in range(Bv.shape[2])])
+        # wedge^2 B (e_1..e_4) = 2! Pf(B), the 4 x 4 Pfaffian written out
+        wed = 2 * (Bv[0, 1] * Bv[2, 3] - Bv[0, 2] * Bv[1, 3] + Bv[0, 3] * Bv[1, 2])
         assert np.max(np.abs(wed - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["su2:chart", "heisenberg:3", "warped_heisenberg3.toml", "rational_heisenberg.toml", "lie_n2.toml"],
+)
+def test_structure_checks_equal_the_float_path(source):
+    """The symbolic residuals of structure_checks give, bit for bit, the max
+    residuals of the float path, whose Pfaffian expands the evaluated dalpha
+    frame matrix."""
+    s = load_structure(source if ":" in source else str(DATA / source))
+    point_sets = [s.validation_points(100)]
+    if s.coords:
+        point_sets.append(Grid(list(s.coords), [np.linspace(-1.0, 1.0, 3)] * s.dim))
+    for pts in point_sets:
+        want = structure_checks_reference.structure_checks(s, pts)
+        assert structure_checks(s, pts) == want
 
 
 class TestReeb:

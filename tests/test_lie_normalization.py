@@ -7,6 +7,7 @@ structure checks.  For n >= 2 its v = n! Pf(B0) = +-n! has no rational
 n-th root, so its normalization is an irrational constant."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -105,3 +106,15 @@ def test_non_contact_algebra_past_the_matching_guard(capsys, write):
     assert rep["error"]["message"] == (
         "distribution is not contact: wedge^n dalpha0 vanishes at a sample point"
     )
+
+
+def test_exact_normalization_is_reported_exactly(capsys, write):
+    # w_1 = 12!^11 and the others 1: v = 12! Pf(B0) is an exact 12th power,
+    # so alpha, xi and every dalpha entry are exact constants, and so is
+    # wedge^12 dalpha - 1.  A float Pfaffian of the dalpha values rounds its
+    # products and reads 8.9e-16.
+    n = 12
+    path = write(algebra(n, [math.factorial(n) ** (n - 1)] + [1] * (n - 1)))
+    code, rep = report(capsys, "check", path)
+    assert code == 0
+    assert {r["check"]: r["max_residual"] for r in rep["checks"]}["normalization"] == 0.0

@@ -327,13 +327,18 @@ def test_axiom_terms_are_compiled_once(monkeypatch):
 
 
 def test_pfaffian_minors_are_freed_without_the_cycle_collector():
-    """wedge_power on the arrays of a block: the memo of the Pfaffian minors
-    holds them, and it must go as soon as pf does, not at the next
-    collection of reference cycles."""
-    B = np.arange(16.0 * 5).reshape(4, 4, 5)
-    B = B - B.transpose(1, 0, 2)
+    """The memo of the Pfaffian minors holds every minor it expanded, and it
+    must go as soon as pf does, not at the next collection of reference
+    cycles."""
+    names = {(i, j): ex.Var(f"b{i}{j}") for i in range(4) for j in range(i + 1, 4)}
+    B = [[ex.ZERO] * 4 for _ in range(4)]
+    for (i, j), b in names.items():
+        B[i][j], B[j][i] = b, ex.neg(b)
     pf = frame.pfaffian_minors(B)
-    assert np.array_equal(pf((0, 1, 2, 3)), B[0, 1] * B[2, 3] - B[0, 2] * B[1, 3] + B[0, 3] * B[1, 2])
+    written = "b01*b23 - b02*b13 + b03*b12"
+    assert ex.to_string(ex.normalize(pf((0, 1, 2, 3)))) == ex.to_string(
+        ex.normalize(ex.parse_expression(written, [b.name for b in names.values()]))
+    )
     gone = weakref.ref(pf)
     enabled = gc.isenabled()
     gc.disable()
