@@ -404,7 +404,7 @@ STEP_HELP = (
 # value as an input error.
 OPTIONS = {
     "--tol": {"help": "residual tolerance"},
-    "--seed": {"default": "0", "help": "seed for sample points"},
+    "--seed": {"default": "0", "help": "seed for sample points, an integer in [0, 2^64)"},
     "--out": {"help": "write the report to this path instead of stdout"},
     "--pretty": {"action": "store_true", "help": "human-readable tables"},
     "--at": {"help": "evaluation point (x=..,y=.. or comma list)"},
@@ -504,8 +504,8 @@ def main(argv: list[str] | None = None) -> int:
             args.seed = int(args.seed)
         except ValueError:
             raise InputError(f"--seed: {args.seed.strip()!r} is not an integer") from None
-        if args.seed < 0:
-            raise InputError(f"--seed: {args.seed} is not a nonnegative integer")
+        if not 0 <= args.seed < 2**64:
+            raise InputError(f"--seed: {args.seed} is not an integer in [0, 2^64)")
         s = load_structure(args.structure, seed=args.seed)
         args.tol_given = args.tol is not None
         args.tol = _parse_positive(args.tol, "--tol") if args.tol_given else DEFAULT_TOL

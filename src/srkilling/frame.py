@@ -20,7 +20,6 @@ components.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import operator
@@ -31,6 +30,14 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expression, Const, ZERO, ONE
+
+try:  # CPython's own sha256 (3.12+, then 3.10-3.11): no OpenSSL is loaded
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # not CPython
+        from hashlib import sha256
 
 __all__ = [
     "ContactStructure",
@@ -95,20 +102,22 @@ DEFAULT_TOL = 1e-10
 # as at least POINT_ENTRIES floats (coordinates, grid indices, value rows).
 BLOCK_ENTRIES = 2**16
 POINT_ENTRIES = 16
-# Points of one seeded draw of a BoxSample: the most points a block of
-# point_blocks holds.
-SAMPLE_BLOCK = BLOCK_ENTRIES // POINT_ENTRIES
+# SplitMix64 (Steele, Lea, Flood, OOPSLA 2014): its increment, mix's multipliers.
+GAMMA, MIX1, MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on the uint64 array z (tmp: scratch)."""
+    for shift, mult in ((30, MIX1), (27, MIX2), (31, None)):
+        z ^= np.right_shift(z, shift, out=tmp)
+        if mult:
+            z *= np.uint64(mult)
+    return z
 
 
 def sample_box_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """Seeded uniform sample in [-1, 1]^dim, for validation grids."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, size=(count, dim))
-
-
-def _origin_and_box_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """The origin, then count seeded points of the box (sample_box_points)."""
-    return np.vstack([np.zeros((1, dim)), sample_box_points(dim, count, seed)])
+    """Seeded uniform sample in [-1, 1)^dim: the points of BoxSample after its origin."""
+    return BoxSample(dim, count, seed)[1:]
 
 
 def _max_abs(arrays) -> float:
@@ -156,19 +165,18 @@ class Grid:
 
 
 class BoxSample:
-    """The origin, then count seeded points of the box [-1, 1]^dim, made
-    block by block.  Sample point j (point j + 1) is row j % SAMPLE_BLOCK of
-    the draw of block j // SAMPLE_BLOCK, seeded with (seed, block), so a
-    point does not depend on the slices it is read by.  Indexed like the
-    (N, dim) array of its points, by an int or a slice of step 1, it makes
-    just those points.  A slice is written into one buffer that every
-    slice reuses: it holds until the next slice is read."""
+    """The origin, then count seeded points of the box [-1, 1)^dim:
+    coordinate i of sample point j (point j + 1) is 2u - 1, u the 53-bit
+    float of mix(mix(seed) + (j dim + i + 1) GAMMA), a function of (seed, j)
+    alone.  Indexed like the (N, dim) array of its points, by an int or a
+    slice of step 1, it makes just those points, in place into one buffer
+    that every slice reuses: a slice holds until the next one is read."""
 
     def __init__(self, dim: int, count: int, seed: int = 0):
         self.dim, self.count, self.seed = dim, count, seed
-        self._draw = np.empty((SAMPLE_BLOCK, dim))
-        self._drawn = -1  # the block _draw holds
+        self._key = int(_mix(np.array([seed], np.uint64), np.empty(1, np.uint64))[0])
         self._out = np.empty((0, dim))
+        self._steps = self._draws = np.empty(0, np.uint64)  # k GAMMA; the draws
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -185,28 +193,20 @@ class BoxSample:
             raise IndexError("a box sample takes slices of step 1 only")
         if len(self._out) < len(r):
             self._out = np.empty((len(r), self.dim))
+            self._steps = np.arange(self._out.size, dtype=np.uint64) * np.uint64(GAMMA)
+            self._draws = np.empty_like(self._steps)
         out = self._out[: len(r)]
-        k = r.start
-        while k < r.stop:
-            if k == 0:
-                out[0] = 0.0
-                k = 1
-                continue
-            block, row = divmod(k - 1, SAMPLE_BLOCK)
-            take = min(SAMPLE_BLOCK - row, r.stop - k)
-            out[k - r.start : k - r.start + take] = self._block(block)[row : row + take]
-            k += take
+        if r.start == 0:
+            out[:1] = 0.0
+        first = max(r.start, 1)
+        coords = out[first - r.start :].reshape(-1)
+        base = (self._key + ((first - 1) * self.dim + 1) * GAMMA) % 2**64
+        z = np.add(self._steps[: coords.size], np.uint64(base), out=self._draws[: coords.size])
+        _mix(z, coords.view(np.uint64))  # the coordinates' buffer as scratch
+        z >>= 11
+        np.multiply(z, 2.0**-52, out=coords)
+        coords -= 1.0
         return out
-
-    def _block(self, block: int) -> np.ndarray:
-        """The draw of a block, into the one draw buffer: as
-        rng.uniform(-1.0, 1.0) computes it, -1 + 2 u."""
-        if block != self._drawn:
-            np.random.default_rng((self.seed, block)).random(out=self._draw)
-            self._draw *= 2.0
-            self._draw += -1.0
-            self._drawn = block
-        return self._draw
 
 
 def as_points(points):
@@ -715,14 +715,14 @@ class ContactStructure:
         return [ex.parse_expression(t, self.coords) for t in texts]
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.source_text.encode("utf-8")).hexdigest()
+        return sha256(self.source_text.encode("utf-8")).hexdigest()
 
     def validation_points(self, count: int = 30, seed: int = 0) -> np.ndarray:
-        """The origin and count seeded points of the box; in lie mode the
-        one point."""
+        """The origin and count seeded points of the box (BoxSample); in lie
+        mode the one point."""
         if self.mode == "lie":
             return np.zeros((1, 0))
-        return _origin_and_box_points(self.dim, count, seed)
+        return BoxSample(self.dim, count, seed)[:]
 
 
 def structure_functions(s: ContactStructure) -> Brackets:
@@ -941,7 +941,7 @@ def load_structure_text(text: str, name: str = "", seed: int = 0) -> ContactStru
             if len(comps) != dim:
                 raise StructureError(f"{key} needs {dim} expressions, got {len(comps)}")
             frame.append([ex.parse_expression(t, coords) for t in comps])
-        samples = _origin_and_box_points(dim, 30, seed)
+        samples = BoxSample(dim, 30, seed)[:]
         _check_frame_rank(frame, coords, samples)
 
     s = ContactStructure(

@@ -59,15 +59,20 @@ def traced_peak(fn):
     return result, peak - held
 
 
-def fresh_rusage(*args):
-    """(exit code, max-RSS in MB, minor page faults) of `python *args` in a
-    fresh process, run as perfbench runs a job: srkilling from this
-    checkout's src, one BLAS thread, and the child's own rusage read by
-    os.wait4.  Its output is dropped."""
+def fresh_env():
+    """The environment perfbench runs a job in: srkilling from this
+    checkout's src and one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    return env
+
+
+def fresh_rusage(*args):
+    """(exit code, max-RSS in MB, minor page faults) of `python *args` in a
+    fresh process, run as perfbench runs a job (fresh_env), the child's own
+    rusage read by os.wait4.  Its output is dropped."""
     proc = subprocess.Popen(
-        [sys.executable, *args], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        [sys.executable, *args], env=fresh_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from srkilling import cli, frame, killing
 from srkilling.cli import main
 from srkilling.frame import ContactStructure
+
+from conftest import fresh_env
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -284,6 +289,44 @@ def test_lie_mode_refuses_a_huge_n_before_it_allocates(capsys, tmp_path):
     code, out = run(capsys, "check", str(path))
     assert input_error(code, out)
     assert json.loads(out)["error"]["message"] == "lie structure is not contact: wedge^n dalpha0 = 0"
+
+# Runs the CLI on its arguments, then writes the names of the loaded
+# modules to stderr.
+MAIN_THEN_MODULES = """
+import sys
+from srkilling.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(" ".join(sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "su2:chart"),
+        ("reconstruct", "heisenberg:1", "--gen", "gen.toml", "--grid", "x:-1:1:3,y:-1:1:3,z:-1:1:3",
+         "--step", "0.1"),
+    ],
+)
+def test_a_run_loads_neither_numpy_random_nor_openssl(tmp_path, argv):
+    """A run in a fresh process draws its sample points and hashes its
+    structure text without numpy.random, which loads secrets, hmac and
+    OpenSSL's _hashlib, and without hashlib; the fingerprint is still the
+    sha256 of the structure text."""
+    (tmp_path / "gen.toml").write_text(GEN_J)
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_THEN_MODULES, *argv],
+        cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert {"srkilling.frame", "numpy"} <= loaded
+    banned = loaded & {"numpy.random", "secrets", "_hashlib", "hashlib"}
+    assert not banned, banned
+    text = frame.builtin_text(argv[1])
+    assert json.loads(proc.stdout)["structure"]["fingerprint"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 def test_verify_computes_each_bracket_once(capsys, monkeypatch):
     pairs = []
@@ -591,12 +634,17 @@ class TestReporting:
             ("check", "su2", "--seed", "-1"),
             ("check", "heisenberg:1", "--seed", "x"),
             ("check", "su2", "--seed", "1.5"),
+            ("check", "heisenberg:1", "--seed", str(2**64)),
         ],
     )
     def test_negative_seed_is_an_input_error(self, capsys, argv):
         code, out = run(capsys, *argv)
         assert input_error(code, out)
         assert "--seed" in json.loads(out)["error"]["message"]
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out = run(capsys, "check", "heisenberg:1", "--seed", str(2**64 - 1))
+        assert code == 0 and json.loads(out)["pass"]
 
     def test_pretty_rendering(self, capsys):
         code, out = run(capsys, "check", "su2", "--pretty")

@@ -265,31 +265,60 @@ def test_certification_grid_is_made_block_by_block(monkeypatch, grid_blocks):
     assert grid_blocks == [10] * 12 + [5]
 
 
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def mix(z):
+    """SplitMix64's output function in Python ints, from the published
+    constants (Steele, Lea and Flood, OOPSLA 2014)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
 def test_box_sample_is_made_block_by_block_in_one_buffer():
     """Above 5^9 points the certification set is the origin and a seeded
-    sample of the box, drawn SAMPLE_BLOCK points at a time with one seed a
-    block: a point does not depend on the slices it is read by, so blocks
-    of 7 and of 3,000 points read the same sample, and every slice is
-    written into the one buffer (the last slice read is valid until the
-    next)."""
+    sample of the box, each coordinate one SplitMix64 draw indexed by the
+    point and axis: a point does not depend on the slices it is read by,
+    so blocks of 7 and of 3,000 points read the same sample, and every
+    slice is written into the one buffer (the last slice read is valid
+    until the next)."""
     s = load_structure("heisenberg:5")
     sample = frame._default_special_grid(s)
     assert isinstance(sample, frame.BoxSample)
     assert len(sample) == frame.MAX_SPECIAL_POINTS and sample.shape == (5**9, 11)
 
-    small = frame.BoxSample(3, 2 * frame.SAMPLE_BLOCK + 10, seed=5)
+    block = frame.BLOCK_ENTRIES // frame.POINT_ENTRIES
+    small = frame.BoxSample(3, 2 * block + 10, seed=5)
     by_7 = np.concatenate([small[i : i + 7].copy() for i in range(0, len(small), 7)])
     by_3000 = np.concatenate([small[i : i + 3000].copy() for i in range(0, len(small), 3000)])
     assert np.array_equal(by_7, by_3000) and by_7.shape == (len(small), 3)
     assert not by_7[0].any() and np.array_equal(small[0], by_7[0])
     assert np.array_equal(small[len(small) - 1], by_7[-1])
     assert np.all(np.abs(by_7[1:]) <= 1.0)
-    # block 0 of seed 5 is the draw rng.uniform makes from the same seed
-    want = np.random.default_rng((5, 0)).uniform(-1.0, 1.0, (frame.SAMPLE_BLOCK, 3))
-    assert np.array_equal(by_7[1 : frame.SAMPLE_BLOCK + 1], want)
+    # the first block of seed 5 is 2u - 1 of the 53-bit floats u of the
+    # SplitMix64 stream from the state mix(5), in point-major order; the
+    # stream from state 0 starts with the published 0xE220A8397B1DCDAF
+    assert mix(GAMMA) == 0xE220A8397B1DCDAF
+    stream = (mix((mix(5) + k * GAMMA) % 2**64) for k in range(1, 3 * block + 1))
+    want = [2.0 * (z >> 11) * 2.0**-53 - 1.0 for z in stream]
+    assert np.array_equal(by_7[1 : block + 1], np.reshape(want, (block, 3)))
     assert np.shares_memory(small[0:50], small[100:150])
     with pytest.raises(IndexError):
         small[::2]
+
+
+def test_box_sample_is_uniform_on_the_box():
+    """10^5 points of [-1, 1)^3: each axis's mean within 0.01 of 0 and its
+    variance within 0.01 of 1/3; seeds 0-999 give 1,000 distinct first
+    points, and sample_box_points is the sample after the origin."""
+    pts = frame.BoxSample(3, 10**5, seed=0)[1:]
+    assert pts.shape == (10**5, 3) and pts.min() >= -1.0 and pts.max() < 1.0
+    assert np.all(np.abs(pts.mean(axis=0)) < 0.01)
+    assert np.all(np.abs(pts.var(axis=0) - 1 / 3) < 0.01)
+    firsts = {tuple(frame.BoxSample(3, 1, seed=seed)[1]) for seed in range(1000)}
+    assert len(firsts) == 1000
+    assert np.array_equal(frame.sample_box_points(3, 10**5), pts)
 
 
 def test_literal_constants_are_read_once(grid_blocks):
