@@ -28,7 +28,8 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 GOLDEN = [
     (("check", "su2"), 0, "bfa9645502b3a973e6cee17de0d0b177926539c969c1cd3a667e73e105b36e8f"),
-    (("check", "su2:chart"), 0, "6ed8cd5c999b027a4b31dce71bd5e50c2a2b2f3622be54508b20fea4b9058554"),
+    # its special_bracket_horizontal max_residual is read at seeded box points
+    (("check", "su2:chart"), 0, "9ce870a49aa24e4f024e6a5e1aa4f5b9ec87dc68ec28fbef0710b10afd23da69"),
     (("check", "heisenberg:1"), 0, "06fdfbcde2801763cf3b93575f0bb2bcc9118539c5a6549b23eaaabff537bda3"),
     (("check", "heisenberg:2"), 0, "5dfda34c77a4f7edab986ab02c90d43f146f8aa62588fc7371764ae0bd2b71dc"),
     (("check", "heisenberg:3"), 0, "bb886dbce2808e9451e262e4ddc142ab18659e400873dbc4452561a12bc4c00e"),
