@@ -7,7 +7,9 @@ Loading a structure computes, in order: the raw annihilator of H (a
 generalized cross product of the frame), the normalized contact form alpha
 with wedge^n dalpha(e_1..e_2n) = 1, the Reeb field xi, the structure
 functions of the basis (e_1..e_2n, xi), and the "special" certification
-(the Reeb flow is an isometry) on a sample set, by one path for both modes.
+(the Reeb flow is an isometry) on a grid or on seeded points of the box,
+by one path for both modes.  Seeded points come from a counter-based
+SplitMix64 in numpy integers (BoxSample), the same on every numpy version.
 Every bracket is taken by ContactStructure.bracket: the coordinate
 Jacobi-Lie bracket in chart mode, the structure constants as given in lie
 mode, whose frame is e_1..e_2n in basis components.
@@ -196,15 +198,14 @@ class BoxSample:
             self._steps = np.arange(self._out.size, dtype=np.uint64) * np.uint64(GAMMA)
             self._draws = np.empty_like(self._steps)
         out = self._out[: len(r)]
-        if r.start == 0:
-            out[:1] = 0.0
         first = max(r.start, 1)
+        out[: first - r.start] = 0.0  # the origin, when r starts at it
         coords = out[first - r.start :].reshape(-1)
         base = (self._key + ((first - 1) * self.dim + 1) * GAMMA) % 2**64
         z = np.add(self._steps[: coords.size], np.uint64(base), out=self._draws[: coords.size])
         _mix(z, coords.view(np.uint64))  # the coordinates' buffer as scratch
         z >>= 11
-        np.multiply(z, 2.0**-52, out=coords)
+        np.multiply(z, 2.0**-52, out=coords)  # 2u, u = z 2^-53
         coords -= 1.0
         return out
 
@@ -718,8 +719,7 @@ class ContactStructure:
         return sha256(self.source_text.encode("utf-8")).hexdigest()
 
     def validation_points(self, count: int = 30, seed: int = 0) -> np.ndarray:
-        """The origin and count seeded points of the box (BoxSample); in lie
-        mode the one point."""
+        """The origin and count seeded points of the box (BoxSample); lie mode: the one point."""
         if self.mode == "lie":
             return np.zeros((1, 0))
         return BoxSample(self.dim, count, seed)[:]

@@ -290,6 +290,7 @@ def test_lie_mode_refuses_a_huge_n_before_it_allocates(capsys, tmp_path):
     assert input_error(code, out)
     assert json.loads(out)["error"]["message"] == "lie structure is not contact: wedge^n dalpha0 = 0"
 
+
 # Runs the CLI on its arguments, then writes the names of the loaded
 # modules to stderr.
 MAIN_THEN_MODULES = """
