@@ -176,13 +176,20 @@ class CurvatureData:
     @cached_property
     def transport_coefficients(self) -> tuple[tuple[HTensor, ...], list[Expression]]:
         """((Gamma_h [a, j, k], Gamma_xi [j, k], R, dalpha) stored as HTensor
-        stores a tensor, their entries in that order as one list of tape
-        roots): every coefficient of the prolongation system that is not a
-        literal zero."""
-        conn = self.connection
+        stores a tensor, one list of tape roots): the roots are the
+        coordinates of the basis columns e_1..e_2n, xi, column by column,
+        then those tensors' entries in that order, every coefficient of the
+        prolongation system that is not a literal zero."""
+        conn, s = self.connection, self.structure
         gammas = (np.array(conn.gamma_h, dtype=object), np.array(conn.gamma_xi, dtype=object))
         tensors = tuple(HTensor.from_dense(g, n_upper=1) for g in gammas) + (self.R, self.dalpha)
-        return tensors, [e for T in tensors for e in T.entries.values()]
+        basis = [e for col in s.frame + [s.reeb] for e in col]
+        return tensors, basis + [e for T in tensors for e in T.entries.values()]
+
+    @cached_property
+    def transport_values(self):
+        """The evaluator of the transport_coefficients roots: one tape."""
+        return self.structure.evaluator(self.transport_coefficients[1])
 
     @cached_property
     def identity_terms(self) -> tuple[list[Expression], ...]:

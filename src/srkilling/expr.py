@@ -601,7 +601,8 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
     root the array shape: the shape of the input arrays, or (1,) when there
     are none (lie mode: no coordinates, one point).  No finiteness check is
     made: a pole or an even root of a negative value gives inf or nan, and
-    the caller that reads the values rejects them.
+    the caller that reads the values rejects them.  fn(*arrays, out=buf)
+    writes the roots into buf, an array (R,) + shape, and returns it.
     """
     single = isinstance(e, Expression)
     roots = [e] if single else list(e)
@@ -652,18 +653,19 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
             ops[k][5].append(r)
         else:
             loaded_roots.setdefault(k, []).append(r)
+    loaded = [(k, np.array(rows)) for k, rows in loaded_roots.items()]
     steps = [tuple(op) for op in ops.values()]
     nroots, nslots = len(roots), len(order)
 
-    def fn(*arrays):
-        shape = np.shape(arrays[0]) if arrays else (1,)
-        out = np.empty((nroots,) + shape)
+    def fn(*arrays, out=None):
+        if out is None:
+            out = np.empty((nroots,) + (np.shape(arrays[0]) if arrays else (1,)))
         slots: list = [None] * nslots
         for k, value in consts:
             slots[k] = value
         for k, pos in loads:
             slots[k] = np.asarray(arrays[pos], dtype=float)
-        for k, rows in loaded_roots.items():
+        for k, rows in loaded:
             out[rows] = slots[k]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for f, k, a, b, free, rows in steps:

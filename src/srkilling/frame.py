@@ -269,12 +269,13 @@ def residual_records(s: ContactStructure, checks: dict, points, tol: float) -> l
     return [CheckRecord(name, r, len(points), bool(r < tol)) for name, r in worst]
 
 
-def _evaluate(fn, points: np.ndarray) -> np.ndarray:
+def _evaluate(fn, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A tape compiled by expr.compile_expression at points (N, dim), the
-    point axis last.  In lie mode (no coordinates) the tape computes one
-    point, which stands for every point."""
+    point axis last, written into out (roots, N) when one is given.  In lie
+    mode (no coordinates) the tape computes one point, which stands for
+    every point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = fn(*points.T)
+    out = fn(*points.T, out=out)
     if out.shape[-1] != points.shape[0]:
         out = np.repeat(out, points.shape[0], axis=-1)
     return out
@@ -618,13 +619,14 @@ class ContactStructure:
 
     def evaluator(self, exprs, cached: bool = True):
         """points -> eval_table (or, not cached, eval_scalar) of exprs at
-        points, through one tape compiled here: for block by block."""
+        points, through one tape compiled here: for block by block.  Given
+        out (roots, points), the tape writes its roots there."""
         table = np.array(exprs, dtype=object)
         roots = table.ravel().tolist()
         tape = self._tape(roots) if cached else ex.compile_expression(roots, self.coords)
 
-        def values(points: np.ndarray) -> np.ndarray:
-            vals = _evaluate(tape, points)
+        def values(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            vals = _evaluate(tape, points, out)
             return vals.reshape(table.shape + vals.shape[-1:])
 
         return values
@@ -978,6 +980,9 @@ def load_structure_text(text: str, name: str = "", seed: int = 0) -> ContactStru
 def _check_frame_rank(frame, coords, samples) -> None:
     flat = ex.compile_expression([c for vec in frame for c in vec], coords)
     vals = _evaluate(flat, samples).reshape(len(frame), len(coords), -1)  # (2n, dim, N)
+    finite = np.isfinite(vals).all(axis=(1, 2))  # per frame row, before the SVD
+    if not finite.all():
+        raise StructureError(f"frame row X{np.argmin(finite) + 1} is not finite at a sample point")
     sv = np.linalg.svd(vals.transpose(2, 0, 1), compute_uv=False)
     if np.min(sv[:, -1]) < 1e-9:
         raise StructureError("frame is linearly dependent at a sample point")

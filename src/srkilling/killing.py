@@ -35,22 +35,23 @@ the matrix
 (Hairer, Norsett & Wanner, Solving ODEs I, II.1).  M is built from the
 coefficients that are not literal zeros only, the stored entries of
 Gamma_h, Gamma_xi, R and dalpha, which one compiled tape evaluates per block
-of stage points.  The kernel builds M and P - I for every curve of a batch
-and every step of a block with batched matrix products, in one workspace
-allocated per call.  A block holds at most STAGE_BLOCK stage points and at
-most OPERATOR_FLOATS floats of M, so the workspace, M and three arrays of
-under half its size, stays below 2.5 OPERATOR_FLOATS floats (20 MiB) for
-every batch and step count, on every structure up to n = 11 (a block keeps
-three stage points at least).  The products are formed in place
-in the order of the sum above, so P - I is bit for bit what fresh arrays
-give.  A block starts at the previous block's last stage and reuses its M,
-so each stage point is evaluated once.  The kernel then applies y <- P y
-step by step as y + (P - I) y, which rounds once per step as the serial
-loop did.  The full A is transported, so its drift from skew
-stays measurable.  Reconstruction transports a generator from a base point
-to every grid point along a vertical-then-straight two-leg path, one batch
-per leg, and emits the field Z = X^k e_k + c xi; its finite-difference
-check reads the same M, as the residual e_a(y) - M(e_a) y.
+of stage points with the frame.  The kernel builds M and P - I for the
+curves of a pass and every step of a block with batched matrix products,
+in one workspace allocated per call.  A block holds at most STAGE_BLOCK
+stage points and OPERATOR_FLOATS floats of M, and the step arrays half its
+steps: they and M stay within 2 OPERATOR_FLOATS floats (2 MiB) for every
+batch and step count up to n = 6 (a block keeps three stage points at
+least), the rest within d^2 + 2 dim + d floats a stage point.  The
+products are formed in place in the order of the sum above, so P - I is
+bit for bit what fresh arrays give.  A block starts at the previous
+block's last stage and reuses its M, so each stage point is evaluated
+once.  The kernel then applies y <- P y step by step as y + (P - I) y,
+which rounds once per step as the serial loop did.  The full A is
+transported, so its drift from skew stays measurable.  Reconstruction
+transports a generator from a base point to every grid point along a
+vertical-then-straight two-leg path, one batch per leg, and emits the
+field Z = X^k e_k + c xi; its finite-difference check reads the same M, as
+the residual e_a(y) - M(e_a) y.
 """
 
 from __future__ import annotations
@@ -107,11 +108,13 @@ SKEW_TOL = 1e-12
 # Stage points whose transport operators one kernel block holds, at most;
 # with OPERATOR_FLOATS it bounds the kernel's memory whatever the number of
 # curves and steps.
-STAGE_BLOCK = 2048
+STAGE_BLOCK = 1024
 # Floats of one block's operator array M (stage points x d^2), at most: caps
-# a block below STAGE_BLOCK stage points from n = 3 on (567 at d = 43, 196 at
-# d = 73).  The kernel's workspace holds M and three arrays of half its size.
-OPERATOR_FLOATS = 2**20
+# a block below STAGE_BLOCK stage points from n = 2 on (297 at d = 21, 70 at
+# d = 43).  The kernel's workspace holds M and three arrays of a quarter its size.
+OPERATOR_FLOATS = 2**17
+# RK4 steps a block advances at least (where STAGE_BLOCK allows), by passes of fewer curves.
+BLOCK_STEPS = 8
 # Steps one curve may take; a finer step is rejected as an input error.
 MAX_STEPS = 10**6
 # Singular values at or below this count as zero whatever the relative
@@ -606,156 +609,168 @@ def _skew_part(y: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     return out, np.abs(sym).reshape(len(y), -1).max(axis=1, initial=0.0)
 
 
-def _operator(
-    cd: CurvatureData, pts: np.ndarray, vel: np.ndarray, out: np.ndarray | None = None
-):
+def _scratch_floats(cd: CurvatureData, npts: int) -> int:
+    """Floats _operator writes at npts stage points: tape values, Gamma(v), dalpha row, product."""
+    h = cd.structure.h
+    return npts * (len(cd.transport_coefficients[1]) + h * h + h + 1)
+
+
+def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray, out=None, scratch=None):
     """The matrix M (S, d, d) of y' = M y at stage points pts (S, dim) with
     curve velocities vel (S, dim), and the frame+xi components v (S, dim)
-    of the velocities.  M is written into out (S, d, d) when one is given.
+    of the velocities.  M is written into out (S, d, d) when one is given,
+    the intermediate arrays into the first _scratch_floats of scratch.
 
-    Only the coefficients that are not literal zeros take part: the stored
-    entries of Gamma_h, Gamma_xi, R and dalpha (cd.transport_coefficients),
-    evaluated through one tape.  Each entry adds its term to M for every
+    One tape evaluates the basis and the coefficients that are not literal
+    zeros, the stored entries of Gamma_h, Gamma_xi, R and dalpha
+    (cd.transport_coefficients).  Each entry adds its term to M for every
     stage point at once.  M is bit for bit the dense einsum contraction,
     signs of zeros included: every sum starts at +0.0 and takes its terms
     in the index order of that contraction, as einsum does for two or more
     points, and a left-out term would add +-0.0 to a partial sum that is
     never -0.0."""
     s = cd.structure
-    h = s.h
-    basis = s.basis_matrix_at(pts)  # (S, dim, dim)
+    h, dim = s.h, s.dim
+    npts, hh = len(pts), h * h
+    (Gh, G0, R, B), roots = cd.transport_coefficients
+    scratch = np.empty(_scratch_floats(cd, npts)) if scratch is None else scratch
+    n0 = len(roots) * npts
+    n1, n2 = n0 + hh * npts, n0 + (hh + h) * npts
+    vals, G = scratch[:n0].reshape(-1, npts), scratch[n0:n1].reshape(npts, h, h)
+    c, tmp = scratch[n1:n2].reshape(npts, h), scratch[n2 : n2 + npts]
+    cd.transport_values(pts, vals)
+    basis = vals[: dim * dim].reshape(dim, dim, npts).transpose(2, 1, 0)  # (S, row, column)
     if not (np.isfinite(pts).all() and np.isfinite(vel).all() and np.isfinite(basis).all()):
         raise ex.EvalError("curve leaves the evaluable domain of the structure")
     try:
         v = np.linalg.solve(basis, vel[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise ex.EvalError("frame degenerates along the curve") from None
-    (Gh, G0, R, B), roots = cd.transport_coefficients
-    vals = s.eval_table(roots, pts)
-    if not np.isfinite(vals).all():
+    if not np.isfinite(vals[dim * dim :]).all():
         raise ex.EvalError("connection data is not finite along the curve")
-    Gh_v, G0_v, R_v, B_v = np.split(
-        vals, np.cumsum([len(Gh.entries), len(G0.entries), len(R.entries)])
-    )
+    i1 = dim * dim + len(Gh.entries)
+    i2, i3 = i1 + len(G0.entries), i1 + len(G0.entries) + len(R.entries)
+    Gh_v, G0_v, R_v, B_v = vals[dim * dim : i1], vals[i1:i2], vals[i2:i3], vals[i3:]
     vh = v[:, :h]
-    npts, hh = len(pts), h * h
     # Gamma(v) as matrices acting on column vectors: G[s, k, j]
-    G = np.zeros((npts, h, h))
+    G.fill(0.0)
     for (a, j, k), g in zip(Gh.entries, Gh_v):
-        G[:, k, j] += vh[:, a] * g
+        G[:, k, j] += np.multiply(vh[:, a], g, out=tmp)
     for (j, k), g in zip(G0.entries, G0_v):
-        G[:, k, j] += v[:, h] * g
-    if out is None:
-        M = np.zeros((npts, h + hh + 1, h + hh + 1))
-    else:
-        M = out
-        M.fill(0.0)
+        G[:, k, j] += np.multiply(v[:, h], g, out=tmp)
+    M = np.empty((npts, h + hh + 1, h + hh + 1)) if out is None else out
+    M.fill(0.0)
     # x' = -A v - Gamma(v) x: x^k reads -(0 + v^j) from A[k, j], -0.0 from
     # the rest of A.  A' = R(x, v) - Gamma(v) A + A Gamma(v), A row-major:
     # its A block is I (x) Gamma(v)^T - Gamma(v) (x) I, zeros +0.0
-    M[:, :h, :h] = -G
+    np.negative(G, out=M[:, :h, :h])
     M[:, :h, h:-1] = -0.0
+    np.negative(np.add(vh, 0.0, out=c), out=c)  # -(0 + v^j), in the dalpha row's buffer
     for k in range(h):
         row = slice(h + k * h, h + (k + 1) * h)  # A[k, :]
-        M[:, k, row] = -(vh + 0.0)
+        M[:, k, row] = c
         M[:, row, row] = G.transpose(0, 2, 1)
     for j in range(h):
         M[:, h + j : -1 : h, h + j : -1 : h] -= G
     for (a, b, j, k), r in zip(R.entries, R_v):
-        M[:, h + k * h + j, a] += vh[:, b] * r
+        M[:, h + k * h + j, a] += np.multiply(vh[:, b], r, out=tmp)
     # c' = -dalpha(x, v)
-    c = np.zeros((npts, h))
+    c.fill(0.0)
     for (a, b), w in zip(B.entries, B_v):
-        c[:, a] += w * vh[:, b]
-    M[:, -1, :h] = -c
+        c[:, a] += np.multiply(w, vh[:, b], out=tmp)
+    np.negative(c, out=M[:, -1, :h])
     return M, v
 
 
 def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: float):
     """Advance the states y (B, d) by nsteps RK4 steps of size hstep along B
-    curves.  stages(rows, k0, k1) gives the points and velocities, each
-    (b, k1 - k0, dim), of the curves in the slice rows at stage indices
-    k0..k1-1; stage k sits at t0 + k hstep / 2.  A block's first stage is
-    the previous block's last, so its M is carried over and each stage
-    point is evaluated once.  Every block-sized array is a view of one
-    workspace, allocated here for the largest block of the call: the stage
-    operators M, stage-major, and per step the scratch I + c K, the
-    increment D and the stage product K.  Returns the end states and
+    curves.  stages(rows, k0, k1, pts, vel) writes the points and velocities
+    (k1 - k0, b, dim), stage-major, of the curves in the slice rows at stage
+    indices k0..k1-1; stage k sits at t0 + k hstep / 2.  The curves go in
+    balanced passes, narrow enough that a block of stage points advances
+    BLOCK_STEPS steps (nsteps if fewer).  A block's first stage is the
+    previous block's last, so its M is carried over and each stage point is
+    evaluated once.  Every block-sized array is a view of one workspace
+    allocated here: the stage operators M, stage-major, the step arrays
+    I + c K, D and K, which hold half a block's steps, the stage points and
+    velocities, _operator's scratch and D y.  Returns the end states and
     max |alpha(gamma')| over the stages of each curve."""
     nb_total, d = y.shape
-    h = cd.structure.h
+    h, dim = cd.structure.h, cd.structure.dim
     dd = d * d
     y = y.copy()
     viol = np.zeros(nb_total)
     eye = np.eye(d)
     block = max(3, min(STAGE_BLOCK, OPERATOR_FLOATS // dd))  # stage points a block, 3 at least
-    chunk = block // 3  # curves per pass: one step is 3 stage points
-    passes = [slice(b0, min(nb_total, b0 + chunk)) for b0 in range(0, nb_total, chunk)]
+    width = max(1, block // (2 * min(BLOCK_STEPS, nsteps) + 1))  # curves a pass, at most
+    npass = -(-nb_total // width)  # balanced: their widths differ by one at most
+    passes = [slice(nb_total * p // npass, nb_total * (p + 1) // npass) for p in range(npass)]
 
     def steps(nb: int) -> int:  # RK4 steps a block of nb curves takes
         return min(nsteps, (block // nb - 1) // 2)
 
     widths = {rows.stop - rows.start for rows in passes}
     nstage = max(((2 * steps(nb) + 1) * nb for nb in widths), default=0)
-    nstep = max((steps(nb) * nb for nb in widths), default=0)
-    Mw, tw, Dw, Kw = np.split(
-        np.empty((nstage + 3 * nstep) * dd), np.cumsum([nstage, nstep, nstep]) * dd
-    )
+    nstep = max((-(-steps(nb) // 2) * nb for nb in widths), default=0)
+    sizes = [nstage * dd] + [nstep * dd] * 3 + [nstage * dim] * 2
+    sizes += [_scratch_floats(cd, nstage), max(widths, default=0) * d]
+    Mw, tw, Dw, Kw, pw, vw, scratch, dyw = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
     for rows in passes:
         nb = rows.stop - rows.start
         per_block = steps(nb)
-        yb = y[rows]
+        half = -(-per_block // 2)
+        yb, dy = y[rows], dyw[: nb * d].reshape(nb, d, 1)
+        ycol, dyv = yb[..., None], dy[..., 0]
         for i0 in range(0, nsteps, per_block):
             k = min(per_block, nsteps - i0)
             carried = int(i0 > 0)  # stage 0 then holds the previous block's last M
-            pts, vel = stages(rows, 2 * i0 + carried, 2 * (i0 + k) + 1)
-            dim = pts.shape[-1]
-            _, v = _operator(
-                cd,
-                np.swapaxes(pts, 0, 1).reshape(-1, dim),
-                np.swapaxes(vel, 0, 1).reshape(-1, dim),
-                out=Mw[carried * nb * dd : (2 * k + 1) * nb * dd].reshape(-1, d, d),
-            )
+            npts = (2 * k + 1 - carried) * nb
+            pts, vel = (w[: npts * dim].reshape(-1, nb, dim) for w in (pw, vw))
+            stages(rows, 2 * i0 + carried, 2 * (i0 + k) + 1, pts, vel)
+            out = Mw[carried * nb * dd : (2 * k + 1) * nb * dd].reshape(-1, d, d)
+            v = _operator(cd, pts.reshape(npts, dim), vel.reshape(npts, dim), out, scratch)[1]
             viol[rows] = np.maximum(viol[rows], np.abs(v[:, h]).reshape(-1, nb).max(axis=0))
             M = Mw[: (2 * k + 1) * nb * dd].reshape(2 * k + 1, nb, d, d)
-            M0, M1, M2 = M[0:-1:2], M[1::2], M[2::2]
-            t, D, K = (w[: k * nb * dd].reshape(k, nb, d, d) for w in (tw, Dw, Kw))
-            # K2 = M1 (I + h/2 M0) into D, then K3 = M1 (I + h/2 K2) and
-            # K4 = M2 (I + h K3) into K; each I + c K is built in t
-            np.multiply(M0, 0.5 * hstep, out=t)
-            t += eye
-            np.matmul(M1, t, out=D)
-            np.multiply(D, 0.5 * hstep, out=t)
-            t += eye
-            np.matmul(M1, t, out=K)
-            np.multiply(K, hstep, out=t)
-            t += eye
-            # P - I = h/6 (((M0 + 2 K2) + 2 K3) + K4), rounded as that sum is
-            D *= 2
-            D += M0
-            K *= 2
-            D += K
-            np.matmul(M2, t, out=K)
-            D += K
-            D *= hstep / 6.0
-            # adding the increment D y to y rounds once per step
-            for j in range(k):
-                yb = yb + (D[j] @ yb[..., None])[..., 0]
+            for j0 in range(0, k, half):  # the step arrays hold half the block's steps
+                Mj = M[2 * j0 : 2 * min(k, j0 + half) + 1]
+                M0, M1, M2 = Mj[0:-1:2], Mj[1::2], Mj[2::2]
+                t, D, K = (w[: len(M1) * nb * dd].reshape(-1, nb, d, d) for w in (tw, Dw, Kw))
+                # K2 = M1 (I + h/2 M0) into D, then K3 = M1 (I + h/2 K2) and
+                # K4 = M2 (I + h K3) into K; each I + c K is built in t
+                np.multiply(M0, 0.5 * hstep, out=t)
+                t += eye
+                np.matmul(M1, t, out=D)
+                np.multiply(D, 0.5 * hstep, out=t)
+                t += eye
+                np.matmul(M1, t, out=K)
+                np.multiply(K, hstep, out=t)
+                t += eye
+                # P - I = h/6 (((M0 + 2 K2) + 2 K3) + K4), rounded as that sum is
+                D *= 2
+                D += M0
+                K *= 2
+                D += K
+                np.matmul(M2, t, out=K)
+                D += K
+                D *= hstep / 6.0
+                # adding the increment D y to y (in place: yb is a view of y)
+                # rounds once per step
+                for Dj in D:
+                    np.matmul(Dj, ycol, out=dy)
+                    yb += dyv
             M[0] = M[-1]  # carried to the next block
-        y[rows] = yb
     return y, viol
 
 
 def _curve_stages(curve: Curve, nsteps: int):
-    """Stage points and velocities of one expression curve."""
+    """Stage points and velocities of one expression curve, by its tapes."""
     position, velocity = curve.tapes
     span = curve.t1 - curve.t0
 
-    def stages(rows, k0, k1):
+    def stages(rows, k0, k1, pts, vel):
         ts = curve.t0 + span * np.arange(k0, k1) / (2 * nsteps)
-        pts = np.stack(position(ts), axis=-1)
-        vel = np.stack(velocity(ts), axis=-1)
-        return pts[None], vel[None]
+        position(ts, out=pts[:, 0].T)
+        velocity(ts, out=vel[:, 0].T)
 
     return stages
 
@@ -764,10 +779,11 @@ def _segment_stages(p: np.ndarray, dp: np.ndarray, nsteps: int):
     """Stage points p + dp t and velocities dp of straight segments over
     t in [0, 1], the arithmetic of segment_curve."""
 
-    def stages(rows, k0, k1):
+    def stages(rows, k0, k1, pts, vel):
         ts = np.arange(k0, k1) / (2 * nsteps)
-        pts = p[rows, None, :] + dp[rows, None, :] * ts[:, None]
-        return pts, np.broadcast_to(dp[rows, None, :], pts.shape)
+        np.multiply(dp[rows], ts[:, None, None], out=pts)
+        pts += p[rows]
+        vel[...] = dp[rows]
 
     return stages
 

@@ -93,6 +93,20 @@ class TestBasicCommands:
         code, out = run(capsys, "check", str(f))
         assert code == 2
 
+    def test_non_finite_frame_exits_2(self, capsys, tmp_path):
+        # pow(x, 1/2) is NaN at the sample points with x < 0: an input error
+        # naming the frame row, not an SVD failure
+        f = tmp_path / "root.toml"
+        f.write_text(
+            "[manifold]\nmode = chart\nn = 1\ncoords = x, y, z\n[frame]\n"
+            "X1 = 1, 0, pow(x, 1/2)\nX2 = 0, 1, x/2\n"
+        )
+        code, out = run(capsys, "check", str(f))
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["error"]["kind"] == "input_error"
+        assert "X1" in rep["error"]["message"] and "finite" in rep["error"]["message"]
+
     def test_curvature(self, capsys):
         code, out = run(capsys, "curvature", "su2", "--at", "0,0,0", "--order", "1")
         assert code == 0

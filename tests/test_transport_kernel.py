@@ -21,7 +21,7 @@ from srkilling.connection import (
     compute_connection,
     curvature,
 )
-from srkilling.frame import ContactStructure, load_structure
+from srkilling.frame import load_structure
 from srkilling.killing import (
     Curve,
     Generator,
@@ -32,7 +32,7 @@ from srkilling.killing import (
     transport,
 )
 
-from conftest import SU2C_KILLING, field
+from conftest import SU2C_KILLING, field, traced_peak
 from rk4_reference import dense_operator, serial_reconstruct, serial_transport
 
 TOL = 1e-12
@@ -115,17 +115,22 @@ def test_reconstruct_matches_serial_loop(request, structure, q0):
     assert np.max(np.abs(fieldv.c - c)) < TOL
 
 
+def spy_operator(monkeypatch):
+    """The stage points (S, dim) of each _operator call, in order."""
+    calls = []
+    original = killing._operator
+
+    def spied(cd, pts, vel, *args, **kwargs):
+        calls.append(np.array(pts))
+        return original(cd, pts, vel, *args, **kwargs)
+
+    monkeypatch.setattr(killing, "_operator", spied)
+    return calls
+
+
 @pytest.mark.parametrize("block", [killing.STAGE_BLOCK, 64])
 def test_block_bounds_stage_points_per_call(heis_cd, monkeypatch, block):
-    calls = {"eval_scalar": [], "basis_matrix_at": []}
-    for name in calls:
-        original = getattr(ContactStructure, name)
-
-        def counted(self, *args, _original=original, _log=calls[name]):
-            _log.append(np.atleast_2d(args[-1]).shape[0])  # points come last
-            return _original(self, *args)
-
-        monkeypatch.setattr(ContactStructure, name, counted)
+    calls = spy_operator(monkeypatch)
     monkeypatch.setattr(killing, "STAGE_BLOCK", block)
 
     rng = np.random.default_rng(8)
@@ -133,12 +138,58 @@ def test_block_bounds_stage_points_per_call(heis_cd, monkeypatch, block):
     ends = rng.uniform(-1, 1, (125, 3))
     y = np.stack([killing._pack_state(random_gen(rng, p)) for p in starts])
     y_end, _ = killing._segment_transport(heis_cd, y, starts, ends, 40)
-    assert max(calls["eval_scalar"] + calls["basis_matrix_at"]) <= block
-    # one frame evaluation per block covers every stage point of every curve
-    assert sum(calls["basis_matrix_at"]) >= 125 * (2 * 40 + 1)
+    assert max(map(len, calls)) <= block
+    # one evaluation per block covers every stage point of every curve
+    assert sum(map(len, calls)) >= 125 * (2 * 40 + 1)
     monkeypatch.undo()
     whole, _ = killing._segment_transport(heis_cd, y, starts, ends, 40)
     assert np.array_equal(y_end, whole)
+
+
+def segment_blocks(calls, starts, ends, nsteps):
+    """(curves, first stage, last stage) of each block: each stage point is
+    matched to the segment it lies on and to its stage index."""
+    dp = ends - starts
+    blocks = []
+    for pts in calls:
+        tb = (pts[:, None, :] - starts[None]) / dp[None]  # (S, B, dim): t of each coordinate
+        curve = np.argmin(np.ptp(tb, axis=2), axis=1)
+        stage = np.rint(tb[np.arange(len(pts)), curve, 0] * 2 * nsteps).astype(int)
+        blocks.append((frozenset(curve.tolist()), stage.min(), stage.max()))
+    return blocks
+
+
+@pytest.mark.parametrize("nb", [1, 5, 125])
+def test_tiling_changes_no_bit(su2c_cd, monkeypatch, nb):
+    y, starts, ends = segment_batch(su2c_cd, nb, seed=13)
+    ends_of = {}
+    for block in (64, killing.STAGE_BLOCK, 4096):
+        monkeypatch.setattr(killing, "STAGE_BLOCK", block)
+        ends_of[block] = killing._segment_transport(su2c_cd, y, starts, ends, 300)[0]
+    assert np.array_equal(ends_of[64], ends_of[killing.STAGE_BLOCK])
+    assert np.array_equal(ends_of[4096], ends_of[killing.STAGE_BLOCK])
+
+
+def test_every_block_of_a_pass_advances_block_steps(heis_cd, monkeypatch):
+    # 125 curves go in balanced passes: each block but the last of its pass
+    # advances BLOCK_STEPS steps at least; every curve is in one pass, whose
+    # blocks run in order over all stages
+    calls = spy_operator(monkeypatch)
+    nsteps = 200
+    y, starts, ends = segment_batch(heis_cd, 125, seed=14)
+    killing._segment_transport(heis_cd, y, starts, ends, nsteps)
+    passes = {}
+    for curves, first, last in segment_blocks(calls, starts, ends, nsteps):
+        passes.setdefault(curves, []).append((first, last))
+    assert sorted(c for curves in passes for c in curves) == list(range(125))
+    widths = sorted(len(curves) for curves in passes)
+    assert widths[-1] - widths[0] <= 1 and len(passes) > 1
+    for blocks in passes.values():
+        assert blocks[0][0] == 0 and blocks[-1][1] == 2 * nsteps
+        for (_, last), (first, _) in zip(blocks, blocks[1:]):
+            assert first == last + 1  # the last stage's M is carried over
+        for first, last in blocks[:-1]:
+            assert last // 2 - first // 2 >= killing.BLOCK_STEPS
 
 
 @pytest.fixture(scope="module")
@@ -155,29 +206,24 @@ def segment_batch(cd, nb, seed):
 
 
 def test_operator_float_cap_changes_no_bit(heis3_cd, monkeypatch):
-    # d = 43: the 2^20-float cap holds a block to 567 stage points, below
-    # STAGE_BLOCK, and three curves take several blocks either way
-    calls = []
-    original = ContactStructure.basis_matrix_at
-
-    def counted(self, points):
-        calls.append(len(points))
-        return original(self, points)
-
-    monkeypatch.setattr(ContactStructure, "basis_matrix_at", counted)
+    # d = 43: the 2^17-float cap holds a block to 70 stage points, below
+    # STAGE_BLOCK, which three curves fill to 3 x 23; they take several
+    # blocks either way
+    calls = spy_operator(monkeypatch)
     y, starts, ends = segment_batch(heis3_cd, 3, seed=11)
     capped, _ = killing._segment_transport(heis3_cd, y, starts, ends, 400)
-    assert max(calls) == killing.OPERATOR_FLOATS // 43**2 == 567
+    assert killing.OPERATOR_FLOATS // 43**2 == 70
+    assert max(map(len, calls)) == 69
     calls.clear()
     monkeypatch.setattr(killing, "OPERATOR_FLOATS", 2**40)
     whole, _ = killing._segment_transport(heis3_cd, y, starts, ends, 400)
-    assert 567 < max(calls) <= killing.STAGE_BLOCK and len(calls) > 1
+    assert 70 < max(map(len, calls)) <= killing.STAGE_BLOCK and len(calls) > 1
     assert np.array_equal(capped, whole)
 
 
 def test_kernel_memory_is_bounded(heis3_cd):
-    # one curve of 1000 steps at d = 43 stays under five operator arrays of
-    # 2^20 floats, whatever the step count
+    # one curve of 1000 steps at d = 43: M and the step arrays hold at most
+    # 2 x 2^17 floats (2 MiB), whatever the step count
     y, starts, ends = segment_batch(heis3_cd, 1, seed=12)
     killing._segment_transport(heis3_cd, y, starts, ends, 1)  # compile the tapes
     tracemalloc.start()
@@ -186,7 +232,22 @@ def test_kernel_memory_is_bounded(heis3_cd):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20 * 8
+    assert peak < 4 * 2**20
+
+
+def test_transport_memory_on_heisenberg(heis_cd):
+    # the benchmark's shapes: a 5^3 reconstruction at step 1e-3 and one
+    # curve of 10^4 steps each stay under 1.5 MiB of working memory
+    gen = random_gen(np.random.default_rng(15), np.array([0.125, -0.25, 0.375]))
+    axes = [np.linspace(-0.5, 0.5, 5), np.linspace(-0.25, 0.75, 5), np.linspace(-0.75, 0.25, 5)]
+    grid = Grid(names=XYZ, axes=axes)
+    reconstruct_field(heis_cd, gen, grid, step=1e-3)  # compile the tapes, build the tower
+    _, peak = traced_peak(lambda: reconstruct_field(heis_cd, gen, grid, step=1e-3))
+    assert peak < 1.5 * 2**20
+    curve = tcurve(["1/8 + t/3", "-1/4 + t^2/5", "3/8 + t*(1-t)"])
+    transport(heis_cd, gen, curve, step=1e-4)
+    _, peak = traced_peak(lambda: transport(heis_cd, gen, curve, step=1e-4))
+    assert peak < 1.5 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +280,28 @@ def test_operator_is_bitwise_the_dense_operator(name):
 class TableStructure:
     """A stand-in structure whose coefficient "expressions" are names of
     fixed value rows: every entry of Gamma, R and dalpha is stored, so each
-    sum of the operator has all h of its terms."""
+    sum of the operator has all h of its terms.  The basis columns e_1..e_h,
+    xi are names of rows too, read from basis (npts, h + 1, h + 1)."""
 
     def __init__(self, h, values, basis):
         self.h, self.dim, self.values, self.basis = h, h + 1, values, basis
+        cols = [[f"e{a},{i}" for i in range(h + 1)] for a in range(h + 1)]
+        self.frame, self.reeb = cols[:h], cols[h]
+        for a, col in enumerate(cols):
+            for i, name in enumerate(col):
+                values[name] = basis[:, i, a]
 
     def eval_table(self, exprs, pts):
         table = np.array(exprs, dtype=object)
         rows = np.array([self.values[e] for e in table.ravel()])
         return rows.reshape(table.shape + (len(pts),))
+
+    def evaluator(self, exprs):
+        def values(pts, out):
+            out[...] = self.eval_table(exprs, pts).reshape(out.shape)
+            return out
+
+        return values
 
     def basis_matrix_at(self, pts):
         return self.basis
@@ -270,7 +344,7 @@ def test_operator_sums_in_the_dense_order(h):
         cd, pts, vel = table_data(h, npts, seed=h + npts, basis=basis)
         if basis is not None:
             assert np.signbit(vel[vel == 0]).any() and np.signbit(-vel[vel == 0]).any()
-        assert len(cd.transport_coefficients[1]) == h**3 + h**2 + h**4 + h**2
+        assert len(cd.transport_coefficients[1]) == (h + 1) ** 2 + h**3 + h**2 + h**4 + h**2
         M, v = killing._operator(cd, pts, vel)
         M_ref, v_ref = dense_operator(cd, pts, vel)
         assert_bitwise(M, M_ref)
@@ -293,21 +367,14 @@ def test_operator_refuses_what_it_cannot_evaluate(heis_cd):
 
 
 def test_each_stage_point_is_evaluated_once(heis_cd, monkeypatch):
-    calls = []
-    original = ContactStructure.basis_matrix_at
-
-    def counted(self, points):
-        calls.append(len(points))
-        return original(self, points)
-
-    monkeypatch.setattr(ContactStructure, "basis_matrix_at", counted)
+    calls = spy_operator(monkeypatch)
     monkeypatch.setattr(killing, "STAGE_BLOCK", 64)
     rng = np.random.default_rng(10)
     starts = rng.uniform(-1, 1, (5, 3))
     y = np.stack([killing._pack_state(random_gen(rng, p)) for p in starts])
     killing._segment_transport(heis_cd, y, starts, starts + 0.5, 40)
     assert len(calls) > 1  # several blocks per curve
-    assert sum(calls) == 5 * (2 * 40 + 1)
+    assert sum(map(len, calls)) == 5 * (2 * 40 + 1)
 
 
 def test_transport_adds_no_tape_the_second_time(su2c_cd):
