@@ -687,22 +687,22 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
     curves.  stages(rows, k0, k1, pts, vel) writes the points and velocities
     (k1 - k0, b, dim), stage-major, of the curves in the slice rows at stage
     indices k0..k1-1; stage k sits at t0 + k hstep / 2.  The curves go in
-    balanced passes, narrow enough that a block of stage points advances
-    BLOCK_STEPS steps (nsteps if fewer).  A block's first stage is the
-    previous block's last, so its M is carried over and each stage point is
-    evaluated once.  Every block-sized array is a view of one workspace
-    allocated here: the stage operators M, stage-major, the step arrays
-    I + c K, D and K, which hold half a block's steps, the stage points and
-    velocities, _operator's scratch and D y.  Returns the end states and
-    max |alpha(gamma')| over the stages of each curve."""
+    balanced passes, narrow enough that a pass's steps split evenly into
+    blocks of BLOCK_STEPS steps at least (nsteps if fewer).  A block's
+    first stage is the previous block's last, so its M is carried over and
+    each stage point is evaluated once.  Every block-sized array is a view
+    of one workspace allocated here: the stage operators M, stage-major,
+    the step arrays I + c K, D and K, which hold half a block's steps, the
+    stage points and velocities, _operator's scratch and D y.  Returns the
+    end states and max |alpha(gamma')| over the stages of each curve."""
     nb_total, d = y.shape
-    h, dim = cd.structure.h, cd.structure.dim
-    dd = d * d
+    h, dim, dd = cd.structure.h, cd.structure.dim, d * d
     y = y.copy()
     viol = np.zeros(nb_total)
     eye = np.eye(d)
     block = max(3, min(STAGE_BLOCK, OPERATOR_FLOATS // dd))  # stage points a block, 3 at least
-    width = max(1, block // (2 * min(BLOCK_STEPS, nsteps) + 1))  # curves a pass, at most
+    least = -(-nsteps // max(1, nsteps // BLOCK_STEPS))  # steps a block takes, at least
+    width = max(1, block // (2 * least + 1))  # curves a pass, at most
     npass = -(-nb_total // width)  # balanced: their widths differ by one at most
     passes = [slice(nb_total * p // npass, nb_total * (p + 1) // npass) for p in range(npass)]
 

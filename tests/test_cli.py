@@ -93,19 +93,23 @@ class TestBasicCommands:
         code, out = run(capsys, "check", str(f))
         assert code == 2
 
-    def test_non_finite_frame_exits_2(self, capsys, tmp_path):
-        # pow(x, 1/2) is NaN at the sample points with x < 0: an input error
-        # naming the frame row, not an SVD failure
-        f = tmp_path / "root.toml"
-        f.write_text(
-            "[manifold]\nmode = chart\nn = 1\ncoords = x, y, z\n[frame]\n"
-            "X1 = 1, 0, pow(x, 1/2)\nX2 = 0, 1, x/2\n"
-        )
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            ("X1 = 1, 0, pow(x, 1/2)\nX2 = 0, 1, x/2\n", "X1"),  # NaN where x < 0
+            ("X1 = 1, 0, 1/x\nX2 = 0, 1, x/2\n", "X1"),  # a pole at the origin sample
+            ("X1 = 1, 0, -y/2\nX2 = 0, 1, x/y\n", "X2"),
+        ],
+    )
+    def test_non_finite_frame_exits_2(self, capsys, tmp_path, rows, bad):
+        # an input error naming the frame row, not an SVD failure
+        f = tmp_path / "frame.toml"
+        f.write_text("[manifold]\nmode = chart\nn = 1\ncoords = x, y, z\n[frame]\n" + rows)
         code, out = run(capsys, "check", str(f))
         assert code == 2
         rep = json.loads(out)
         assert rep["error"]["kind"] == "input_error"
-        assert "X1" in rep["error"]["message"] and "finite" in rep["error"]["message"]
+        assert rep["error"]["message"] == f"frame row {bad} is not finite at a sample point"
 
     def test_curvature(self, capsys):
         code, out = run(capsys, "curvature", "su2", "--at", "0,0,0", "--order", "1")
