@@ -340,6 +340,7 @@ def cmd_reconstruct(s: ContactStructure, args) -> dict:
             "reconstruct's finite-difference checks need at least 3 points per axis, all distinct"
         )
     field = reconstruct_field(cd, gen, grid, step=step)
+    checks = _checks(verify_killing_field(cd, field))  # before the lists of the report exist
     return {
         "grid": {"names": grid.names, "axes": [a.tolist() for a in grid.axes]},
         "points": grid.points.tolist(),
@@ -347,7 +348,7 @@ def cmd_reconstruct(s: ContactStructure, args) -> dict:
         "c": field.c.tolist(),
         "A": field.A.tolist(),
         "Z_coords": field.Z_coords.tolist(),
-        **_checks(verify_killing_field(cd, field)),
+        **checks,
     }
 
 

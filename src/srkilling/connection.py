@@ -178,12 +178,15 @@ class CurvatureData:
         """((Gamma_h [a, j, k], Gamma_xi [j, k], R, dalpha) stored as HTensor
         stores a tensor, one list of tape roots): the roots are the
         coordinates of the basis columns e_1..e_2n, xi, column by column,
+        its cofactors (k major) and det (ContactStructure.basis_cofactors),
         then those tensors' entries in that order, every coefficient of the
         prolongation system that is not a literal zero."""
         conn, s = self.connection, self.structure
         gammas = (np.array(conn.gamma_h, dtype=object), np.array(conn.gamma_xi, dtype=object))
         tensors = tuple(HTensor.from_dense(g, n_upper=1) for g in gammas) + (self.R, self.dalpha)
         basis = [e for col in s.frame + [s.reeb] for e in col]
+        cof, det = s.basis_cofactors()
+        basis += [e for row in cof for e in row] + [det]
         return tensors, basis + [e for T in tensors for e in T.entries.values()]
 
     @cached_property

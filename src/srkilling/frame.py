@@ -690,20 +690,24 @@ class ContactStructure:
         return sol[: self.h], sol[self.h]
 
     def _basis_coframe(self) -> tuple[list[list[Expression]], Expression]:
-        """(cof, 1/det P): cof[k][i] = C_ik, the cofactors of the basis
-        matrix P = [e_1..e_2n, xi], and det P, all read from one
-        determinant_minors table of P, so cofactors share their minors."""
+        """(cof, 1/det P) of basis_cofactors, each minor normalized."""
         if self._coframe is None:
-            minor = determinant_minors(list(zip(*self.frame, self.reeb)))
-            full = tuple(range(self.dim))
-            cof = [[ZERO] * self.dim for _ in full]
-            for i in full:
-                for k in full:
-                    d = ex.normalize(minor(full[:i] + full[i + 1 :], full[:k] + full[k + 1 :]))
-                    cof[k][i] = d if (i + k) % 2 == 0 else ex.neg(d)
-            inv_det = ex.pow_(ex.normalize(minor(full, full)), Fraction(-1))
-            self._coframe = (cof, inv_det)
+            cof, det = self.basis_cofactors(ex.normalize)
+            self._coframe = (cof, ex.pow_(det, Fraction(-1)))
         return self._coframe
+
+    def basis_cofactors(self, finish=lambda e: e) -> tuple[list[list[Expression]], Expression]:
+        """(cof, det P): cof[k][i] = C_ik, the cofactors of the basis matrix P = [e_1..e_2n,
+        xi], from one determinant_minors table, each minor through finish before its sign;
+        unfinished, sums of products of basis entry nodes, which a tape of the basis reuses."""
+        minor = determinant_minors(list(zip(*self.frame, self.reeb)))
+        full = tuple(range(self.dim))
+        cof = [[ZERO] * self.dim for _ in full]
+        for i in full:
+            for k in full:
+                d = finish(minor(full[:i] + full[i + 1 :], full[:k] + full[k + 1 :]))
+                cof[k][i] = d if (i + k) % 2 == 0 else ex.neg(d)
+        return cof, finish(minor(full, full))
 
     def project(self, V: list[Expression]) -> list[Expression]:
         """P V = V - alpha(V) xi, the horizontal projection."""

@@ -33,20 +33,20 @@ the matrix
     K3 = M(t + h/2) (I + h/2 K2),  K4 = M(t + h) (I + h K3)
 
 (Hairer, Norsett & Wanner, Solving ODEs I, II.1).  M is built from the
-coefficients that are not literal zeros only, the stored entries of
-Gamma_h, Gamma_xi, R and dalpha, which one compiled tape evaluates per block
-of stage points with the frame.  The kernel builds M and P - I for the
-curves of a pass and every step of a block with batched matrix products,
-in one workspace allocated per call.  A block holds at most STAGE_BLOCK
-stage points and OPERATOR_FLOATS floats of M, and the step arrays half its
-steps: they and M stay within 2 OPERATOR_FLOATS floats (2 MiB) for every
-batch and step count up to n = 6 (a block keeps three stage points at
-least), the rest within d^2 + 2 dim + d floats a stage point.  The
-products are formed in place in the order of the sum above, so P - I is
-bit for bit what fresh arrays give.  A block starts at the previous
-block's last stage and reuses its M, so each stage point is evaluated
-once.  The kernel then applies y <- P y step by step as y + (P - I) y,
-which rounds once per step as the serial loop did.  The full A is
+stored entries of Gamma_h, Gamma_xi, R and dalpha, which one compiled tape
+evaluates per block of stage points with the frame, its cofactors and
+determinant, for v by Cramer's rule.  The kernel (_propagate) takes a wide
+batch through the four stages with batched matrix-vector products against
+the block's M, and a narrow one by forming P - I for every step of a block
+in place in the order of the sum above, then one product per aligned group
+of GROUP_STEPS steps, pairwise as E = D2 + D1 + D2 D1 for P2 P1 = I + E,
+applied as y + E y: its bits depend on GROUP_STEPS, not on how blocks and
+passes cut the batch.  A block holds at most STAGE_BLOCK stage points and
+OPERATOR_FLOATS floats of M, the step arrays half its steps in whole groups:
+they and M stay within 2 OPERATOR_FLOATS floats (2 MiB) for every batch
+and step count up to n = 6, the rest within 2 d^2 floats a stage point.  A
+block starts at the previous block's last stage and reuses its M, so each
+stage point is evaluated once.  The full A is
 transported, so its drift from skew stays measurable.  Reconstruction
 transports a generator from a base point to every grid point along a
 vertical-then-straight two-leg path, one batch per leg, and emits the
@@ -111,10 +111,12 @@ SKEW_TOL = 1e-12
 STAGE_BLOCK = 1024
 # Floats of one block's operator array M (stage points x d^2), at most: caps
 # a block below STAGE_BLOCK stage points from n = 2 on (297 at d = 21, 70 at
-# d = 43).  The kernel's workspace holds M and three arrays of a quarter its size.
+# d = 43).  The kernel's workspace holds M and, in the grouped form, three
+# arrays of about a quarter its size.
 OPERATOR_FLOATS = 2**17
-# RK4 steps a block advances at least (where STAGE_BLOCK allows), by passes of fewer curves.
-BLOCK_STEPS = 8
+# RK4 steps one propagator of the grouped form spans, a power of two: a
+# block of a narrow batch advances whole groups, by passes of fewer curves.
+GROUP_STEPS = 16
 # Steps one curve may take; a finer step is rejected as an input error.
 MAX_STEPS = 10**6
 # Singular values at or below this count as zero whatever the relative
@@ -610,9 +612,9 @@ def _skew_part(y: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scratch_floats(cd: CurvatureData, npts: int) -> int:
-    """Floats _operator writes at npts stage points: tape values, Gamma(v), dalpha row, product."""
-    h = cd.structure.h
-    return npts * (len(cd.transport_coefficients[1]) + h * h + h + 1)
+    """Floats _operator writes at npts stage points: tape values, v, Gamma(v), dalpha row, tmp."""
+    s = cd.structure
+    return npts * (len(cd.transport_coefficients[1]) + s.dim + s.h * s.h + s.h + 1)
 
 
 def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray, out=None, scratch=None):
@@ -621,145 +623,195 @@ def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray, out=None, scr
     of the velocities.  M is written into out (S, d, d) when one is given,
     the intermediate arrays into the first _scratch_floats of scratch.
 
-    One tape evaluates the basis and the coefficients that are not literal
-    zeros, the stored entries of Gamma_h, Gamma_xi, R and dalpha
-    (cd.transport_coefficients).  Each entry adds its term to M for every
-    stage point at once.  M is bit for bit the dense einsum contraction,
-    signs of zeros included: every sum starts at +0.0 and takes its terms
-    in the index order of that contraction, as einsum does for two or more
-    points, and a left-out term would add +-0.0 to a partial sum that is
-    never -0.0."""
-    s = cd.structure
-    h, dim = s.h, s.dim
-    npts, hh = len(pts), h * h
+    One tape evaluates the basis, its cofactors and determinant, and the
+    coefficients that are not literal zeros, the stored entries of
+    Gamma_h, Gamma_xi, R and dalpha (cd.transport_coefficients); v is
+    Cramer's rule, the cofactors' transpose times vel over det.  Each entry
+    adds its term to M for every stage point at once.  Given v, M is bit
+    for bit the dense einsum contraction, signs of zeros included: every
+    sum starts at +0.0 and takes its terms in the index order of that
+    contraction, as einsum does for two or more points, and a left-out
+    term would add +-0.0 to a partial sum that is never -0.0."""
+    h, dim = cd.structure.h, cd.structure.dim
+    npts, hh, nb = len(pts), h * h, dim * dim
     (Gh, G0, R, B), roots = cd.transport_coefficients
     scratch = np.empty(_scratch_floats(cd, npts)) if scratch is None else scratch
     n0 = len(roots) * npts
-    n1, n2 = n0 + hh * npts, n0 + (hh + h) * npts
-    vals, G = scratch[:n0].reshape(-1, npts), scratch[n0:n1].reshape(npts, h, h)
-    c, tmp = scratch[n1:n2].reshape(npts, h), scratch[n2 : n2 + npts]
+    n1, n2 = n0 + dim * npts, n0 + (dim + hh) * npts
+    vals, vt = scratch[:n0].reshape(-1, npts), scratch[n0:n1].reshape(dim, npts)
+    G, c = scratch[n1:n2].reshape(npts, h, h), scratch[n2 : n2 + h * npts].reshape(npts, h)
+    tmp = scratch[n2 + h * npts : n2 + (h + 1) * npts]
     cd.transport_values(pts, vals)
-    basis = vals[: dim * dim].reshape(dim, dim, npts).transpose(2, 1, 0)  # (S, row, column)
-    if not (np.isfinite(pts).all() and np.isfinite(vel).all() and np.isfinite(basis).all()):
+    if not (np.isfinite(pts).all() and np.isfinite(vel).all() and np.isfinite(vals[:nb]).all()):
         raise ex.EvalError("curve leaves the evaluable domain of the structure")
-    try:
-        v = np.linalg.solve(basis, vel[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        raise ex.EvalError("frame degenerates along the curve") from None
-    if not np.isfinite(vals[dim * dim :]).all():
+    if not (np.isfinite(vals[nb:]).all() and vals[2 * nb].all()):
+        if not (np.isfinite(vals[nb : 2 * nb + 1]).all() and vals[2 * nb].all()):
+            raise ex.EvalError("frame degenerates along the curve")
         raise ex.EvalError("connection data is not finite along the curve")
-    i1 = dim * dim + len(Gh.entries)
+    np.einsum("kis,si->ks", vals[nb : 2 * nb].reshape(dim, dim, npts), vel, out=vt)
+    vt /= vals[2 * nb]
+    v = vt.T
+    i1 = 2 * nb + 1 + len(Gh.entries)
     i2, i3 = i1 + len(G0.entries), i1 + len(G0.entries) + len(R.entries)
-    Gh_v, G0_v, R_v, B_v = vals[dim * dim : i1], vals[i1:i2], vals[i2:i3], vals[i3:]
+    Gh_v, G0_v, R_v, B_v = vals[2 * nb + 1 : i1], vals[i1:i2], vals[i2:i3], vals[i3:]
     vh = v[:, :h]
     # Gamma(v) as matrices acting on column vectors: G[s, k, j]
     G.fill(0.0)
     for (a, j, k), g in zip(Gh.entries, Gh_v):
-        G[:, k, j] += np.multiply(vh[:, a], g, out=tmp)
+        G[:, k, j] += np.multiply(vt[a], g, out=tmp)
     for (j, k), g in zip(G0.entries, G0_v):
-        G[:, k, j] += np.multiply(v[:, h], g, out=tmp)
+        G[:, k, j] += np.multiply(vt[h], g, out=tmp)
     M = np.empty((npts, h + hh + 1, h + hh + 1)) if out is None else out
     M.fill(0.0)
     # x' = -A v - Gamma(v) x: x^k reads -(0 + v^j) from A[k, j], -0.0 from
     # the rest of A.  A' = R(x, v) - Gamma(v) A + A Gamma(v), A row-major:
-    # its A block is I (x) Gamma(v)^T - Gamma(v) (x) I, zeros +0.0
+    # its A block is I (x) Gamma(v)^T - Gamma(v) (x) I, zeros +0.0, which
+    # the fill leaves where Gamma stores nothing
     np.negative(G, out=M[:, :h, :h])
     M[:, :h, h:-1] = -0.0
     np.negative(np.add(vh, 0.0, out=c), out=c)  # -(0 + v^j), in the dalpha row's buffer
+    stored = bool(Gh.entries or G0.entries)
     for k in range(h):
         row = slice(h + k * h, h + (k + 1) * h)  # A[k, :]
         M[:, k, row] = c
-        M[:, row, row] = G.transpose(0, 2, 1)
-    for j in range(h):
+        if stored:
+            M[:, row, row] = G.transpose(0, 2, 1)
+    for j in range(h * stored):
         M[:, h + j : -1 : h, h + j : -1 : h] -= G
     for (a, b, j, k), r in zip(R.entries, R_v):
-        M[:, h + k * h + j, a] += np.multiply(vh[:, b], r, out=tmp)
+        M[:, h + k * h + j, a] += np.multiply(vt[b], r, out=tmp)
     # c' = -dalpha(x, v)
     c.fill(0.0)
     for (a, b), w in zip(B.entries, B_v):
-        c[:, a] += np.multiply(w, vh[:, b], out=tmp)
+        c[:, a] += np.multiply(w, vt[b], out=tmp)
     np.negative(c, out=M[:, -1, :h])
     return M, v
+
+
+def _stage_form(nb: int, d: int) -> bool:
+    """Whether a batch of nb curves with states of size d runs by RK4 stages,
+    not grouped steps: the stages' seventeen numpy calls cost about 10 us a
+    step at any width, a grouped step about 0.008 d^2 us a curve more (numpy
+    2.4, OpenBLAS, 2-vCPU VM).  Timed on heisenberg:1 and :3, the stages win
+    from 25 curves at d = 7, 3 at d = 21 and 1 at d = 43 (1.7 times as fast)."""
+    return nb * d * d >= 1200
 
 
 def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: float):
     """Advance the states y (B, d) by nsteps RK4 steps of size hstep along B
     curves.  stages(rows, k0, k1, pts, vel) writes the points and velocities
-    (k1 - k0, b, dim), stage-major, of the curves in the slice rows at stage
-    indices k0..k1-1; stage k sits at t0 + k hstep / 2.  The curves go in
-    balanced passes, narrow enough that a pass's steps split evenly into
-    blocks of BLOCK_STEPS steps at least (nsteps if fewer).  A block's
-    first stage is the previous block's last, so its M is carried over and
-    each stage point is evaluated once.  Every block-sized array is a view
-    of one workspace allocated here: the stage operators M, stage-major,
-    the step arrays I + c K, D and K, which hold half a block's steps, the
-    stage points and velocities, _operator's scratch and D y.  Returns the
-    end states and max |alpha(gamma')| over the stages of each curve."""
+    (dim, k1 - k0, b), coordinate-major, of the curves in the slice rows at
+    stage indices k0..k1-1; stage k sits at t0 + k hstep / 2.  The curves go
+    in balanced passes, as wide as a block of three stages allows for
+    _stage_steps, narrow enough for one group a block for _step_increments,
+    whose blocks hold whole groups.  Every block-sized array is a view of
+    one workspace allocated here.  Returns the end states and
+    max |alpha(gamma')| over the stages of each curve."""
     nb_total, d = y.shape
     h, dim, dd = cd.structure.h, cd.structure.dim, d * d
     y = y.copy()
     viol = np.zeros(nb_total)
-    eye = np.eye(d)
-    block = max(3, min(STAGE_BLOCK, OPERATOR_FLOATS // dd))  # stage points a block, 3 at least
-    least = -(-nsteps // max(1, nsteps // BLOCK_STEPS))  # steps a block takes, at least
+    wide = _stage_form(nb_total, d)
+    least = 1 if wide else min(nsteps, GROUP_STEPS)  # steps a block takes, at least
+    block = max(2 * least + 1, min(STAGE_BLOCK, OPERATOR_FLOATS // dd))  # stage points a block
     width = max(1, block // (2 * least + 1))  # curves a pass, at most
     npass = -(-nb_total // width)  # balanced: their widths differ by one at most
     passes = [slice(nb_total * p // npass, nb_total * (p + 1) // npass) for p in range(npass)]
 
-    def steps(nb: int) -> int:  # RK4 steps a block of nb curves takes
-        return min(nsteps, (block // nb - 1) // 2)
+    def steps(nb: int) -> int:  # RK4 steps a block of nb curves takes: whole groups if narrow
+        k = min(nsteps, (block // nb - 1) // 2)
+        return k if wide or k == nsteps else k - k % GROUP_STEPS
+
+    def chunk(nb: int) -> int:  # steps the step arrays hold: half a block's groups, rounded up
+        return 0 if wide else GROUP_STEPS * -(-steps(nb) // (2 * GROUP_STEPS))
 
     widths = {rows.stop - rows.start for rows in passes}
     nstage = max(((2 * steps(nb) + 1) * nb for nb in widths), default=0)
-    nstep = max((-(-steps(nb) // 2) * nb for nb in widths), default=0)
+    nstep = max((chunk(nb) * nb for nb in widths), default=0)
     sizes = [nstage * dd] + [nstep * dd] * 3 + [nstage * dim] * 2
-    sizes += [_scratch_floats(cd, nstage), max(widths, default=0) * d]
-    Mw, tw, Dw, Kw, pw, vw, scratch, dyw = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    sizes += [_scratch_floats(cd, nstage), 5 * max(widths, default=0) * d]
+    Mw, tw, Dw, Kw, pw, vw, scratch, sw = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
     for rows in passes:
         nb = rows.stop - rows.start
-        per_block = steps(nb)
-        half = -(-per_block // 2)
-        yb, dy = y[rows], dyw[: nb * d].reshape(nb, d, 1)
-        ycol, dyv = yb[..., None], dy[..., 0]
+        per_block, half = steps(nb), chunk(nb)
+        ycol, vec = y[rows][..., None], sw[: 5 * nb * d].reshape(5, nb, d, 1)  # ycol: a view of y
         for i0 in range(0, nsteps, per_block):
             k = min(per_block, nsteps - i0)
             carried = int(i0 > 0)  # stage 0 then holds the previous block's last M
             npts = (2 * k + 1 - carried) * nb
-            pts, vel = (w[: npts * dim].reshape(-1, nb, dim) for w in (pw, vw))
+            pts, vel = (w[: npts * dim].reshape(dim, -1, nb) for w in (pw, vw))
             stages(rows, 2 * i0 + carried, 2 * (i0 + k) + 1, pts, vel)
-            out = Mw[carried * nb * dd : (2 * k + 1) * nb * dd].reshape(-1, d, d)
-            v = _operator(cd, pts.reshape(npts, dim), vel.reshape(npts, dim), out, scratch)[1]
-            viol[rows] = np.maximum(viol[rows], np.abs(v[:, h]).reshape(-1, nb).max(axis=0))
             M = Mw[: (2 * k + 1) * nb * dd].reshape(2 * k + 1, nb, d, d)
-            for j0 in range(0, k, half):  # the step arrays hold half the block's steps
-                Mj = M[2 * j0 : 2 * min(k, j0 + half) + 1]
-                M0, M1, M2 = Mj[0:-1:2], Mj[1::2], Mj[2::2]
-                t, D, K = (w[: len(M1) * nb * dd].reshape(-1, nb, d, d) for w in (tw, Dw, Kw))
-                # K2 = M1 (I + h/2 M0) into D, then K3 = M1 (I + h/2 K2) and
-                # K4 = M2 (I + h K3) into K; each I + c K is built in t
-                np.multiply(M0, 0.5 * hstep, out=t)
-                t += eye
-                np.matmul(M1, t, out=D)
-                np.multiply(D, 0.5 * hstep, out=t)
-                t += eye
-                np.matmul(M1, t, out=K)
-                np.multiply(K, hstep, out=t)
-                t += eye
-                # P - I = h/6 (((M0 + 2 K2) + 2 K3) + K4), rounded as that sum is
-                D *= 2
-                D += M0
-                K *= 2
-                D += K
-                np.matmul(M2, t, out=K)
-                D += K
-                D *= hstep / 6.0
-                # adding the increment D y to y (in place: yb is a view of y)
-                # rounds once per step
-                for Dj in D:
-                    np.matmul(Dj, ycol, out=dy)
-                    yb += dyv
+            out = M[carried:].reshape(-1, d, d)
+            v = _operator(cd, pts.reshape(dim, npts).T, vel.reshape(dim, npts).T, out, scratch)[1]
+            viol[rows] = np.maximum(viol[rows], np.abs(v[:, h]).reshape(-1, nb).max(axis=0))
+            if wide:
+                _stage_steps(M, ycol, vec, hstep)
+            else:
+                for j0 in range(0, k, half):
+                    Mj = M[2 * j0 : 2 * min(k, j0 + half) + 1]
+                    for E in _step_increments(Mj, hstep, tw, Dw, Kw):
+                        np.matmul(E, ycol, out=vec[0])  # y + E y rounds once a group
+                        ycol += vec[0]
             M[0] = M[-1]  # carried to the next block
     return y, viol
+
+
+def _stage_steps(M: np.ndarray, ycol: np.ndarray, buf: np.ndarray, hstep: float) -> None:
+    """Advance ycol (b, d, 1) in place by the RK4 steps of the stage operators
+    M (2k + 1, b, d, d) through the stages k1 = M0 y, k2 = M1 (y + h/2 k1),
+    k3 = M1 (y + h/2 k2), k4 = M2 (y + h k3), in buf (5, b, d, 1)."""
+    k1, k2, k3, k4, t = buf
+    half = 0.5 * hstep
+    for j in range(len(M) // 2):
+        M0, M1, M2 = M[2 * j], M[2 * j + 1], M[2 * j + 2]
+        np.matmul(M0, ycol, out=k1)
+        for src, c, Mj, dst in ((k1, half, M1, k2), (k2, half, M1, k3), (k3, hstep, M2, k4)):
+            np.multiply(src, c, out=t)
+            t += ycol
+            np.matmul(Mj, t, out=dst)
+        # y += h/6 (((k1 + 2 k2) + 2 k3) + k4), the serial loop's sum
+        k2 *= 2
+        k2 += k1
+        k3 *= 2
+        k2 += k3
+        k2 += k4
+        k2 *= hstep / 6.0
+        ycol += k2
+
+
+def _step_increments(M: np.ndarray, hstep: float, tw, Dw, Kw) -> np.ndarray:
+    """E (g, b, d, d), the propagators minus I of the aligned groups of GROUP_STEPS
+    steps of the stage operators M (2k + 1, b, d, d), the last short if need be:
+    each step's P - I, then E = D2 + D1 + D2 D1 over adjacent pairs, log2 GROUP_STEPS
+    times, an unpaired last one carried up; in the flat buffers tw, Dw, Kw."""
+    M0, M1, M2 = M[0:-1:2], M[1::2], M[2::2]
+    t, D, K = (w[: M1.size].reshape(M1.shape) for w in (tw, Dw, Kw))
+    # K2 = M1 (I + h/2 M0) into D, then K3 = M1 (I + h/2 K2) and
+    # K4 = M2 (I + h K3) into K; each I + c K is built in t
+    for src, c, dst in ((M0, 0.5 * hstep, D), (D, 0.5 * hstep, K), (K, hstep, None)):
+        np.multiply(src, c, out=t)
+        t += np.eye(M.shape[-1])
+        if dst is not None:
+            np.matmul(M1, t, out=dst)
+    # P - I = h/6 (((M0 + 2 K2) + 2 K3) + K4), rounded as that sum is
+    D *= 2
+    D += M0
+    K *= 2
+    D += K
+    np.matmul(M2, t, out=K)
+    D += K
+    D *= hstep / 6.0
+    E, F = D, K
+    for _ in range(GROUP_STEPS.bit_length() - 1):
+        n, m = len(E), len(E) // 2
+        E1, E2 = E[0 : 2 * m : 2], E[1 : 2 * m : 2]
+        np.matmul(E2, E1, out=t[:m])
+        np.add(E2, E1, out=F[:m])
+        F[:m] += t[:m]
+        F[m : n - m] = E[2 * m :]  # an unpaired last one
+        E, F = F[: n - m], E
+    return E
 
 
 def _curve_stages(curve: Curve, nsteps: int):
@@ -769,8 +821,8 @@ def _curve_stages(curve: Curve, nsteps: int):
 
     def stages(rows, k0, k1, pts, vel):
         ts = curve.t0 + span * np.arange(k0, k1) / (2 * nsteps)
-        position(ts, out=pts[:, 0].T)
-        velocity(ts, out=vel[:, 0].T)
+        position(ts, out=pts[..., 0])
+        velocity(ts, out=vel[..., 0])
 
     return stages
 
@@ -781,9 +833,9 @@ def _segment_stages(p: np.ndarray, dp: np.ndarray, nsteps: int):
 
     def stages(rows, k0, k1, pts, vel):
         ts = np.arange(k0, k1) / (2 * nsteps)
-        np.multiply(dp[rows], ts[:, None, None], out=pts)
-        pts += p[rows]
-        vel[...] = dp[rows]
+        np.multiply(dp[rows].T[:, None], ts[:, None], out=pts)
+        pts += p[rows].T[:, None]
+        vel[...] = dp[rows].T[:, None]
 
     return stages
 

@@ -26,18 +26,20 @@ from srkilling.connection import eval_tensor
 from srkilling.killing import Generator, segment_curve
 
 
-def dense_operator(cd, pts, vel):
+def dense_operator(cd, pts, vel, v=None):
     """(M (S, d, d), v (S, dim)) at stage points pts with velocities vel,
-    from dense coefficient tables and five einsum contractions."""
+    from dense coefficient tables and five einsum contractions.  The v
+    returned is np.linalg.solve's; M is built from the v given, if one is."""
     s = cd.structure
     h = s.h
     basis = s.basis_matrix_at(pts)  # (S, dim, dim)
     if not (np.isfinite(pts).all() and np.isfinite(vel).all() and np.isfinite(basis).all()):
         raise ex.EvalError("curve leaves the evaluable domain of the structure")
     try:
-        v = np.linalg.solve(basis, vel[..., None])[..., 0]
+        v_solve = np.linalg.solve(basis, vel[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise ex.EvalError("frame degenerates along the curve") from None
+    v = v_solve if v is None else v
     Gh = s.eval_table(cd.connection.gamma_h, pts)
     G0 = s.eval_table(cd.connection.gamma_xi, pts)
     Rv = eval_tensor(s, cd.R, pts)
@@ -60,7 +62,7 @@ def dense_operator(cd, pts, vel):
     ).reshape(npts, hh, hh)
     # c' = -dalpha(x, v)
     M[:, -1, :h] = -np.einsum("abs,sb->sa", Bv, vh)
-    return M, v
+    return M, v_solve
 
 
 def stage_data(cd, curve, nsteps):

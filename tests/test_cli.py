@@ -458,6 +458,23 @@ class TestTransportInputs:
         (files / "gen_nan.toml").write_text(GEN_Y1.replace("c = 0", "c = nan"))
         assert input_error(*self.prolong(capsys, files, gen="gen_nan.toml"))
 
+    def test_frame_degenerate_on_the_curve(self, capsys, tmp_path):
+        # e2 and xi vanish at x = 3, outside the load's sample box; the
+        # curve's stage point at t = 1/2 sits there, where det P = 0
+        (tmp_path / "degen.toml").write_text(
+            "[manifold]\nmode = chart\nn = 1\ncoords = x, y, z\n"
+            "[frame]\nX1 = 1, 0, -y/2\nX2 = 0, x - 3, (x - 3)*x/2\n"
+        )
+        (tmp_path / "curve.toml").write_text("[curve]\nt_range = 0 1\ngamma = 2 + 2*t, 0, 0\n")
+        (tmp_path / "gen.toml").write_text("[generator]\nX = 1 0\nA = 0\nc = 0\nat = 2, 0, 0\n")
+        code, out = run(
+            capsys, "prolong", str(tmp_path / "degen.toml"),
+            "--curve", str(tmp_path / "curve.toml"), "--gen", str(tmp_path / "gen.toml"),
+        )
+        assert input_error(code, out)
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["message"] == "frame degenerates along the curve"
+
 
 OVERSIZED_GRIDS = [
     "x:0:1:1000000000,y:0:1:1,z:0:1:1",

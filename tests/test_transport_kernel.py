@@ -1,10 +1,15 @@
 """The batched RK4 kernel against the serial per-curve loop it replaced,
-and its operator against the dense einsum operator.
+against closed-form Killing fields, and its operator against the dense
+einsum operator.
 
-The kernel forms each step's propagator before applying it, so it sums in
-another order than the serial loop; the two agree to within 1e-12.  The
-operator M is bit for bit the dense one, and how the kernel cuts its stage
-points into blocks changes no bit of the result.
+A narrow batch forms each step's propagator and one product per group of
+steps before applying it, and a wide one carries its states through the
+RK4 stages against the stage operators; each sums in another order than the
+serial loop, and both agree with it to within 1e-12.  Given the frame
+components v of the velocities, which Cramer's rule on the tape gives to
+within rounding of np.linalg.solve, the operator M is bit for bit the dense
+one, and how the kernel cuts its stage points into blocks changes no bit of
+the result.
 """
 
 import tracemalloc
@@ -171,17 +176,20 @@ def test_tiling_changes_no_bit(su2c_cd, monkeypatch, nb):
 
 
 def test_every_block_of_a_pass_advances_block_steps(heis_cd, monkeypatch):
-    # 125 curves go in balanced passes: each block but the last of its pass
-    # advances BLOCK_STEPS steps at least; every curve is in one pass, whose
-    # blocks run in order over all stages
+    # 14 curves are a narrow batch, which a 128-point block takes in
+    # balanced passes: each block but the last of its pass advances whole
+    # groups of GROUP_STEPS steps; every curve is in one pass, whose blocks
+    # run in order over all stages
     calls = spy_operator(monkeypatch)
+    monkeypatch.setattr(killing, "STAGE_BLOCK", 128)
     nsteps = 200
-    y, starts, ends = segment_batch(heis_cd, 125, seed=14)
+    y, starts, ends = segment_batch(heis_cd, 14, seed=14)
+    assert not killing._stage_form(14, y.shape[1])
     killing._segment_transport(heis_cd, y, starts, ends, nsteps)
     passes = {}
     for curves, first, last in segment_blocks(calls, starts, ends, nsteps):
         passes.setdefault(curves, []).append((first, last))
-    assert sorted(c for curves in passes for c in curves) == list(range(125))
+    assert sorted(c for curves in passes for c in curves) == list(range(14))
     widths = sorted(len(curves) for curves in passes)
     assert widths[-1] - widths[0] <= 1 and len(passes) > 1
     for blocks in passes.values():
@@ -189,7 +197,8 @@ def test_every_block_of_a_pass_advances_block_steps(heis_cd, monkeypatch):
         for (_, last), (first, _) in zip(blocks, blocks[1:]):
             assert first == last + 1  # the last stage's M is carried over
         for first, last in blocks[:-1]:
-            assert last // 2 - first // 2 >= killing.BLOCK_STEPS
+            advanced = last // 2 - first // 2
+            assert advanced >= killing.GROUP_STEPS and advanced % killing.GROUP_STEPS == 0
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +260,101 @@ def test_transport_memory_on_heisenberg(heis_cd):
 
 
 # ---------------------------------------------------------------------------
+# The two forms of the kernel: RK4 stages for wide batches, grouped steps for
+# narrow ones.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["stages", "grouped"])
+def form(request, monkeypatch):
+    """Every batch runs in the form of the parameter."""
+    monkeypatch.setattr(killing, "_stage_form", lambda nb, d: request.param)
+    return request.param
+
+
+def heisenberg_generator(a, b, k, r, q):
+    """The state (X, A row-major, c) at q of the Heisenberg Killing field
+    a (d/dx + y/2 d/dz) + b (d/dy - x/2 d/dz) + k d/dz + r (-y d/dx + x d/dy),
+    in closed form (the oracle of perfbench/workloads.py)."""
+    x, y = q[0], q[1]
+    c = -a * y + b * x + r * (x * x + y * y) / 2 - k
+    return np.array([a - r * y, b + r * x, 0.0, r, -r, 0.0, c])
+
+
+def test_heisenberg_killing_fields_match_the_closed_form(heis_cd, form):
+    rng = np.random.default_rng(18)
+    coeffs = rng.uniform(-1, 1, (30, 4))
+    starts = rng.uniform(-1, 1, (30, 3))
+    ends = rng.uniform(-1, 1, (30, 3))
+    y = np.stack([heisenberg_generator(*c, q) for c, q in zip(coeffs, starts)])
+    y_end, q_end = killing._segment_transport(heis_cd, y, starts, ends, 100)
+    want = np.stack([heisenberg_generator(*c, q) for c, q in zip(coeffs, q_end)])
+    assert np.max(np.abs(y_end - want)) < TOL
+    curve = tcurve(["1/8 + t/3", "-1/4 + t^2/5", "3/8 + t*(1-t)"])
+    q0, q1 = curve.point_at(0.0), curve.point_at(1.0)
+    state = heisenberg_generator(*coeffs[0], q0)
+    gen = Generator(X=state[:2], A=state[2:6].reshape(2, 2), c=state[-1], q=q0)
+    got = killing._pack_state(transport(heis_cd, gen, curve, step=1e-3).gen)
+    assert np.max(np.abs(got - heisenberg_generator(*coeffs[0], q1))) < TOL
+
+
+@pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
+def test_su2_killing_fields_match_serial_loop(su2c_cd, form, name):
+    gen = a_z_matrix(su2c_cd.connection, field(SU2C_KILLING[name]), np.zeros(3)).gen
+    curve = tcurve(["t/2", "t^2/3", "t*(1-t)*sin(2*t)"], 0.0, 1.25)
+    res = transport(su2c_cd, gen, curve, step=1e-3)
+    want, drift, _ = serial_transport(su2c_cd, gen, curve, 1e-3)
+    assert_same_generator(res.gen, want)
+    assert abs(res.skew_drift - drift) < TOL
+
+
+@pytest.mark.parametrize("structure, nb", [("heis_cd", 5), ("su2c_cd", 30), ("heis3_cd", 2)])
+def test_both_forms_agree(request, monkeypatch, structure, nb):
+    # 100 steps: six whole groups and a short one
+    cd = request.getfixturevalue(structure)
+    y, starts, ends = segment_batch(cd, nb, seed=17)
+    end = {}
+    for wide in (True, False):
+        monkeypatch.setattr(killing, "_stage_form", lambda n, d: wide)
+        end[wide] = killing._segment_transport(cd, y, starts, ends, 100)[0]
+    assert np.max(np.abs(end[True] - end[False])) <= 1e-13 * np.max(np.abs(end[True]))
+
+
+def test_long_curve_updates_its_state_once_a_group(heis_cd, monkeypatch):
+    # 10^4 steps of one curve: one product E y per group of GROUP_STEPS steps
+    groups = []
+    increments = killing._step_increments
+
+    def spied(*args):
+        E = increments(*args)
+        groups.append(len(E))
+        return E
+
+    monkeypatch.setattr(killing, "_step_increments", spied)
+    gen = random_gen(np.random.default_rng(19), np.array([0.125, -0.25, 0.375]))
+    transport(heis_cd, gen, tcurve(["1/8 + t/3", "-1/4 + t^2/5", "3/8 + t*(1-t)"]), step=1e-4)
+    assert sum(groups) == -(-(10**4) // killing.GROUP_STEPS)
+
+
+def test_wide_batch_runs_by_stages(heis_cd, monkeypatch):
+    # the 124 curves of the second leg of a 5^3 reconstruction: every step
+    # goes through the stages, and no step's propagator is formed
+    steps = []
+    stage_steps = killing._stage_steps
+
+    def spied(M, ycol, buf, hstep):
+        steps.append((len(ycol), len(M) // 2))
+        stage_steps(M, ycol, buf, hstep)
+
+    monkeypatch.setattr(killing, "_stage_steps", spied)
+    monkeypatch.setattr(killing, "_step_increments", None)
+    y, starts, ends = segment_batch(heis_cd, 124, seed=16)
+    killing._segment_transport(heis_cd, y, starts, ends, 1000)
+    assert {nb for nb, _ in steps} == {124}
+    assert sum(k for _, k in steps) == 1000
+
+
+# ---------------------------------------------------------------------------
 # The sparse operator against the dense einsum operator it replaced.
 # ---------------------------------------------------------------------------
 
@@ -259,6 +363,14 @@ def assert_bitwise(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_solves(v, v_solve):
+    # Cramer's rule against LU: equal to within rounding, relative to the
+    # largest component at each point
+    assert v.shape == v_solve.shape
+    scale = np.abs(v_solve).max(axis=1, keepdims=True)
+    assert np.all(np.abs(v - v_solve) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("name", ["heisenberg:1", "heisenberg:2", "su2:chart"])
@@ -272,16 +384,17 @@ def test_operator_is_bitwise_the_dense_operator(name):
         vel[::3, 0] = 0.0  # zero and negative-zero velocity components
         vel[1::3, -1] = -0.0
         M, v = killing._operator(cd, pts, vel)
-        M_ref, v_ref = dense_operator(cd, pts, vel)
+        M_ref, v_solve = dense_operator(cd, pts, vel, v)
         assert_bitwise(M, M_ref)
-        assert_bitwise(v, v_ref)
+        assert_solves(v, v_solve)
 
 
 class TableStructure:
     """A stand-in structure whose coefficient "expressions" are names of
     fixed value rows: every entry of Gamma, R and dalpha is stored, so each
     sum of the operator has all h of its terms.  The basis columns e_1..e_h,
-    xi are names of rows too, read from basis (npts, h + 1, h + 1)."""
+    xi are names of rows too, read from basis (npts, h + 1, h + 1), and so
+    are its cofactors and determinant, computed from basis by np.linalg.det."""
 
     def __init__(self, h, values, basis):
         self.h, self.dim, self.values, self.basis = h, h + 1, values, basis
@@ -305,6 +418,15 @@ class TableStructure:
 
     def basis_matrix_at(self, pts):
         return self.basis
+
+    def basis_cofactors(self):
+        cof = [[f"C{i},{k}" for i in range(self.dim)] for k in range(self.dim)]
+        for i in range(self.dim):
+            for k in range(self.dim):
+                minor = np.delete(np.delete(self.basis, i, axis=1), k, axis=2)
+                self.values[cof[k][i]] = (-1) ** (i + k) * np.linalg.det(minor)
+        self.values["det"] = np.linalg.det(self.basis)
+        return cof, "det"
 
 
 def table_data(h, npts, seed, basis=None):
@@ -338,17 +460,20 @@ def table_data(h, npts, seed, basis=None):
 def test_operator_sums_in_the_dense_order(h):
     # every coefficient stored and nonzero at most points: the sums over
     # a and b run over all h terms, which for h >= 4 fixes their order; with
-    # the identity frame, v is vel, signed zeros included
-    identity = np.broadcast_to(np.eye(h + 1), (64, h + 1, h + 1))
-    for npts, basis in ((2, None), (3, None), (64, None), (64, identity)):
+    # a diagonal frame of signs, v is +-vel and its zeros take the sign of
+    # det, so zeros of both signs reach M
+    signs = np.where(np.random.default_rng(h).random((64, h + 1)) < 0.5, -1.0, 1.0)
+    diagonal = signs[:, :, None] * np.eye(h + 1)
+    for npts, basis in ((2, None), (3, None), (64, None), (64, diagonal)):
         cd, pts, vel = table_data(h, npts, seed=h + npts, basis=basis)
-        if basis is not None:
-            assert np.signbit(vel[vel == 0]).any() and np.signbit(-vel[vel == 0]).any()
-        assert len(cd.transport_coefficients[1]) == (h + 1) ** 2 + h**3 + h**2 + h**4 + h**2
+        roots = 2 * (h + 1) ** 2 + 1 + h**3 + h**2 + h**4 + h**2  # basis, cofactors, det
+        assert len(cd.transport_coefficients[1]) == roots
         M, v = killing._operator(cd, pts, vel)
-        M_ref, v_ref = dense_operator(cd, pts, vel)
+        M_ref, v_solve = dense_operator(cd, pts, vel, v)
         assert_bitwise(M, M_ref)
-        assert_bitwise(v, v_ref)
+        assert_solves(v, v_solve)
+        if basis is not None:
+            assert np.signbit(v[v == 0]).any() and np.signbit(-v[v == 0]).any()
 
 
 def test_operator_refuses_what_it_cannot_evaluate(heis_cd):
