@@ -177,7 +177,8 @@ def test_report_is_byte_identical(monkeypatch, argv, code, digest):
 
 
 # Transport reports: the RK4 kernel's output, pinned to the bytes of the
-# dense-operator kernel it replaced.  Each input file is written into
+# kernel that takes v by Cramer's rule and wide batches by RK4 stages
+# (rounding-level moves against the dense-operator kernel before it).  Each input file is written into
 # tmp_path; "{name}" in argv stands for its path.
 TRANSPORT_FILES = {
     "heis_gen.toml": "[generator]\nX = 0.5 -0.25\nA = 0.75\nc = 0.125\nat = 0.25, -0.5, 0.125\n",
@@ -199,7 +200,7 @@ GOLDEN_TRANSPORT = [
     (
         ("prolong", "heisenberg:1", "--curve", "{heis_curve.toml}", "--gen", "{heis_gen.toml}"),
         0,
-        "578927117dcaf235cb99d4374351f938a13c14bc288ce7d1c2b1da8310dd8136",
+        "01a8e32d0c1201fc063d1d1034f393e2efb9eb2176944cbc14dbe984c01137ec",
     ),
     (
         (
@@ -207,7 +208,7 @@ GOLDEN_TRANSPORT = [
             "--curve", "{heis_bent.toml}", "--gen", "{heis_gen.toml}",
         ),
         0,
-        "8d0c15ed7838d67e8b81b46e0f8aad0ed26b678002c6aa9be88d3b2c10cffe66",
+        "6bc7870c2d31f24b2c65ef968b4175dcd421e493ab897e0b207890bcdcccf7c3",
     ),
     (
         (
@@ -215,17 +216,17 @@ GOLDEN_TRANSPORT = [
             "--grid", GRID_3, "--step", "1e-2",
         ),
         0,
-        "a95b7ceda2b18d86f6a6c46a3216a4199669f758d9e098672ccb4033a93b28b4",
+        "c21616fee8cf6ba62ec8492f806d625c7d87a47d89ec668446821590f7dbeac8",
     ),
     (
         ("prolong", "su2:chart", "--curve", "{su2c_curve.toml}", "--gen", "{su2c_gen.toml}"),
         0,
-        "851adec45e0883e00b75940e0b2892ff1c624bba1de3a49a545941940765d5a4",
+        "661020018f47a192c5feb6208138a93b29bf624a88870b30fdd597c1e989bb2c",
     ),
     (
         ("prolong", "su2:chart", "--curve", "{su2c_cospow.toml}", "--gen", "{su2c_gen.toml}"),
         0,
-        "92d27ad286639f52452a8189aedf07d99356beec6f251ba7878db19a560a9708",
+        "9d6653f4537a24e4661b211ccc868a2bce3d2e3898560ea283f1f8357456e5d8",
     ),
 ]
 
@@ -290,7 +291,7 @@ GOLDEN_EDGE = [
         ),
         0,
         "1a1df7672e1faa6ae6eab00121c78299c3982a476f073673dbc076df0b7afceb",
-        "a95b7ceda2b18d86f6a6c46a3216a4199669f758d9e098672ccb4033a93b28b4",
+        "c21616fee8cf6ba62ec8492f806d625c7d87a47d89ec668446821590f7dbeac8",
     ),
     (
         ("check", "nosuch.toml"),
