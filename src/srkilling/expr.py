@@ -596,7 +596,7 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
     The tape holds each distinct node (by object identity) of all roots
     once, so a subexpression the roots share is one slot, computed once; a
     slot is released after its last use.  Each root is written to the
-    output as soon as it is computed, a constant root as a filled row.  With
+    output as soon as it is computed, the constant roots in one write.  With
     a list of R roots the function returns an array (R,) + shape, with one
     root the array shape: the shape of the input arrays, or (1,) when there
     are none (lie mode: no coordinates, one point).  No finiteness check is
@@ -646,14 +646,16 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
     last_use.pop(-1, None)
     for slot, op in last_use.items():
         op[4].append(slot)
-    loaded_roots: dict = {}  # slot -> rows of the roots that are a constant or variable
+    loaded_roots: dict = {}  # slot -> rows of the roots that are a variable
     for r, root in enumerate(roots):
         k = index[id(root)]
         if k in ops:
             ops[k][5].append(r)
-        else:
+        elif not isinstance(root, Const):
             loaded_roots.setdefault(k, []).append(r)
     loaded = [(k, np.array(rows)) for k, rows in loaded_roots.items()]
+    const_rows = np.array([r for r, root in enumerate(roots) if isinstance(root, Const)], dtype=int)
+    const_vals = np.array([_const_float(roots[r].value) for r in const_rows])  # one write for all
     steps = [tuple(op) for op in ops.values()]
     nroots, nslots = len(roots), len(order)
 
@@ -667,6 +669,7 @@ def compile_expression(e: Expression | list[Expression], var_order: list[str]):
             slots[k] = np.asarray(arrays[pos], dtype=float)
         for k, rows in loaded:
             out[rows] = slots[k]
+        out[const_rows] = const_vals.reshape((-1,) + (1,) * (out.ndim - 1))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for f, k, a, b, free, rows in steps:
                 v = slots[k] = f(slots[a]) if b < 0 else f(slots[a], slots[b])

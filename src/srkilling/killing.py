@@ -32,26 +32,25 @@ the matrix
     K1 = M(t),  K2 = M(t + h/2) (I + h/2 K1),
     K3 = M(t + h/2) (I + h/2 K2),  K4 = M(t + h) (I + h K3)
 
-(Hairer, Norsett & Wanner, Solving ODEs I, II.1).  M is built from the
-stored entries of Gamma_h, Gamma_xi, R and dalpha, which one compiled tape
-evaluates per block of stage points with the frame, its cofactors and
-determinant, for v by Cramer's rule.  The kernel (_propagate) takes a wide
-batch through the four stages with batched matrix-vector products against
-the block's M, and a narrow one by forming P - I for every step of a block
-in place in the order of the sum above, then one product per aligned group
-of GROUP_STEPS steps, pairwise as E = D2 + D1 + D2 D1 for P2 P1 = I + E,
-applied as y + E y: its bits depend on GROUP_STEPS, not on how blocks and
-passes cut the batch.  A block holds at most STAGE_BLOCK stage points and
-OPERATOR_FLOATS floats of M, the step arrays half its steps in whole groups:
-they and M stay within 2 OPERATOR_FLOATS floats (2 MiB) for every batch
-and step count up to n = 6, the rest within 2 d^2 floats a stage point.  A
-block starts at the previous block's last stage and reuses its M, so each
-stage point is evaluated once.  The full A is
+(Hairer, Norsett & Wanner, Solving ODEs I, II.1).  M is built from the stored
+entries of Gamma_h, Gamma_xi, R and dalpha, which one compiled tape evaluates
+per block of stage points with the frame, its cofactors and determinant, for v
+by Cramer's rule.  The kernel (_propagate) takes a wide batch through the four
+stages with batched matrix-vector products against the block's M, and a narrow
+one by forming P - I for every step of a block in place in the order of the
+sum above, then one product per aligned group of GROUP_STEPS steps, pairwise
+as E = D2 + D1 + D2 D1 for P2 P1 = I + E, applied as y + E y: its bits depend
+on GROUP_STEPS, not on how blocks and passes cut the batch.  A block holds at
+most STAGE_BLOCK stage points and OPERATOR_FLOATS floats of M, the step arrays
+half its steps in whole groups: they and M stay within 2 OPERATOR_FLOATS
+floats (2 MiB) for every batch and step count up to n = 6, the rest within
+2 d^2 floats a stage point.  A block starts at the previous block's last stage
+and reuses its M, so each stage point is evaluated once.  The full A is
 transported, so its drift from skew stays measurable.  Reconstruction
 transports a generator from a base point to every grid point along a
-vertical-then-straight two-leg path, one batch per leg, and emits the
-field Z = X^k e_k + c xi; its finite-difference check reads the same M, as
-the residual e_a(y) - M(e_a) y.
+vertical-then-straight two-leg path, one batch per leg, and emits the field
+Z = X^k e_k + c xi; its finite-difference check reads the same M, as the
+residual e_a(y) - M(e_a) y.
 """
 
 from __future__ import annotations
@@ -667,10 +666,11 @@ def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray, out=None, scr
     # the rest of A.  A' = R(x, v) - Gamma(v) A + A Gamma(v), A row-major:
     # its A block is I (x) Gamma(v)^T - Gamma(v) (x) I, zeros +0.0, which
     # the fill leaves where Gamma stores nothing
-    np.negative(G, out=M[:, :h, :h])
-    M[:, :h, h:-1] = -0.0
-    np.negative(np.add(vh, 0.0, out=c), out=c)  # -(0 + v^j), in the dalpha row's buffer
     stored = bool(Gh.entries or G0.entries)
+    M[:, :h, :-1] = -0.0
+    if stored:
+        np.negative(G, out=M[:, :h, :h])
+    np.negative(np.add(vh, 0.0, out=c), out=c)  # -(0 + v^j), in the dalpha row's buffer
     for k in range(h):
         row = slice(h + k * h, h + (k + 1) * h)  # A[k, :]
         M[:, k, row] = c
@@ -689,24 +689,20 @@ def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray, out=None, scr
 
 
 def _stage_form(nb: int, d: int) -> bool:
-    """Whether a batch of nb curves with states of size d runs by RK4 stages,
-    not grouped steps: the stages' seventeen numpy calls cost about 10 us a
-    step at any width, a grouped step about 0.008 d^2 us a curve more (numpy
-    2.4, OpenBLAS, 2-vCPU VM).  Timed on heisenberg:1 and :3, the stages win
-    from 25 curves at d = 7, 3 at d = 21 and 1 at d = 43 (1.7 times as fast)."""
+    """Whether nb curves of state size d run by RK4 stages, whose numpy calls cost about
+    10 us a step at any nb, or by grouped steps, which cost about 0.008 d^2 us a curve and
+    step more: timed on heisenberg:1 and :3, stages win from 25 curves at d = 7, 1 at 43."""
     return nb * d * d >= 1200
 
 
 def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: float):
-    """Advance the states y (B, d) by nsteps RK4 steps of size hstep along B
-    curves.  stages(rows, k0, k1, pts, vel) writes the points and velocities
-    (dim, k1 - k0, b), coordinate-major, of the curves in the slice rows at
-    stage indices k0..k1-1; stage k sits at t0 + k hstep / 2.  The curves go
-    in balanced passes, as wide as a block of three stages allows for
-    _stage_steps, narrow enough for one group a block for _step_increments,
-    whose blocks hold whole groups.  Every block-sized array is a view of
-    one workspace allocated here.  Returns the end states and
-    max |alpha(gamma')| over the stages of each curve."""
+    """Advance the states y (B, d) by nsteps RK4 steps of size hstep along B curves.
+    stages(rows, k0, k1, pts, vel) writes the points and velocities (dim, k1 - k0, b) of
+    the curves in the slice rows at stages k0..k1-1, stage k at t0 + k hstep / 2.  The
+    curves go in balanced passes: as wide as a block of three stages allows for
+    _stage_steps; for _step_increments, narrow enough that a block holds a group, and
+    blocks hold whole groups.  Every block-sized array is a view of one workspace.
+    Returns the end states and max |alpha(gamma')| over the stages of each curve."""
     nb_total, d = y.shape
     h, dim, dd = cd.structure.h, cd.structure.dim, d * d
     y = y.copy()
@@ -781,10 +777,10 @@ def _stage_steps(M: np.ndarray, ycol: np.ndarray, buf: np.ndarray, hstep: float)
 
 
 def _step_increments(M: np.ndarray, hstep: float, tw, Dw, Kw) -> np.ndarray:
-    """E (g, b, d, d), the propagators minus I of the aligned groups of GROUP_STEPS
-    steps of the stage operators M (2k + 1, b, d, d), the last short if need be:
-    each step's P - I, then E = D2 + D1 + D2 D1 over adjacent pairs, log2 GROUP_STEPS
-    times, an unpaired last one carried up; in the flat buffers tw, Dw, Kw."""
+    """E (g, b, d, d), the propagators minus I of the aligned groups of GROUP_STEPS steps
+    of the stage operators M (2k + 1, b, d, d), the last short if need be: each step's
+    P - I, then E = D2 + D1 + D2 D1 over adjacent pairs (an unpaired last one carried up)
+    log2 GROUP_STEPS times, in the flat buffers tw, Dw, Kw."""
     M0, M1, M2 = M[0:-1:2], M[1::2], M[2::2]
     t, D, K = (w[: M1.size].reshape(M1.shape) for w in (tw, Dw, Kw))
     # K2 = M1 (I + h/2 M0) into D, then K3 = M1 (I + h/2 K2) and
