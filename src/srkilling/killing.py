@@ -620,7 +620,8 @@ def _operator(cd: CurvatureData, pts: np.ndarray, vel: np.ndarray, out=None, scr
     """The matrix M (S, d, d) of y' = M y at stage points pts (S, dim) with
     curve velocities vel (S, dim), and the frame+xi components v (S, dim)
     of the velocities.  M is written into out (S, d, d) when one is given,
-    the intermediate arrays into the first _scratch_floats of scratch.
+    the intermediate arrays, v among them, into the first _scratch_floats
+    of scratch.
 
     One tape evaluates the basis, its cofactors and determinant, and the
     coefficients that are not literal zeros, the stored entries of
