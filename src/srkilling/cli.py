@@ -369,7 +369,6 @@ def cmd_verify(s: ContactStructure, args) -> dict:
             "X": az.gen.X.tolist(),
             "A": az.gen.A.tolist(),
             "c": az.gen.c,
-            "contact_residual": az.contact_residual,
         },
         **_checks(records),
     }
@@ -448,11 +447,10 @@ SUBCOMMANDS = [
      "transport a generator over a grid along vertical-then-straight "
      "legs and emit the field Z = X + c xi with finite-difference checks"),
     ("verify", cmd_verify, ("--field", "--grid", "--field-tol"),
-     "residual checks for a candidate Killing field: contact "
-     "condition, Killing equation, skewness and parallelism of A_Z, the "
-     "curvature identity for its derivative, gradient equations, "
-     "commutation with the Reeb field, invariance of alpha, and the "
-     "extended Riemannian metric"),
+     "residual checks for a candidate Killing field: Killing equation, "
+     "Reeb-parallelism of A_Z, the curvature identity for its derivative, "
+     "gradient equations, commutation with the Reeb field, invariance of "
+     "alpha (the contact condition), and the extended Riemannian metric"),
     ("scan", cmd_scan, ("--grid", "--order", "--max-order"),
      "generator-space dimension over a grid with regularity flags and a semicontinuity audit"),
 ]

@@ -141,8 +141,8 @@ class TestBasicCommands:
     def test_verify_lie_mode_contact_check(self, capsys, field, code):
         got, out = run(capsys, "verify", "su2", "--field", field)
         assert got == code
-        contact = next(r for r in json.loads(out)["checks"] if r["check"] == "contact")
-        assert contact["pass"] is (code == 0)
+        lie = next(r for r in json.loads(out)["checks"] if r["check"] == "lie_alpha")
+        assert lie["pass"] is (code == 0)
 
     @pytest.mark.parametrize("command", ["dim", "verify-geometry"])
     def test_nan_special_residual_is_a_check_failure(self, capsys, tmp_path, command):
@@ -618,15 +618,27 @@ class TestVerifyAndScan:
         rep = json.loads(out)
         names = [r["check"] for r in rep["checks"]]
         assert "riemannian_extension" in names
-        assert len(names) == 9
+        assert len(names) == 7
         assert rep["pass"] is True
+
+    def test_verify_reports_each_identity_once(self, capsys):
+        # the contact condition is lie_alpha on the frame and A_Z + A_Z^T is
+        # killing_metric, so neither has a record of its own
+        code, out = run(capsys, "verify", "heisenberg:1", "--field", "y, x*z, 1+x")
+        assert code == 3
+        rep = json.loads(out)
+        assert [r["check"] for r in rep["checks"]] == [
+            "killing_metric", "a_parallel_xi", "a_derivative_curvature", "pz_gradient",
+            "reeb_commutes", "lie_alpha", "riemannian_extension",
+        ]
+        assert list(rep["generator_at_first_point"]) == ["X", "A", "c"]
 
     def test_verify_non_killing_exits_3(self, capsys):
         code, out = run(capsys, "verify", "heisenberg:1", "--field", "1, 0, 0")
         assert code == 3
         rep = json.loads(out)
-        contact = next(r for r in rep["checks"] if r["check"] == "contact")
-        assert contact["max_residual"] >= 0.1
+        lie = next(r for r in rep["checks"] if r["check"] == "lie_alpha")
+        assert lie["max_residual"] >= 0.1
 
     def test_scan(self, capsys):
         code, out = run(

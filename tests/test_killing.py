@@ -46,6 +46,10 @@ def tcurve(texts, t0=0.0, t1=1.0):
     return Curve([ex.parse_expression(t, ["t"]) for t in texts], t0, t1)
 
 
+def _record(records, name):
+    return next(r for r in records if r.check == name)
+
+
 def rot_gen(cd):
     return a_z_matrix(cd.connection, field(HEIS_KILLING["J"]), ORIGIN).gen
 
@@ -56,7 +60,8 @@ class TestAZMatrix:
         assert np.allclose(r.gen.X, 0)
         assert np.allclose(r.gen.A, 0)
         assert r.gen.c == pytest.approx(1.0)
-        assert r.contact_residual < 1e-14
+        lie = _record(verify_killing(heis_cd, field(HEIS_KILLING["xi"]), ORIGIN[None]), "lie_alpha")
+        assert lie.max_residual < 1e-14
 
     def test_translation_generator(self, heis_cd):
         conn = heis_cd.connection
@@ -73,14 +78,17 @@ class TestAZMatrix:
         r = a_z_matrix(conn, J, ORIGIN)
         assert np.allclose(r.gen.X, 0) and r.gen.c == pytest.approx(0.0)
         assert np.allclose(r.gen.A, [[0, 1], [-1, 0]])
-        assert r.skew_residual < 1e-14
+        assert _record(verify_killing(heis_cd, J, ORIGIN[None]), "killing_metric").max_residual < 1e-14
         # c-field alpha(J) = (x^2 + y^2)/2
         r2 = a_z_matrix(conn, J, [1.0, 2.0, 0.3])
         assert r2.gen.c == pytest.approx(2.5)
 
     def test_non_contact_field_reported(self, heis_cd):
-        r = a_z_matrix(heis_cd.connection, field(["1", "0", "0"]), ORIGIN)
-        assert r.contact_residual >= 0.1  # alpha([dx, X2]) = -1/2
+        dx = field(["1", "0", "0"])
+        r = a_z_matrix(heis_cd.connection, dx, ORIGIN)
+        assert np.allclose(r.gen.X, [1, 0]) and r.gen.c == 0.0
+        lie = _record(verify_killing(heis_cd, dx, ORIGIN[None]), "lie_alpha")
+        assert lie.max_residual >= 0.1  # alpha([dx, X2]) = -1/2
 
 
 class TestDerivationApply:
@@ -442,15 +450,15 @@ class TestVerifyKilling:
             [np.zeros((1, 3)), sample_box_points(3, 100, seed=41)]
         )
         records = verify_killing(heis_cd, field(HEIS_KILLING[name]), pts, tol=1e-9)
-        assert len(records) == 8
+        assert len(records) == 6
         for r in records:
             assert r.pass_, f"{name} {r.check}: {r.max_residual}"
 
     def test_dx_fails_contact(self, heis_cd):
         records = verify_killing(heis_cd, field(["1", "0", "0"]))
         by_name = {r.check: r for r in records}
-        assert not by_name["contact"].pass_
-        assert by_name["contact"].max_residual >= 0.1
+        assert not by_name["lie_alpha"].pass_  # Cartan: the contact condition on the frame
+        assert by_name["lie_alpha"].max_residual >= 0.1
 
     def test_zero_field_trivially_killing(self, heis_cd):
         records = verify_killing(heis_cd, field(["0", "0", "0"]))
