@@ -58,17 +58,17 @@ GOLDEN = [
     (
         ("verify", "heisenberg:1", "--field", "-y, x, 0"),
         0,
-        "57f9eba2598854cbcf174553fbe066a171ef3655293e705197c96571baba42aa",
+        "25120d18278bd39c03afd8d74a659db89120aa9d2803c663afdee3aa9d49327a",
     ),
     (
         ("verify", "su2", "--field", "0,0,1"),
         0,
-        "0aeb19341bf6ab0251b00e63c9b96fa605e7dda9433be918dfdd9e2f015c293c",
+        "0789ce0f6522711502c7a7d285ce52fcc92f4bcfb0f33fd6086b0956d5fec045",
     ),
     (
         ("verify", "su2", "--field", "1,0,0"),
         3,
-        "1ca639a7fc4388c4a3407e51a999703be294ddd899e9017e3b4a8e719e0f728d",
+        "a949224a35923f83a6dabc595f587021bc789d693ec163ea93d21bdce77d6c8e",
     ),
     (
         ("scan", "heisenberg:1", "--grid", GRID_3),
@@ -110,7 +110,7 @@ GOLDEN = [
     (
         ("verify", "heisenberg:1", "--field", HEIS_Z, "--grid", GRID_33),
         0,
-        "a2c2fa5cde4aacf833f3909032686282cb46d24d313818295273799fbac896ea",
+        "9521b01f8d8cdf2e7f13ef5e63b8001d88d66b7863191f4d5d7da2c8268bf382",
     ),
     (
         ("scan", "heisenberg:1", "--grid", "x:-1:1:7,y:-0.5:1:7,z:-1:1:7"),
@@ -139,7 +139,7 @@ GOLDEN = [
     (
         ("verify", "aff_lie.toml", "--field", "0,0,1"),
         0,
-        "5055ca2b1df0063826d4ff520c0c7b28810b22b5a4df8af3a5e407722a076c6c",
+        "a9ab9bf29141dd232a4fca51b16c2beaf49138923433a980760e245e763b8506",
     ),
     (("check", "lie_n2.toml"), 0, "106eeb5318fa522745d7e1d696d98999132ee76dc0b9d7ea03132b0ebe7d3196"),
     (
@@ -155,7 +155,7 @@ GOLDEN = [
     (
         ("verify", "lie_n2.toml", "--field", "0,0,0,0,1"),
         0,
-        "6746b5b2416bc2380b62147b4a48ae8e4b0b396a4346251c08409ef3ccebdf3a",
+        "68be1ff8c9fe79f2e091eb1bab802ec3a411b18ca6aaa5dbcd76d2c5ee5c3899",
     ),
     # the first failing Jacobi triple and component is the one reported
     (
@@ -314,7 +314,7 @@ GOLDEN_EDGE = [
     (
         ("verify", "heisenberg:1", "--field", "1, 0, 0"),
         3,
-        "70b33c38e97bb4ad802d7715bb9de55a79ca12304ecf155ecf2f41daffcf7526",
+        "e02c946e2d8d0565f99c171555037a168a40c43a1af88005470959300f59cd87",
         None,
     ),
     (
