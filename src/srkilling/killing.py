@@ -692,18 +692,18 @@ def _stage_form(nb: int, d: int) -> bool:
     return nb * d * d >= 1200
 
 
-def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: float):
+def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: float, viol=None):
     """Advance the states y (B, d) by nsteps RK4 steps of size hstep along B curves.
     stages(rows, k0, k1, pts, vel) writes the points and velocities (dim, k1 - k0, b) of
     the curves in the slice rows at stages k0..k1-1, stage k at t0 + k hstep / 2.  The
     curves go in balanced passes: as wide as a block of three stages allows for
     _stage_steps; for _step_increments, narrow enough that a block holds a group, and
     blocks hold whole groups.  Every block-sized array is a view of one workspace.
-    Returns the end states and max |alpha(gamma')| over the stages of each curve."""
+    Returns the end states; viol (B,), zeros when given, takes max |alpha(gamma')| over
+    the stages of each curve."""
     nb_total, d = y.shape
     h, dim, dd = cd.structure.h, cd.structure.dim, d * d
     y = y.copy()
-    viol = np.zeros(nb_total)
     wide = _stage_form(nb_total, d)
     least = 1 if wide else min(nsteps, GROUP_STEPS)  # steps a block takes, at least
     block = max(2 * least + 1, min(STAGE_BLOCK, OPERATOR_FLOATS // dd))  # stage points a block
@@ -737,7 +737,8 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
             M = Mw[: (2 * k + 1) * nb * dd].reshape(2 * k + 1, nb, d, d)
             out = M[carried:].reshape(-1, d, d)
             v = _operator(cd, pts.reshape(dim, npts).T, vel.reshape(dim, npts).T, out, scratch)[1]
-            viol[rows] = np.maximum(viol[rows], np.abs(v[:, h]).reshape(-1, nb).max(axis=0))
+            if viol is not None:
+                viol[rows] = np.maximum(viol[rows], np.abs(v[:, h]).reshape(-1, nb).max(axis=0))
             if wide:
                 _stage_steps(M, ycol, vec, hstep)
             else:
@@ -747,7 +748,7 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
                         np.matmul(E, ycol, out=vec[0])  # y + E y rounds once a group
                         ycol += vec[0]
             M[0] = M[-1]  # carried to the next block
-    return y, viol
+    return y
 
 
 def _stage_steps(M: np.ndarray, ycol: np.ndarray, buf: np.ndarray, hstep: float) -> None:
@@ -856,8 +857,9 @@ def transport(
     if gen.q is None or np.max(np.abs(gen.q - start)) > 1e-9:
         raise TransportInputError("generator base point does not match the curve start")
 
-    y, viol = _propagate(
-        cd, _pack_state(gen)[None], _curve_stages(curve, nsteps), nsteps, span / nsteps
+    viol = np.zeros(1)
+    y = _propagate(
+        cd, _pack_state(gen)[None], _curve_stages(curve, nsteps), nsteps, span / nsteps, viol
     )
     viol = float(viol[0])
     if require_horizontal and viol > HORIZONTAL_TOL:
@@ -922,7 +924,7 @@ def _segment_transport(
             for p, q in zip(starts, ends)
         ]
     ).reshape(starts.shape)
-    y, _ = _propagate(cd, y, _segment_stages(starts, dp, nsteps), nsteps, 1.0 / nsteps)
+    y = _propagate(cd, y, _segment_stages(starts, dp, nsteps), nsteps, 1.0 / nsteps)
     return _skew_part(y, cd.structure.h)[0], starts + dp
 
 
