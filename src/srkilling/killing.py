@@ -699,8 +699,8 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
     curves go in balanced passes: as wide as a block of three stages allows for
     _stage_steps; for _step_increments, narrow enough that a block holds a group, and
     blocks hold whole groups.  Every block-sized array is a view of one workspace.
-    Returns the end states; viol (B,), zeros when given, takes max |alpha(gamma')| over
-    the stages of each curve."""
+    Returns the end states.  viol, zeros (B,) when given, takes the max |alpha(gamma')|
+    over the stages of each curve."""
     nb_total, d = y.shape
     h, dim, dd = cd.structure.h, cd.structure.dim, d * d
     y = y.copy()
