@@ -22,6 +22,7 @@ from .frame import (
     DEFAULT_TOL,
     ContactStructure,
     StructureError,
+    _check_frame_rank,
     _max_abs,
     check_special,
     load_structure,
@@ -182,8 +183,11 @@ def _sample_points(s: ContactStructure, args, count: int = 100):
 
 def _at(s: ContactStructure, args) -> np.ndarray:
     """The --at point; by default the chart origin, or no coordinates in lie
-    mode."""
-    return _parse_point(args.at, s) if args.at else np.zeros(len(s.coords))
+    mode.  The load's frame check refuses a point off the frame's domain."""
+    q = _parse_point(args.at, s) if args.at else np.zeros(len(s.coords))
+    if s.coords:
+        _check_frame_rank(s.frame, s.coords, q[None, :])
+    return q
 
 
 def _curvature(s: ContactStructure, args) -> CurvatureData:

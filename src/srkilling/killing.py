@@ -8,13 +8,15 @@ map f_q sending (X, A, c) to the values of (nabla_{X + c xi} + A) applied
 to nabla^i R and nabla^i dalpha for i <= m; it is computed by SVD with a
 relative threshold, and the order m is raised until the dimension
 sequence stabilizes twice.  f_q is written in place into one stack, one
-row block per tensor (_fq_columns, also read by derivation_apply), whose
-A columns are sums of tensor values selected by index.  It holds only the
-row blocks that store something: the block of nabla^i T is a literal zero
-at every point when nabla^(i+1) T, nabla^i T and nabla_xi nabla^i T store
-nothing, so it is left out, and a tensor that stores nothing is never
-evaluated.  The dense budget counts the kept rows.  A scan assembles f_q
-for a block of grid points at once and ranks the stack with one SVD call.
+row block per tensor nabla^i T (_fq_columns, also read by
+derivation_apply).  A block is the tensors it reads, (nabla^(i+1) T,
+nabla^i T, nabla_xi nabla^i T), whose values come through a memo keyed by
+the tensor; its A columns are sums of values selected by index.  A block
+whose tensors store nothing is a literal zero, so it is left out, and a
+tensor that stores nothing is never evaluated.  The blocks are i-major, R
+before dalpha, so f_q of order m - 1 is the leading rows of order m.  The
+dense budget counts the kept rows.  A scan assembles f_q for a block of
+grid points at once and ranks the stack with one SVD call.
 
 Transport integrates the linear system
 
@@ -118,8 +120,9 @@ OPERATOR_FLOATS = 2**17
 GROUP_STEPS = 16
 # Steps one curve may take; a finer step is rejected as an input error.
 MAX_STEPS = 10**6
-# Singular values at or below this count as zero whatever the relative
-# threshold of a rank decision.
+# A rank decision counts the singular values above max(REL_THRESHOLD *
+# largest, ABS_FLOOR).
+REL_THRESHOLD = 1e-9
 ABS_FLOOR = 1e-12
 # Largest relative distance from span(i(q0)) of a generator reconstruct_field
 # extends.
@@ -193,8 +196,10 @@ class GeneratorSpace:
         return self.dims[-1]
 
     def membership_residual(self, gen: Generator) -> float:
-        """Distance of gen from span(basis), scaled by the vector norm."""
+        """Distance of gen from span(basis), scaled by the vector norm; the
+        vector is first divided by its largest entry, so no norm overflows."""
         v = gen.as_vector()
+        v = v / (np.max(np.abs(v)) or 1.0)
         if not self.basis:
             return float(np.linalg.norm(v))
         U = np.stack([g.as_vector() for g in self.basis], axis=1)
@@ -286,7 +291,8 @@ def a_z_matrix(conn: ConnectionData, Z: list[Expression], q) -> AZResult:
     X = s.eval_scalar(zh, pts)[:, 0]
     c = float(s.eval_scalar(s.alpha_of(Z), pts)[0])
     A_raw = s.eval_scalar(a_z_field(conn, Z, bracket_data), pts)[..., 0]
-    A = 0.5 * (A_raw - A_raw.T)  # exact for Killing Z; projection otherwise
+    with np.errstate(over="ignore", invalid="ignore"):  # a pole at q shows in the residuals
+        A = 0.5 * A_raw - 0.5 * A_raw.T  # exact for Killing Z; projection otherwise
     gen = Generator(X=X, A=A, c=c, q=q if s.coords else None)
     return AZResult(gen, bracket_data)
 
@@ -296,15 +302,14 @@ def derivation_apply(
 ) -> np.ndarray:
     """(nabla_{X + c xi} + A) applied to nabla^order R or nabla^order dalpha,
     evaluated at gen.q: the row block of that tensor in f_q (_fq_columns)
-    times gen.as_vector(), shaped as the tensor.  Reads the tower through
-    order+1."""
-    keys = {"R": "R", "dalpha": "B"}
-    if which not in keys:
+    times gen.as_vector(), shaped as the tensor.  Evaluates only the three
+    tensors of that block."""
+    if which not in ("R", "dalpha"):
         raise ValueError(f"unknown tensor kind {which!r}")
+    block = _blocks(cd, order)[-1 if which == "dalpha" else -2]
     pts = np.atleast_2d(gen.q) if cd.structure.coords else np.zeros((1, 0))
-    cache = _tensor_value_cache(cd, order, pts)
-    rows = _fq_columns(cd, cache, keys[which], order)[0]
-    return (rows @ gen.as_vector()).reshape(cache[(keys[which], order)].shape[:-1])
+    rows = _fq_columns(cd, block, pts, {})[0]
+    return (rows @ gen.as_vector()).reshape(block[1].shape)
 
 
 # ---------------------------------------------------------------------------
@@ -312,51 +317,39 @@ def derivation_apply(
 # ---------------------------------------------------------------------------
 
 
-def _tensor_value_cache(
-    cd: CurvatureData, m: int, points: np.ndarray, cache: dict | None = None
-) -> dict:
-    """Values at points of nabla^i T ("R", "B") for i <= m + 1 and
-    nabla_xi nabla^i T ("Rxi", "Bxi") for i <= m, T = R, dalpha.  Extends
-    cache in place when one is given: each tensor that stores something
-    goes through eval_tensor once.  A tensor that stores nothing is not
-    evaluated: its value is a read-only zero view, which holds no memory
-    whatever its shape."""
-    higher_derivatives(cd, m + 1)
-    s = cd.structure
-    cache = {} if cache is None else cache
-    for key, tower, xi_tower in (("R", cd.nabla_R, cd.xi_R), ("B", cd.nabla_dalpha, cd.xi_dalpha)):
-        tensors = [((key, i), tower[i]) for i in range(m + 2)]
-        tensors += [((key + "xi", i), xi_tower[i]) for i in range(m + 1)]
-        for k, T in tensors:
-            if k in cache:
-                continue
-            if T.entries:
-                cache[k] = eval_tensor(s, T, points)
-            else:
-                cache[k] = np.broadcast_to(0.0, T.shape + (len(points),))
-    return cache
+def _value(cd: CurvatureData, T: HTensor, points: np.ndarray, memo: dict) -> np.ndarray:
+    """T at points, T.shape + (P,), through memo: one call's values keyed by
+    id(T), as the tower keeps every tensor alive.  eval_tensor fills it on
+    the first read of a tensor that stores something; a tensor that stores
+    nothing is not evaluated, its value a read-only zero view, which holds
+    no memory whatever its shape."""
+    if id(T) not in memo:
+        zero = np.broadcast_to(0.0, T.shape + (len(points),))
+        memo[id(T)] = eval_tensor(cd.structure, T, points) if T.entries else zero
+    return memo[id(T)]
 
 
 def _fq_columns(
-    cd: CurvatureData, cache: dict, key: str, i: int, out: np.ndarray | None = None
+    cd: CurvatureData, block: tuple, points: np.ndarray, memo: dict, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Row block of nabla^i T in f_q, T = R (key "R") or dalpha ("B"), at
-    the cached points: a stack (P, h^rank, unknowns), rows the entries of T
-    in C order, written into out (its rows of a larger stack) if given.
-    Columns follow pack_generator: X^a takes slice a of nabla^(i+1) T, c
-    the xi-derivative of T, and E_ab - E_ba (a > b) its derivation of T,
-    alike on upper and lower slots as -A^T = A: slot by slot, + T read at b
-    into the entries at a, - T read at a into those at b.  Each entry is the
-    same sum of cached values at every point, so it equals, bit for bit,
-    the per-point value whatever the block."""
+    """Row block (nabla^(i+1) T, nabla^i T, nabla_xi nabla^i T) of f_q at
+    points, values read through memo (_value): a stack (P, h^rank,
+    unknowns), rows the entries of nabla^i T in C order, written into out
+    (its rows of a larger stack) if given.  Columns follow pack_generator:
+    X^a takes slice a of nabla^(i+1) T, c the xi-derivative of T, and
+    E_ab - E_ba (a > b) its derivation of T, alike on upper and lower slots
+    as -A^T = A: slot by slot, + T read at b into the entries at a, - T
+    read at a into those at b.  Each entry is the same sum of values at
+    every point, so it equals, bit for bit, the per-point value whatever
+    the block."""
     h = cd.structure.h
-    T = np.moveaxis(cache[(key, i)], -1, 0)
+    T1, T, Txi = (np.moveaxis(_value(cd, S, points, memo), -1, 0) for S in block)
     if out is None:
         out = np.empty((len(T), T[0].size, ambient_dimension(cd.structure.n)))
     cols = out.reshape(T.shape + (-1,))  # splits the row axis: a view of out
-    cols[..., :h] = np.moveaxis(cache[(key, i + 1)], (0, -1), (-1, 0))
+    cols[..., :h] = np.moveaxis(T1, 1, -1)
     cols[..., h:-1] = 0.0
-    cols[..., -1] = np.moveaxis(cache[(key + "xi", i)], -1, 0)
+    cols[..., -1] = Txi
     for k, (a, b) in enumerate(zip(*np.tril_indices(h, -1))):  # pack_generator's order
         col = cols[..., h + k]
         for r in range(1, T.ndim):
@@ -366,48 +359,42 @@ def _fq_columns(
     return out
 
 
-def _block_sources(cd: CurvatureData, key: str, i: int) -> tuple[HTensor, HTensor, HTensor]:
-    """The tensors the row block of nabla^i T in f_q reads (_fq_columns),
-    T = R (key "R") or dalpha ("B"): nabla^(i+1) T for the X columns,
-    nabla^i T for the A columns, nabla_xi nabla^i T for the c column."""
-    tower, xi_tower = (cd.nabla_R, cd.xi_R) if key == "R" else (cd.nabla_dalpha, cd.xi_dalpha)
-    return tower[i + 1], tower[i], xi_tower[i]
-
-
-def _kept_blocks(cd: CurvatureData, m: int) -> list[tuple[str, int]]:
-    """The row blocks (key, i) of f_q of order m that _assemble_block
-    keeps, i <= m, R before dalpha: a block whose three source tensors
-    (_block_sources) all store nothing is a literal zero at every point.
+def _blocks(cd: CurvatureData, m: int) -> list[tuple[HTensor, HTensor, HTensor]]:
+    """The row blocks of f_q of order m, i <= m, R before dalpha, each the
+    tensors it reads (_fq_columns): nabla^(i+1) T for the X columns,
+    nabla^i T for the A columns, nabla_xi nabla^i T for the c column.
     Builds the tower through order m + 1; evaluates nothing."""
     higher_derivatives(cd, m + 1)
-    return [
-        (key, i)
-        for i in range(m + 1)
-        for key in ("R", "B")
-        if any(T.entries for T in _block_sources(cd, key, i))
-    ]
+    towers = ((cd.nabla_R, cd.xi_R), (cd.nabla_dalpha, cd.xi_dalpha))
+    return [(tower[i + 1], tower[i], xi[i]) for i in range(m + 1) for tower, xi in towers]
+
+
+def _kept_blocks(cd: CurvatureData, m: int) -> list[tuple[HTensor, HTensor, HTensor]]:
+    """The row blocks of f_q of order m that _assemble_block keeps: a block
+    whose three tensors all store nothing is a literal zero at every point.
+    Those of order m - 1 lead those of order m."""
+    return [block for block in _blocks(cd, m) if any(T.entries for T in block)]
 
 
 def _kept_rows(cd: CurvatureData, m: int) -> int:
     """Rows of f_q of order m: h^rank for the tensor of each kept block."""
-    h = cd.structure.h
-    return sum(h ** _block_sources(cd, key, i)[1].rank for key, i in _kept_blocks(cd, m))
+    return sum(math.prod(T.shape) for _, T, _ in _kept_blocks(cd, m))
 
 
-def _assemble_block(cd: CurvatureData, m: int, cache: dict) -> np.ndarray:
-    """Stack (P, rows, unknowns) of the f_q matrices at the cached points,
-    each with kernel i_m(q): the row blocks of _fq_columns that are kept
-    (_kept_blocks), R before dalpha, written in place into one stack.  The
-    blocks left out are literal zeros, which change no kernel.  dalpha's
-    block of order 0 is always kept, as dalpha stores something on every
-    contact structure: its (2n)^2 >= 2n^2 + n + 1 rows leave f_q no shorter
-    than wide, so an SVD gives a singular value for every unknown."""
+def _assemble_block(cd: CurvatureData, m: int, points: np.ndarray, memo: dict) -> np.ndarray:
+    """Stack (P, rows, unknowns) of the f_q matrices at points, each with
+    kernel i_m(q): the row blocks of _fq_columns that are kept
+    (_kept_blocks), written in place into one stack, values read through
+    memo.  The blocks left out are literal zeros, which change no kernel.
+    dalpha's block of order 0 is always kept, as dalpha stores something on
+    every contact structure: its (2n)^2 >= 2n^2 + n + 1 rows leave f_q no
+    shorter than wide, so an SVD gives a singular value for every unknown."""
     blocks = _kept_blocks(cd, m)
-    rows = [math.prod(cache[b].shape[:-1]) for b in blocks]
-    stack = np.empty((cache[blocks[0]].shape[-1], sum(rows), ambient_dimension(cd.structure.n)))
+    rows = [math.prod(T.shape) for _, T, _ in blocks]
+    stack = np.empty((len(points), sum(rows), ambient_dimension(cd.structure.n)))
     start = 0
-    for (key, i), n in zip(blocks, rows):
-        _fq_columns(cd, cache, key, i, stack[:, start : start + n])
+    for block, n in zip(blocks, rows):
+        _fq_columns(cd, block, points, memo, stack[:, start : start + n])
         start += n
     # -0.0 becomes +0.0, as in the full sum X . nabla T + c xi T + A . T that
     # each column selects from; LAPACK's reflector signs read the sign of zero
@@ -415,17 +402,17 @@ def _assemble_block(cd: CurvatureData, m: int, cache: dict) -> np.ndarray:
     return stack
 
 
-def _ranks(sv: np.ndarray, rel: float) -> np.ndarray:
+def _ranks(sv: np.ndarray) -> np.ndarray:
     """Numerical ranks of singular value rows (..., k), largest first: the
-    count above max(rel * largest, ABS_FLOOR)."""
-    thresh = np.maximum(rel * sv[..., 0], ABS_FLOOR)
+    count above max(REL_THRESHOLD * largest, ABS_FLOOR)."""
+    thresh = np.maximum(REL_THRESHOLD * sv[..., 0], ABS_FLOOR)
     return np.sum(sv > thresh[..., None], axis=-1)
 
 
-def _kernel(M: np.ndarray, rel: float) -> tuple[int, np.ndarray, np.ndarray]:
+def _kernel(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(kernel dim, orthonormal kernel basis rows, singular values)."""
     _, sv, Vh = np.linalg.svd(M, full_matrices=False)
-    rank = int(_ranks(sv, rel))
+    rank = int(_ranks(sv))
     return M.shape[1] - rank, Vh[rank:], sv
 
 
@@ -433,7 +420,6 @@ def generator_space(
     cd: CurvatureData,
     q,
     order: int | str = "auto",
-    rel_threshold: float = 1e-9,
     m_max: int = 6,
 ) -> GeneratorSpace:
     """Compute i_m(q): dims for m = 0.., the kernel basis at the final
@@ -443,9 +429,10 @@ def generator_space(
     f_q with the scan's assembler at the single point q, from the row
     blocks that store something (_kept_blocks), and takes a full SVD: the
     rank counts singular values, one for each unknown, above
-    max(rel_threshold * largest, ABS_FLOOR), and the kernel basis is the
-    trailing right singular vectors.  The dense budget (check_dense)
-    counts the kept rows and is checked before any tensor is evaluated."""
+    max(REL_THRESHOLD * largest, ABS_FLOOR), and the kernel basis is the
+    trailing right singular vectors, each tensor evaluated once for all
+    orders.  The dense budget (check_dense) counts the kept rows and is
+    checked before any tensor is evaluated."""
     s = cd.structure
     q = _as_point(s, q) if s.coords else None
     pts = q[None, :] if q is not None else np.zeros((1, 0))
@@ -467,12 +454,11 @@ def generator_space(
     sv: np.ndarray = np.zeros(0)
     m_used = 0
     certified = False
-    cache: dict = {}
+    memo: dict = {}
     for m in range(target + 1):
         check_dense(_kept_rows(cd, m) * nunk, f"f_q of order {m} at a point")
-        _tensor_value_cache(cd, m, pts, cache)
-        M = _assemble_block(cd, m, cache)[0]
-        dim, kernel_basis, sv = _kernel(M, rel_threshold)
+        M = _assemble_block(cd, m, pts, memo)[0]
+        dim, kernel_basis, sv = _kernel(M)
         dims.append(dim)
         m_used = m
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
@@ -512,7 +498,6 @@ def scan_regularity(
     cd: CurvatureData,
     grid: Grid,
     order: int | str = "auto",
-    rel_threshold: float = 1e-9,
     m_max: int = 6,
 ) -> dict:
     """dim i(q) over a grid, regularity flags (all neighbors share the
@@ -527,7 +512,7 @@ def scan_regularity(
     the threshold rule of generator_space."""
     s = cd.structure
     if s.mode == "lie":
-        gs = generator_space(cd, None, order, rel_threshold, m_max)
+        gs = generator_space(cd, None, order, m_max)
         return {
             "mode": "lie",
             "dims": [gs.dim],
@@ -541,14 +526,14 @@ def scan_regularity(
         return {"mode": "chart", "dims": [], "regular": [], "semicontinuity_violations": 0}
 
     # stabilization order is probed at the first point, then reused
-    gs0 = generator_space(cd, grid[0], order, rel_threshold, m_max)
+    gs0 = generator_space(cd, grid[0], order, m_max)
     m = gs0.m_used
     nunk = ambient_dimension(s.n)
     dims = np.empty(npts, dtype=np.min_scalar_type(nunk))  # a byte a point up to n = 11
     for sel in point_blocks(npts, _kept_rows(cd, m) * nunk):
-        # the tensor values of a block go as soon as its f_q is assembled
-        stack = _assemble_block(cd, m, _tensor_value_cache(cd, m, grid[sel]))
-        dims[sel] = nunk - _ranks(np.linalg.svd(stack, compute_uv=False), rel_threshold)
+        # a fresh memo: the tensor values of a block go as soon as its f_q is assembled
+        stack = _assemble_block(cd, m, grid[sel], {})
+        dims[sel] = nunk - _ranks(np.linalg.svd(stack, compute_uv=False))
 
     regular, pit = _neighbour_flags(dims.reshape(grid.shape))
     return {
@@ -597,12 +582,12 @@ def _pack_state(gen: Generator) -> np.ndarray:
 
 
 def _skew_part(y: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """States (B, d) with A projected to skew, and the drift max |A + A^T|
-    per state before the projection."""
+    """States (B, d) with A projected to skew (halved first: no finite A
+    overflows), and the drift max |A + A^T| per state before the projection."""
     A = y[:, h:-1].reshape(-1, h, h)
     sym = A + np.swapaxes(A, 1, 2)
     out = y.copy()
-    out[:, h:-1] = (0.5 * (A - np.swapaxes(A, 1, 2))).reshape(len(y), h * h)
+    out[:, h:-1] = (0.5 * A - 0.5 * np.swapaxes(A, 1, 2)).reshape(len(y), h * h)
     return out, np.abs(sym).reshape(len(y), -1).max(axis=1, initial=0.0)
 
 
@@ -857,17 +842,16 @@ def transport(
     if gen.q is None or np.max(np.abs(gen.q - start)) > 1e-9:
         raise TransportInputError("generator base point does not match the curve start")
 
-    viol = np.zeros(1)
-    y = _propagate(
-        cd, _pack_state(gen)[None], _curve_stages(curve, nsteps), nsteps, span / nsteps, viol
-    )
+    viol, stages = np.zeros(1), _curve_stages(curve, nsteps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a state past the float range: inf, nan
+        y = _propagate(cd, _pack_state(gen)[None], stages, nsteps, span / nsteps, viol)
+        y, drift = _skew_part(y, s.h)
     viol = float(viol[0])
     if require_horizontal and viol > HORIZONTAL_TOL:
         raise CheckFailure(
             f"curve is not horizontal: max |alpha(gamma')| = {viol:.3e}"
         )
     h = s.h
-    y, drift = _skew_part(y, h)
     end = curve.point_at(curve.t1)
     out = Generator(X=y[0, :h], A=y[0, h:-1].reshape(h, h), c=y[0, -1], q=end)
     return TransportResult(
@@ -924,8 +908,9 @@ def _segment_transport(
             for p, q in zip(starts, ends)
         ]
     ).reshape(starts.shape)
-    y = _propagate(cd, y, _segment_stages(starts, dp, nsteps), nsteps, 1.0 / nsteps)
-    return _skew_part(y, cd.structure.h)[0], starts + dp
+    with np.errstate(over="ignore", invalid="ignore"):  # as in transport
+        y = _propagate(cd, y, _segment_stages(starts, dp, nsteps), nsteps, 1.0 / nsteps)
+        return _skew_part(y, cd.structure.h)[0], starts + dp
 
 
 def reconstruct_field(
@@ -952,7 +937,7 @@ def reconstruct_field(
     nsteps = _step_count(1.0, step)
     space = generator_space(cd, gen.q)
     res = space.membership_residual(gen)
-    if res > MEMBERSHIP_TOL:
+    if not res <= MEMBERSHIP_TOL:  # a NaN residual is refused too
         raise CheckFailure(
             f"generator is not in the computed i(q0) (residual {res:.3e}); "
             "only such generators extend to Killing fields"

@@ -52,6 +52,31 @@ c = 0
 at = 0, 0, 0
 """
 
+# The isometric copy of Heisenberg whose X2 has a pole on the plane y = 3.
+POLE_AT_Y3 = """
+[manifold]
+mode = chart
+n = 1
+coords = x, y, z
+
+[frame]
+X1 = 1, 0, -y/2
+X2 = 0, 1, x/2 - 1/(y-3)^2
+"""
+
+# dim i(q) is 2 of 4 on this frame (the warped circle bundle of
+# tests/test_scan_assembly.py).
+WARPED = """
+[manifold]
+mode = chart
+n = 1
+coords = x, y, z
+
+[frame]
+X1 = 1 + x^2, 0, y/(1 + x^2)
+X2 = 0, 1 + x^2, 0
+"""
+
 
 class TestBasicCommands:
     def test_check_heisenberg(self, capsys):
@@ -484,6 +509,57 @@ OVERSIZED_GRIDS = [
 ]
 
 
+class TestNonFiniteValues:
+    """Poles and values near the float range in the killing layer: the
+    answer stands, and nothing is printed on stderr."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_field_with_a_pole_at_the_first_point(self, capsys):
+        """The origin, the first sample point, is a pole of 1/x: A_Z's skew
+        projection took inf - inf there, with a warning on stderr."""
+        code = main(["verify", "heisenberg:1", "--field", "1/x, 0, 0"])
+        captured = capsys.readouterr()
+        assert code == 3 and json.loads(captured.out)["pass"] is False
+        assert captured.err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_projection_to_skew_does_not_overflow(self, capsys, tmp_path):
+        """A - A^T overflowed on A = 1e308 J after the drift check, and the
+        report passed with A = [[0, -inf], [inf, 0]]."""
+        (tmp_path / "curve.toml").write_text("[curve]\nt_range = 0 1\ngamma = t, 0, 0\n")
+        (tmp_path / "gen.toml").write_text(
+            "[generator]\nX = 1e308 1e308\nA = 1e308\nc = 1e308\nat = 0, 0, 0\n"
+        )
+        code = main([
+            "prolong", "heisenberg:1",
+            "--curve", str(tmp_path / "curve.toml"), "--gen", str(tmp_path / "gen.toml"),
+        ])
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        assert code == 0 and rep["pass"] is True
+        assert rep["A"] == [[0.0, -1e308], [1e308, 0.0]]
+        values = [*rep["X"], rep["c"], rep["skew_drift"]]
+        assert all(isinstance(v, float) and np.isfinite(v) for v in values)
+        assert captured.err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", ["1", "1e200"])
+    def test_generator_off_the_space_is_refused(self, capsys, tmp_path, x):
+        """(X, A, c) = ((x, x), 0, 0) is not in i(q0): at x = 1e200 the
+        residual's norms overflowed to NaN, which the gate let through."""
+        (tmp_path / "warped.toml").write_text(WARPED)
+        (tmp_path / "gen.toml").write_text(f"[generator]\nX = {x} {x}\nA = 0\nc = 0\nat = 0, 0, 0\n")
+        code = main([
+            "reconstruct", str(tmp_path / "warped.toml"), "--gen", str(tmp_path / "gen.toml"),
+            "--grid", "x:-0.1:0.1:3,y:-0.1:0.1:3,z:-0.1:0.1:3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        message = json.loads(captured.out)["error"]["message"]
+        assert message.startswith("generator is not in the computed i(q0) (residual 7.071e-01)")
+        assert captured.err == ""
+
+
 class TestPointAndGridInputs:
     """Malformed or non-finite points, grids and orders exit 2."""
 
@@ -592,6 +668,17 @@ class TestPointAndGridInputs:
         )
         assert input_error(*run(capsys, "check", str(f)))
 
+    @pytest.mark.parametrize("command", ["dim", "connection", "curvature"])
+    def test_point_outside_the_frame_domain(self, capsys, tmp_path, command):
+        """--at 0,3,0 is on the pole of X2: dim reported a certified dim 4
+        there, connection Gamma and curvature R, each with exit 0."""
+        path = str(tmp_path / "pole.toml")
+        (tmp_path / "pole.toml").write_text(POLE_AT_Y3)
+        code, out = run(capsys, command, path, "--at", "0,3,0")
+        assert input_error(code, out)
+        assert json.loads(out)["error"]["message"] == "frame row X2 is not finite at a sample point"
+        assert run(capsys, command, path, "--at", "0,1,0")[0] == 0
+
     def test_order_six_is_within_the_default_bound(self, capsys):
         code, out = run(capsys, "dim", "heisenberg:1", "--order", "6")
         assert code == 0
@@ -603,7 +690,7 @@ class TestPointAndGridInputs:
         def no_work(*args, **kwargs):
             raise AssertionError("generator space assembled past the order bound")
 
-        monkeypatch.setattr(killing, "_tensor_value_cache", no_work)
+        monkeypatch.setattr(killing, "_assemble_block", no_work)
         code, out = run(capsys, "dim", "heisenberg:1", "--order", "7")
         assert input_error(code, out)
         assert "exceeds the configured bound" in json.loads(out)["error"]["message"]

@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from srkilling import expr as ex
-from srkilling.connection import NotSpecialError, compute_connection, curvature
+from srkilling import expr as ex, killing
+from srkilling.connection import NotSpecialError, compute_connection, curvature, eval_tensor
 from srkilling.frame import (
     CheckFailure,
     StructureError,
@@ -109,6 +109,22 @@ class TestDerivationApply:
             for i in range(2):
                 assert np.max(np.abs(derivation_apply(su2_cd, gen, which, i))) == 0.0
 
+    @pytest.mark.parametrize("which,order,evaluations", [("R", 0, 1), ("dalpha", 1, 0)])
+    def test_evaluates_only_its_own_block(self, su2c_cd, monkeypatch, which, order, evaluations):
+        """The block of nabla^order T reads nabla^(order+1) T, nabla^order T
+        and nabla_xi nabla^order T; on su2:chart only R itself stores
+        something among them."""
+        evaluated = []
+
+        def counted(s, T, points, out=None):
+            evaluated.append(T)
+            return eval_tensor(s, T, points, out)
+
+        monkeypatch.setattr(killing, "eval_tensor", counted)
+        gen = Generator(X=[1, 2], A=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=3.0, q=[0.1, 0.2, 0.3])
+        derivation_apply(su2c_cd, gen, which, order)
+        assert len(evaluated) == evaluations
+
 
 class TestGeneratorSpace:
     def test_ambient_dimension(self):
@@ -132,10 +148,9 @@ class TestGeneratorSpace:
         gs = generator_space(su2_cd, None)
         assert gs.dim == 4 and gs.certified
         # independent oracle: dense Gaussian elimination rank of f_q
-        from srkilling.killing import _assemble_block, _tensor_value_cache
+        from srkilling.killing import _assemble_block
 
-        cache = _tensor_value_cache(su2_cd, 2, np.zeros((1, 0)))
-        M = _assemble_block(su2_cd, 2, cache)[0]
+        M = _assemble_block(su2_cd, 2, np.zeros((1, 0)), {})[0]
         rank = 0
         Mw = M.copy()
         rows, cols = Mw.shape

@@ -1,7 +1,7 @@
 """The batched generator-space assembler and the blocked scan.
 
-The assembler builds f_q for a block of cached points as one stack; its
-columns are exact +-1 selections of the cached tensor values, so every
+The assembler builds f_q for a block of points as one stack; its
+columns are exact +-1 selections of the tensor values, so every
 entry must equal, bit for bit, the per-point assembly it replaced
 (tests/assembly_reference.py) and the single-point assembly of
 generator_space.  On su2:chart the frame components of R and dalpha are
@@ -14,14 +14,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from srkilling import frame
-from srkilling.connection import compute_connection, curvature
+from srkilling import frame, killing
+from srkilling.connection import compute_connection, curvature, eval_tensor
 from srkilling.frame import load_structure, load_structure_text
 from srkilling.killing import (
     Grid,
     _assemble_block,
+    _kept_blocks,
     _neighbour_flags,
-    _tensor_value_cache,
     ambient_dimension,
     generator_space,
     scan_regularity,
@@ -69,6 +69,25 @@ def warped_cd(warped):
     return curvature(compute_connection(warped))
 
 
+@pytest.fixture(scope="module")
+def rational_cd():
+    path = pathlib.Path(__file__).resolve().parent / "data" / "rational_heisenberg.toml"
+    return curvature(compute_connection(load_structure(str(path))))
+
+
+def reference_values(cd, m, points):
+    """The values assembly_reference.assemble_map reads, keyed (kind, i):
+    nabla^i T ("R", "B") for i <= m + 1 and nabla_xi nabla^i T ("Rxi",
+    "Bxi") for i <= m, T = R, dalpha."""
+    values = {}
+    for key, tower, xi in (("R", cd.nabla_R, cd.xi_R), ("B", cd.nabla_dalpha, cd.xi_dalpha)):
+        for i in range(m + 2):
+            values[(key, i)] = eval_tensor(cd.structure, tower[i], points)
+            if i <= m:
+                values[(key + "xi", i)] = eval_tensor(cd.structure, xi[i], points)
+    return values
+
+
 @pytest.mark.parametrize(
     "which,npts,m",
     [("su2c_cd", 9, 2), ("heis2_cd", 4, 2), ("warped_cd", 3, 2), ("warped3_cd", 2, 2)],
@@ -76,16 +95,33 @@ def warped_cd(warped):
 def test_stack_equals_single_point_assemblies(request, which, npts, m):
     cd = request.getfixturevalue(which)
     pts = np.random.default_rng(7).uniform(-1.2, 1.2, (npts, cd.structure.dim))
-    cache = _tensor_value_cache(cd, m, pts)
-    stack = _assemble_block(cd, m, cache)
+    stack = _assemble_block(cd, m, pts, {})
     assert stack.shape[0] == npts and stack.shape[2] == ambient_dimension(cd.structure.n)
+    values = reference_values(cd, m, pts)
     for p in range(npts):
-        one = _tensor_value_cache(cd, m, pts[p : p + 1])
-        single = _assemble_block(cd, m, one)[0]
-        for other in (single, ref.assemble_map(cd, m, cache, p)):
+        single = _assemble_block(cd, m, pts[p : p + 1], {})[0]
+        for other in (single, ref.assemble_map(cd, m, values, p)):
             assert other.shape == stack[p].shape
             assert np.array_equal(stack[p].view(np.int64), other.view(np.int64))
     assert np.any(stack != 0) == (which != "su2c_cd")
+
+
+@pytest.mark.parametrize(
+    "which,rows",
+    [("su2c_cd", [20] * 4), ("rational_cd", [20, 60, 140, 300]), ("warped_cd", [20, 60, 140, 300])],
+)
+def test_lower_orders_are_leading_rows(request, which, rows):
+    """The kept blocks of order m - 1 lead those of order m, so f_q of
+    order m - 1 is, bit for bit, the leading rows of f_q of order m.  On
+    su2:chart no block past order 0 stores something."""
+    cd = request.getfixturevalue(which)
+    pts = np.random.default_rng(5).uniform(-1, 1, (2, cd.structure.dim))
+    for m in range(1, 4):
+        lower, upper = (_kept_blocks(cd, k) for k in (m - 1, m))
+        assert [tuple(map(id, b)) for b in upper[: len(lower)]] == [tuple(map(id, b)) for b in lower]
+        short, long = _assemble_block(cd, m - 1, pts, {}), _assemble_block(cd, m, pts, {})
+        assert [short.shape[1], long.shape[1]] == rows[m - 1 : m + 1]
+        assert np.array_equal(long[:, : short.shape[1]].view(np.int64), short.view(np.int64))
 
 
 def test_assembly_works_in_place(warped3_cd):
@@ -93,19 +129,20 @@ def test_assembly_works_in_place(warped3_cd):
     assembly holds under 5 % of it (77 MiB here).  Building each block's
     columns apart and concatenating them took 1.38 times the stack."""
     pts = np.random.default_rng(3).uniform(-1, 1, (8, warped3_cd.structure.dim))
-    cache = _tensor_value_cache(warped3_cd, 2, pts)
-    stack, peak = traced_peak(lambda: _assemble_block(warped3_cd, 2, cache))
+    memo: dict = {}
+    _assemble_block(warped3_cd, 2, pts, memo)  # fills the memo
+    stack, peak = traced_peak(lambda: _assemble_block(warped3_cd, 2, pts, memo))
     assert stack.nbytes > 64 * 2**20
     assert peak < 0.05 * stack.nbytes, (peak, stack.nbytes)
 
 
 def test_block_boundaries_leave_dims_unchanged(warped, warped_cd, monkeypatch):
     # at this threshold the rank of f_q changes with x, so misplaced dims show
+    monkeypatch.setattr(killing, "REL_THRESHOLD", 0.8)
     grid = Grid(names=list(warped.coords), axes=[np.linspace(-1.5, 1.5, 3)] * 3)
-    base = scan_regularity(warped_cd, grid, order=2, rel_threshold=0.8)
+    base = scan_regularity(warped_cd, grid, order=2)
     assert set(base["dims"]) == {2, 3} and not all(base["regular"])
-    cache = _tensor_value_cache(warped_cd, 2, grid.points[:1])
-    per_point = _assemble_block(warped_cd, 2, cache)[0].size
+    per_point = _assemble_block(warped_cd, 2, grid.points[:1], {})[0].size
 
     svd = np.linalg.svd
     stacks = []
@@ -122,7 +159,7 @@ def test_block_boundaries_leave_dims_unchanged(warped, warped_cd, monkeypatch):
     for entries, sizes in ((1, [1] * 27), (7 * per_point, [7, 7, 7, 6])):
         stacks.clear()
         monkeypatch.setattr(frame, "BLOCK_ENTRIES", entries)
-        assert scan_regularity(warped_cd, grid, order=2, rel_threshold=0.8) == base
+        assert scan_regularity(warped_cd, grid, order=2) == base
         assert stacks == sizes
 
 

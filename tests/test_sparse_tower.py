@@ -120,9 +120,10 @@ def test_dim_heisenberg_4_works_in_bounded_memory(monkeypatch):
     T, the tensor its A columns act on, that is not all zero."""
     acted = []
 
-    def counted(cd, cache, key, i, out=None):
-        acted.append(bool(np.any(cache[(key, i)])))
-        return _fq_columns(cd, cache, key, i, out)
+    def counted(cd, block, points, memo, out=None):
+        out = _fq_columns(cd, block, points, memo, out)
+        acted.append(bool(np.any(memo[id(block[1])])))
+        return out
 
     monkeypatch.setattr(killing, "_fq_columns", counted)
     (code, rep), peak = traced_peak(lambda: run("dim", "heisenberg:4"))
