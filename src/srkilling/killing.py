@@ -581,16 +581,6 @@ def _pack_state(gen: Generator) -> np.ndarray:
     return np.concatenate([gen.X, gen.A.ravel(), [gen.c]])
 
 
-def _skew_part(y: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """States (B, d) with A projected to skew (halved first: no finite A
-    overflows), and the drift max |A + A^T| per state before the projection."""
-    A = y[:, h:-1].reshape(-1, h, h)
-    sym = A + np.swapaxes(A, 1, 2)
-    out = y.copy()
-    out[:, h:-1] = (0.5 * A - 0.5 * np.swapaxes(A, 1, 2)).reshape(len(y), h * h)
-    return out, np.abs(sym).reshape(len(y), -1).max(axis=1, initial=0.0)
-
-
 def _scratch_floats(cd: CurvatureData, npts: int) -> int:
     """Floats _operator writes at npts stage points: tape values, v, Gamma(v), dalpha row, tmp."""
     s = cd.structure
@@ -677,6 +667,7 @@ def _stage_form(nb: int, d: int) -> bool:
     return nb * d * d >= 1200
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a state past the float range: inf, nan
 def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: float, viol=None):
     """Advance the states y (B, d) by nsteps RK4 steps of size hstep along B curves.
     stages(rows, k0, k1, pts, vel) writes the points and velocities (dim, k1 - k0, b) of
@@ -684,8 +675,10 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
     curves go in balanced passes: as wide as a block of three stages allows for
     _stage_steps; for _step_increments, narrow enough that a block holds a group, and
     blocks hold whole groups.  Every block-sized array is a view of one workspace.
-    Returns the end states.  viol, zeros (B,) when given, takes the max |alpha(gamma')|
-    over the stages of each curve."""
+    Returns the end states with A projected to skew (halved first: no finite A
+    overflows) and the drift max |A + A^T| of each before the projection; a state past
+    the float range ends in inf or nan, without a warning.  viol, zeros (B,) when given,
+    takes the max |alpha(gamma')| over the stages of each curve."""
     nb_total, d = y.shape
     h, dim, dd = cd.structure.h, cd.structure.dim, d * d
     y = y.copy()
@@ -733,7 +726,11 @@ def _propagate(cd: CurvatureData, y: np.ndarray, stages, nsteps: int, hstep: flo
                         np.matmul(E, ycol, out=vec[0])  # y + E y rounds once a group
                         ycol += vec[0]
             M[0] = M[-1]  # carried to the next block
-    return y
+    A = y[:, h:-1].reshape(-1, h, h)  # a view of y
+    drift = np.abs(A + np.swapaxes(A, 1, 2)).reshape(nb_total, -1).max(axis=1, initial=0.0)
+    A *= 0.5
+    A -= np.swapaxes(A, 1, 2)  # numpy buffers the overlapping operand
+    return y, drift
 
 
 def _stage_steps(M: np.ndarray, ycol: np.ndarray, buf: np.ndarray, hstep: float) -> None:
@@ -843,9 +840,7 @@ def transport(
         raise TransportInputError("generator base point does not match the curve start")
 
     viol, stages = np.zeros(1), _curve_stages(curve, nsteps)
-    with np.errstate(over="ignore", invalid="ignore"):  # a state past the float range: inf, nan
-        y = _propagate(cd, _pack_state(gen)[None], stages, nsteps, span / nsteps, viol)
-        y, drift = _skew_part(y, s.h)
+    y, drift = _propagate(cd, _pack_state(gen)[None], stages, nsteps, span / nsteps, viol)
     viol = float(viol[0])
     if require_horizontal and viol > HORIZONTAL_TOL:
         raise CheckFailure(
@@ -895,22 +890,23 @@ def segment_curve(p: np.ndarray, q: np.ndarray) -> Curve:
     return Curve(exprs=exprs, t0=0.0, t1=1.0)
 
 
+@np.errstate(over="ignore")  # a difference past the float range: inf, which _operator refuses
 def _segment_transport(
     cd: CurvatureData, y: np.ndarray, starts: np.ndarray, ends: np.ndarray, nsteps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transport the states y (B, d) along the segments starts -> ends, each
     parametrized as segment_curve does: p + dp t over t in [0, 1], with dp
-    the exact rational difference rounded once.  Returns the end states
-    with A projected to skew and the segment points at t = 1."""
-    dp = np.array(
-        [
-            [float(Fraction(float(b)) - Fraction(float(a))) for a, b in zip(p, q)]
-            for p, q in zip(starts, ends)
-        ]
-    ).reshape(starts.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in transport
-        y = _propagate(cd, y, _segment_stages(starts, dp, nsteps), nsteps, 1.0 / nsteps)
-        return _skew_part(y, cd.structure.h)[0], starts + dp
+    the exact difference rounded once, which IEEE 754 subtraction is (+ 0.0
+    turns its -0.0 into the exact difference's +0.0).  Returns the end states,
+    A projected to skew, and the segment points at t = 1.  A segment shorter
+    than 1e-15 is skipped: its state and point stay as they are."""
+    dp = ends - starts + 0.0
+    moved = ~(np.max(np.abs(dp), axis=1) < 1e-15)  # an inf or nan difference moves
+    y, points = y.copy(), starts.copy()
+    stages = _segment_stages(starts[moved], dp[moved], nsteps)
+    y[moved] = _propagate(cd, y[moved], stages, nsteps, 1.0 / nsteps)[0]
+    points[moved] += dp[moved]
+    return y, points
 
 
 def reconstruct_field(
@@ -949,19 +945,14 @@ def reconstruct_field(
     # leg 1: q0 -> (q0 with vertical value z), once per distinct z; mid is
     # where leg 2 starts, the leg's end point or q0 where it is skipped
     _, first, which = np.unique(points[:, -1], return_index=True, return_inverse=True)
-    mid = np.repeat(q0[None, :], len(first), axis=0)
-    target = mid.copy()
+    starts = np.repeat(q0[None, :], len(first), axis=0)
+    target = starts.copy()
     target[:, -1] = points[first, -1]
     y_mid = np.repeat(_pack_state(gen)[None, :], len(first), axis=0)
-    moved = ~(np.max(np.abs(target - mid), axis=1) < 1e-15)
-    y_mid[moved], mid[moved] = _segment_transport(
-        cd, y_mid[moved], mid[moved], target[moved], nsteps
-    )
+    y_mid, mid = _segment_transport(cd, y_mid, starts, target, nsteps)
 
     # leg 2: mid -> q, for every grid point
-    y, starts = y_mid[which], mid[which]
-    moved = ~(np.max(np.abs(points - starts), axis=1) < 1e-15)
-    y[moved] = _segment_transport(cd, y[moved], starts[moved], points[moved], nsteps)[0]
+    y = _segment_transport(cd, y_mid[which], mid[which], points, nsteps)[0]
 
     X = y[:, :h]
     Avals = y[:, h:-1].reshape(-1, h, h)

@@ -560,6 +560,25 @@ class TestNonFiniteValues:
         assert captured.err == ""
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_leg_past_the_float_range_is_refused(self, capsys, tmp_path):
+        """Leg 2 from x = -1.7e308 to the grid's x = 1e308 spans more than the
+        float range: the rounding of its exact difference raised OverflowError,
+        a traceback."""
+        (tmp_path / "gen.toml").write_text(
+            "[generator]\nX = 1, 0\nA = 0\nc = 0\nat = -1.7e308, 0, 0\n"
+        )
+        code = main([
+            "reconstruct", "heisenberg:1", "--gen", str(tmp_path / "gen.toml"),
+            "--grid", "x:0:1e308:3,y:-1:1:3,z:-1:1:3", "--step", "0.5",
+        ])
+        captured = capsys.readouterr()
+        assert input_error(code, captured.out)
+        message = json.loads(captured.out)["error"]["message"]
+        assert message == "curve leaves the evaluable domain of the structure"
+        assert captured.err == ""
+
+
 class TestPointAndGridInputs:
     """Malformed or non-finite points, grids and orders exit 2."""
 

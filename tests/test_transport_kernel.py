@@ -13,6 +13,7 @@ the result.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -513,3 +514,69 @@ def test_transport_adds_no_tape_the_second_time(su2c_cd):
     transport(su2c_cd, gen, curve, step=1e-2)
     reconstruct_field(su2c_cd, gen, grid, step=1e-1)
     assert len(s._compiled) == before
+
+
+# ---------------------------------------------------------------------------
+# Segments: the arithmetic of segment_curve, and the short-leg rule.
+# ---------------------------------------------------------------------------
+
+
+def segment_pairs(rng):
+    """(starts, ends) over heisenberg:1: every pair of +-0.0, subnormals, 1 and
+    magnitudes near 1e308 in y and z, and random finite doubles across the
+    binary64 range in z, with x moving by up to 1 so that no segment is short.
+    A pair whose exact difference overflows is left out: segment_curve cannot
+    hold it."""
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1.0, 1.0, 1e308, -1e308, 1.7e308, -9e307]
+    bits = rng.integers(0, 0x7FF0000000000000, (2, 200), dtype=np.uint64)  # finite, >= 0
+    randoms = bits.view(float) * rng.choice([-1.0, 1.0], (2, 200))
+    y = [(a, b) for a in special for b in special]
+    z = y[7:] + y[:7] + list(zip(*randoms))[: len(y)]
+    rows = [(rng.uniform(-1, 1), a, c, rng.uniform(-1, 1), b, d) for (a, b), (c, d) in zip(y, z)]
+    rows += [(0.5, 0.25, a, -0.5, 0.125, b) for a, b in zip(*randoms)]
+    pairs = np.array(rows).reshape(-1, 2, 3)
+    finite = []
+    for p, q in pairs:
+        try:
+            finite.append([float(Fraction(b) - Fraction(a)) for a, b in zip(p, q)])
+        except OverflowError:
+            finite.append(None)
+    keep = [f is not None for f in finite]
+    exact = np.array([f for f in finite if f is not None])
+    return pairs[keep, 0], pairs[keep, 1], exact
+
+
+def test_segment_arithmetic_is_segment_curve(heis_cd, monkeypatch):
+    # dp = b - a + 0.0 is the exact difference rounded once, +0.0 where it is 0,
+    # and the end point p + dp is segment_curve's point at t = 1, bit for bit
+    starts, ends, exact = segment_pairs(np.random.default_rng(20))
+    assert len(starts) > 300
+    seen = []
+    stages = killing._segment_stages
+
+    def spied(p, dp, nsteps):
+        seen.append(dp.copy())
+        return stages(p, dp, nsteps)
+
+    monkeypatch.setattr(killing, "_segment_stages", spied)
+    y = np.zeros((len(starts), 7))
+    _, points = killing._segment_transport(heis_cd, y, starts, ends, 1)
+    (dp,) = seen
+    assert_bitwise(dp, exact)
+    want = np.array([segment_curve(p, q).point_at(1.0) for p, q in zip(starts, ends)])
+    assert_bitwise(points, want)
+
+
+def test_a_short_segment_is_skipped(heis_cd, monkeypatch):
+    # a segment shorter than 1e-15 keeps its state, A not projected, and its
+    # point; its stage points are not evaluated
+    calls = spy_operator(monkeypatch)
+    starts = np.array([[0.25, -0.5, 0.125]] * 4)
+    ends = starts + [[0.0, 0.0, 0.0], [9e-16, -9e-16, 0.0], [0.0, 5e-324, 0.0], [0.5, 0.0, 0.0]]
+    y = np.tile([1.0, 2.0, 0.5, -1.0, 3.0, 0.0, 4.0], (4, 1))  # A = [[0.5, -1], [3, 0]]
+    y_end, points = killing._segment_transport(heis_cd, y, starts, ends, 10)
+    assert_bitwise(y_end[:3], y[:3])
+    assert_bitwise(points[:3], starts[:3])
+    assert np.array_equal(points[3], ends[3])
+    assert y_end[3, 2] == 0.0 and y_end[3, 3] == -y_end[3, 4]
+    assert sum(map(len, calls)) == 2 * 10 + 1
