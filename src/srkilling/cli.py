@@ -130,7 +130,8 @@ def _parse_point(text: str, s: ContactStructure) -> np.ndarray:
 
 
 def _parse_grid(text: str, s: ContactStructure) -> Grid:
-    """name:min:max:count per coordinate; refused in lie mode, which has none."""
+    """name:min:max:count per coordinate; refused in lie mode, which has none,
+    and at a grid point off the frame's domain."""
     specs: dict[str, tuple[float, float, int]] = {}
     for part in text.split(","):
         bits = part.strip().split(":")
@@ -155,7 +156,9 @@ def _parse_grid(text: str, s: ContactStructure) -> Grid:
     total = math.prod(count for _, _, count in ordered)
     if total > MAX_GRID_POINTS:
         raise InputError(f"grid has {total} points, which exceeds the bound {MAX_GRID_POINTS}")
-    return Grid(names=list(s.coords), axes=[np.linspace(*spec) for spec in ordered])
+    grid = Grid(names=list(s.coords), axes=[np.linspace(*spec) for spec in ordered])
+    _check_frame_rank(s.frame, s.coords, grid)
+    return grid
 
 
 def _parse_order(text: str, what: str = "order", auto: bool = True) -> int | str:
@@ -186,7 +189,7 @@ def _at(s: ContactStructure, args) -> np.ndarray:
     mode.  The load's frame check refuses a point off the frame's domain."""
     q = _parse_point(args.at, s) if args.at else np.zeros(len(s.coords))
     if s.coords:
-        _check_frame_rank(s.frame, s.coords, q[None, :])
+        _check_frame_rank(s.frame, s.coords, q[None, :], "at the --at point")
     return q
 
 

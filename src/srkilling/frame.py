@@ -709,11 +709,6 @@ class ContactStructure:
                 cof[k][i] = d if (i + k) % 2 == 0 else ex.neg(d)
         return cof, finish(minor(full, full))
 
-    def project(self, V: list[Expression]) -> list[Expression]:
-        """P V = V - alpha(V) xi, the horizontal projection."""
-        a = self.alpha_of(V)
-        return [ex.sub(v, ex.mul(a, x)) for v, x in zip(V, self.reeb)]
-
     def parse_field(self, texts: list[str] | str) -> list[Expression]:
         if isinstance(texts, str):
             texts = split_components(texts)
@@ -981,15 +976,22 @@ def load_structure_text(text: str, name: str = "", seed: int = 0) -> ContactStru
     return s
 
 
-def _check_frame_rank(frame, coords, samples) -> None:
+def _check_frame_rank(frame, coords, points, where: str = "at a sample point") -> None:
+    """Refuse the first of points where a frame row is not finite, then a point where
+    the frame's rank is below 2n; where names the point set.  A Grid goes block by
+    block (point_blocks), finiteness only, and its first such point is named."""
     flat = ex.compile_expression([c for vec in frame for c in vec], coords)
-    vals = _evaluate(flat, samples).reshape(len(frame), len(coords), -1)  # (2n, dim, N)
-    finite = np.isfinite(vals).all(axis=(1, 2))  # per frame row, before the SVD
-    if not finite.all():
-        raise StructureError(f"frame row X{np.argmin(finite) + 1} is not finite at a sample point")
-    sv = np.linalg.svd(vals.transpose(2, 0, 1), compute_uv=False)
-    if np.min(sv[:, -1]) < 1e-9:
-        raise StructureError("frame is linearly dependent at a sample point")
+    grid = isinstance(points, Grid)
+    for sel in point_blocks(len(points), len(frame) * len(coords)):
+        pts = points[sel]
+        vals = _evaluate(flat, pts).reshape(len(frame), len(coords), -1)  # (2n, dim, N)
+        finite = np.isfinite(vals).all(axis=1)  # per frame row and point, before the SVD
+        if not finite.all():
+            k = np.argmin(finite.all(axis=0))
+            at = f"at the grid point {pts[k].tolist()}" if grid else where
+            raise StructureError(f"frame row X{np.argmin(finite[:, k]) + 1} is not finite {at}")
+        if not grid and np.linalg.svd(vals.transpose(2, 0, 1), compute_uv=False).min() < 1e-9:
+            raise StructureError(f"frame is linearly dependent {where}")
 
 
 # -- builtins ---------------------------------------------------------------

@@ -399,6 +399,10 @@ def _assemble_block(cd: CurvatureData, m: int, points: np.ndarray, memo: dict) -
     # -0.0 becomes +0.0, as in the full sum X . nabla T + c xi T + A . T that
     # each column selects from; LAPACK's reflector signs read the sign of zero
     stack += 0.0
+    # before any SVD, which fails on inf or nan; max and min, which keep nan, allocate no stack
+    finite = np.isfinite(stack.max(axis=(1, 2))) & np.isfinite(stack.min(axis=(1, 2)))
+    if not finite.all():
+        raise ex.EvalError(f"f_q is not finite at the point {points[np.argmin(finite)].tolist()}")
     return stack
 
 

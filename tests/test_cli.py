@@ -695,8 +695,38 @@ class TestPointAndGridInputs:
         (tmp_path / "pole.toml").write_text(POLE_AT_Y3)
         code, out = run(capsys, command, path, "--at", "0,3,0")
         assert input_error(code, out)
-        assert json.loads(out)["error"]["message"] == "frame row X2 is not finite at a sample point"
+        assert json.loads(out)["error"]["message"] == "frame row X2 is not finite at the --at point"
         assert run(capsys, command, path, "--at", "0,1,0")[0] == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["scan", "verify-geometry", "check"])
+    def test_grid_point_outside_the_frame_domain(self, capsys, tmp_path, command):
+        """The grid's plane y = 3 is the pole of X2: each command exited 0."""
+        (tmp_path / "pole.toml").write_text(POLE_AT_Y3)
+        code = main([command, str(tmp_path / "pole.toml"), "--grid", "x:-1:1:3,y:2:4:3,z:-1:1:3"])
+        captured = capsys.readouterr()
+        assert input_error(code, captured.out)
+        message = json.loads(captured.out)["error"]["message"]
+        assert message == "frame row X2 is not finite at the grid point [-1.0, 3.0, -1.0]"
+        assert captured.err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, point",
+        [
+            (["dim", "--at", "1e60,1e60,1e60"], "[1e+60, 1e+60, 1e+60]"),
+            (["scan", "--grid", "x:1e60:2e60:3,y:1e60:2e60:3,z:0:1:3"], "[1e+60, 1e+60, 0.0]"),
+        ],
+    )
+    def test_f_q_past_the_float_range(self, capsys, argv, point):
+        """The tower's values overflow at these points: inf and nan reached
+        the SVD, which raised LinAlgError, a traceback."""
+        path = str(ROOT / "tests/data/rational_heisenberg.toml")
+        code = main([argv[0], path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert input_error(code, captured.out)
+        assert json.loads(captured.out)["error"]["message"] == f"f_q is not finite at the point {point}"
+        assert captured.err == ""
 
     def test_order_six_is_within_the_default_bound(self, capsys):
         code, out = run(capsys, "dim", "heisenberg:1", "--order", "6")

@@ -359,18 +359,6 @@ class TestDalphaRoutes:
                 assert np.max(np.abs(ev(s, diff, pts))) < 1e-11
 
 
-class TestProjection:
-    def test_p_idempotent(self, heis):
-        V = field(["x^2", "sin(y)", "z - x"])
-        PV = heis.project(V)
-        PPV = heis.project(PV)
-        pts = sample_box_points(3, 40, seed=9)
-        for a, b in zip(PV, PPV):
-            assert np.max(np.abs(ev(heis, ex.sub(a, b), pts))) < 1e-12
-        alpha_pv = ev(heis, heis.alpha_of(PV), pts)
-        assert np.max(np.abs(alpha_pv)) < 1e-12
-
-
 class TestSpecial:
     def test_heisenberg_special(self, heis):
         records = check_special(heis)
