@@ -905,7 +905,7 @@ def _segment_transport(
     A projected to skew, and the segment points at t = 1.  A segment shorter
     than 1e-15 is skipped: its state and point stay as they are."""
     dp = ends - starts + 0.0
-    moved = ~(np.max(np.abs(dp), axis=1) < 1e-15)  # an inf or nan difference moves
+    moved = ~(np.max(np.abs(dp), axis=1) < 1e-15)  # an overflowing (inf) difference moves
     y, points = y.copy(), starts.copy()
     stages = _segment_stages(starts[moved], dp[moved], nsteps)
     y[moved] = _propagate(cd, y[moved], stages, nsteps, 1.0 / nsteps)[0]
