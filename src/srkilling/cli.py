@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .expr import ExprError
+from .expr import EvalError, ExprError
 from .frame import (
     CheckFailure,
     CheckRecord,
@@ -38,6 +38,8 @@ from .connection import (
     verify_geometry,
 )
 from .killing import (
+    FIELD_TOL,
+    HORIZONTAL_TOL,
     MAX_STEPS,
     Grid,
     TransportInputError,
@@ -61,6 +63,8 @@ EXIT_CHECK = 3
 # Points a --grid may hold, per axis and in all; checked before any axis or
 # mesh is allocated.
 MAX_GRID_POINTS = 10**6
+# path-check's largest endpoint deviation without --tol.
+PATH_CHECK_TOL = 1e-6
 
 
 class InputError(Exception):
@@ -161,18 +165,16 @@ def _parse_grid(text: str, s: ContactStructure) -> Grid:
     return grid
 
 
-def _parse_order(text: str, what: str = "order", auto: bool = True) -> int | str:
-    """A nonnegative integer derivative order, or 'auto' where auto is
-    allowed."""
-    if auto and text == "auto":
+def _parse_order(text: str) -> int | str:
+    """'auto' or a nonnegative integer derivative order."""
+    if text == "auto":
         return text
     try:
         order = int(text)
     except ValueError:
-        kinds = "'auto' or an integer" if auto else "an integer"
-        raise InputError(f"{what} must be {kinds}, got {text!r}") from None
+        raise InputError(f"order must be 'auto' or an integer, got {text!r}") from None
     if order < 0:
-        raise InputError(f"{what} must be nonnegative, got {order}")
+        raise InputError(f"order must be nonnegative, got {order}")
     return order
 
 
@@ -191,6 +193,14 @@ def _at(s: ContactStructure, args) -> np.ndarray:
     if s.coords:
         _check_frame_rank(s.frame, s.coords, q[None, :], "at the --at point")
     return q
+
+
+def _refuse_overflow(q: np.ndarray, values: dict) -> None:
+    """An EvalError naming the first of the values (name: arrays) that is not
+    finite, where the tower overflows at q, as _assemble_block refuses f_q."""
+    for what, arrays in values.items():
+        if not math.isfinite(_max_abs(arrays)):
+            raise EvalError(f"{what} is not finite at the point {q.tolist()}")
 
 
 def _curvature(s: ContactStructure, args) -> CurvatureData:
@@ -252,10 +262,12 @@ def cmd_connection(s: ContactStructure, args) -> dict:
     conn = compute_connection(s, tol=args.tol)
     q = _at(s, args)
     pts = q[None, :]
+    gamma_h, gamma_xi = (s.eval_table(t, pts)[..., 0] for t in (conn.gamma_h, conn.gamma_xi))
+    _refuse_overflow(q, {"Gamma": [gamma_h, gamma_xi]})
     return {
         "at": q.tolist(),
-        "gamma_h": s.eval_table(conn.gamma_h, pts)[..., 0].tolist(),
-        "gamma_xi": s.eval_table(conn.gamma_xi, pts)[..., 0].tolist(),
+        "gamma_h": gamma_h.tolist(),
+        "gamma_xi": gamma_xi.tolist(),
         "pass": True,
     }
 
@@ -267,15 +279,16 @@ def cmd_curvature(s: ContactStructure, args) -> dict:
     order = 0 if args.order == "auto" else _parse_order(args.order)
     higher_derivatives(cd, order)
     Rv = eval_tensor(s, cd.R, pts)[..., 0]
+    # over the stored entries only: the others are zeros; nabla^0 R is R
+    maxima = [
+        _max_abs([s.eval_table(list(T.entries.values()), pts)]) for T in cd.nabla_R[: order + 1]
+    ]
+    _refuse_overflow(q, {f"nabla^{i} R" if i else "R": [m] for i, m in enumerate(maxima)})
     return {
         "at": q.tolist(),
         "R": Rv.tolist(),
         "max_abs_R": _max_abs([Rv]),
-        # over the stored entries only: the others are zeros
-        "nabla_R_max_abs": [
-            _max_abs([s.eval_table(list(T.entries.values()), pts)])
-            for T in cd.nabla_R[: order + 1]
-        ],
+        "nabla_R_max_abs": maxima,
         "pass": True,
     }
 
@@ -288,8 +301,7 @@ def cmd_verify_geometry(s: ContactStructure, args) -> dict:
 def cmd_dim(s: ContactStructure, args) -> dict:
     cd = _curvature(s, args)
     q = _at(s, args)
-    m_max = _parse_order(args.max_order, "--max-order", auto=False)
-    gs = generator_space(cd, q, order=_parse_order(args.order), m_max=m_max)
+    gs = generator_space(cd, q, order=_parse_order(args.order))
     bound = (s.n + 1) ** 2
     return {
         "at": q.tolist() if s.coords or args.at else None,
@@ -331,7 +343,7 @@ def cmd_path_check(s: ContactStructure, args) -> dict:
     c1, c2 = (load_curve_text(_read_text(path), s) for path in args.curve)
     gen = load_generator_text(_read_text(args.gen), s)
     deviation = path_independence(cd, gen, c1, c2, step=step)["deviation"]
-    tol = args.tol if args.tol_given else 1e-6
+    tol = args.tol if args.tol_given else PATH_CHECK_TOL
     return {"deviation": deviation, "tolerance": tol, "pass": bool(deviation < tol)}
 
 
@@ -360,7 +372,7 @@ def cmd_reconstruct(s: ContactStructure, args) -> dict:
 
 
 def cmd_verify(s: ContactStructure, args) -> dict:
-    tol = _parse_positive(args.field_tol, "--field-tol")
+    tol = args.tol if args.tol_given else FIELD_TOL
     cd = _curvature(s, args)
     if not args.field:
         raise InputError("verify needs --field \"<expr>,...\"")
@@ -386,8 +398,7 @@ def cmd_scan(s: ContactStructure, args) -> dict:
         raise InputError("scan needs --grid")
     cd = _curvature(s, args)
     grid = _parse_grid(args.grid, s) if args.grid else Grid(names=[], axes=[])
-    m_max = _parse_order(args.max_order, "--max-order", auto=False)
-    rep = scan_regularity(cd, grid, order=_parse_order(args.order), m_max=m_max)
+    rep = scan_regularity(cd, grid, order=_parse_order(args.order))
     ok = rep.get("semicontinuity_violations", 0) == 0
     if rep.get("dims"):
         ok = ok and max(rep["dims"]) <= (s.n + 1) ** 2
@@ -410,7 +421,8 @@ STEP_HELP = (
 # converter, so a _parse_* helper reads each one and reports a malformed
 # value as an input error.
 OPTIONS = {
-    "--tol": {"help": "residual tolerance"},
+    "--tol": {"help": f"the command's check tolerance (default {DEFAULT_TOL}; verify "
+              f"{FIELD_TOL}, path-check {PATH_CHECK_TOL})"},
     "--seed": {"default": "0", "help": "seed for sample points, an integer in [0, 2^64)"},
     "--out": {"help": "write the report to this path instead of stdout"},
     "--pretty": {"action": "store_true", "help": "human-readable tables"},
@@ -418,14 +430,12 @@ OPTIONS = {
     "--grid": {"help": "grid spec name:min:max:count,..."},
     "--order": {"default": "auto", "help": "'auto' or an explicit order m; curvature caches "
                 "nabla^i R through m, and 'auto' is 0 there"},
-    "--max-order": {"default": "6", "help": "stabilization cap"},
     "--curve": {"action": "append", "required": True, "help": "curve file (path-check takes two)"},
     "--gen": {"required": True, "help": "generator file"},
     "--step": {"default": "1e-3", "help": STEP_HELP},
     "--require-horizontal": {"action": "store_true", "help": "fail unless the curve is "
-                             "horizontal (|alpha(gamma')| < 1e-9)"},
+                             f"horizontal (|alpha(gamma')| < {HORIZONTAL_TOL})"},
     "--field": {"help": "comma-separated coordinate components"},
-    "--field-tol": {"default": "1e-9", "help": "check tolerance"},
 }
 COMMON_OPTIONS = ("--tol", "--seed", "--out", "--pretty")
 VALUE_OPTIONS = {flag for flag, kw in OPTIONS.items() if kw.get("action") != "store_true"}
@@ -443,7 +453,7 @@ SUBCOMMANDS = [
     ("verify-geometry", cmd_verify_geometry, ("--grid",),
      "identity suite: metricity, torsion, both Bianchi identities, "
      "R(xi,.)=0, skewness of R, and the cyclic nabla-dalpha identity"),
-    ("dim", cmd_dim, ("--at", "--order", "--max-order"),
+    ("dim", cmd_dim, ("--at", "--order"),
      "dimension of the isometry generator space i_m(q) with stabilization certificate"),
     ("prolong", cmd_prolong, ("--curve", "--gen", "--step", "--require-horizontal"),
      "transport a generator (X, A, c) along a curve by the "
@@ -453,12 +463,12 @@ SUBCOMMANDS = [
     ("reconstruct", cmd_reconstruct, ("--gen", "--grid", "--step"),
      "transport a generator over a grid along vertical-then-straight "
      "legs and emit the field Z = X + c xi with finite-difference checks"),
-    ("verify", cmd_verify, ("--field", "--grid", "--field-tol"),
+    ("verify", cmd_verify, ("--field", "--grid"),
      "residual checks for a candidate Killing field: Killing equation, "
      "Reeb-parallelism of A_Z, the curvature identity for its derivative, "
      "gradient equations, commutation with the Reeb field, invariance of "
      "alpha (the contact condition), and the extended Riemannian metric"),
-    ("scan", cmd_scan, ("--grid", "--order", "--max-order"),
+    ("scan", cmd_scan, ("--grid", "--order"),
      "generator-space dimension over a grid with regularity flags and a semicontinuity audit"),
 ]
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expression, Const, ZERO
 from .frame import CheckFailure, CheckRecord, ContactStructure, _max_abs, as_points
-from .frame import check_special, fold_max_abs, point_blocks
+from .frame import DEFAULT_TOL, check_special, fold_max_abs, point_blocks
 
 __all__ = [
     "ConnectionData",
@@ -208,7 +208,7 @@ class CurvatureData:
         )
 
 
-def compute_connection(s: ContactStructure, tol: float = 1e-10) -> ConnectionData:
+def compute_connection(s: ContactStructure, tol: float = DEFAULT_TOL) -> ConnectionData:
     """Koszul construction of the canonical connection; refuses structures
     that fail check_special on its default grid, and re-verifies metricity
     and zero torsion."""
@@ -429,7 +429,7 @@ def eval_tensor(s: ContactStructure, T: HTensor, points: np.ndarray, out=None) -
 # ---------------------------------------------------------------------------
 
 
-def verify_geometry(cd: CurvatureData, points=None, tol: float = 1e-10) -> list[CheckRecord]:
+def verify_geometry(cd: CurvatureData, points=None, tol: float = DEFAULT_TOL) -> list[CheckRecord]:
     """Max residuals of the geometric identity suite over points (as_points),
     block by block: metricity/torsion of Gamma, both horizontal Bianchi
     identities, R(xi, .) = 0 expanded from the curvature formula, skewness

@@ -920,9 +920,7 @@ def normalize(e: Expression) -> Expression:
 def _normalize(e: Expression) -> Expression:
     p = as_poly(e)
     if p is not None:
-        return poly_to_expr(p)
-    if isinstance(e, (Const, Var)):
-        return e
+        return poly_to_expr(p)  # every Const and Var
     if isinstance(e, Add):
         return add(normalize(e.a), normalize(e.b))
     if isinstance(e, Sub):

@@ -272,13 +272,10 @@ def residual_records(s: ContactStructure, checks: dict, points, tol: float) -> l
 def _evaluate(fn, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A tape compiled by expr.compile_expression at points (N, dim), the
     point axis last, written into out (roots, N) when one is given.  In lie
-    mode (no coordinates) the tape computes one point, which stands for
-    every point."""
+    mode (no coordinates) the tape computes one point, and points is that
+    one point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = fn(*points.T, out=out)
-    if out.shape[-1] != points.shape[0]:
-        out = np.repeat(out, points.shape[0], axis=-1)
-    return out
+    return fn(*points.T, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,8 @@ ABS_FLOOR = 1e-12
 MEMBERSHIP_TOL = 1e-8
 # Largest |alpha(gamma')| of a curve that transport accepts as horizontal.
 HORIZONTAL_TOL = 1e-9
+# Residual tolerance of the verify_killing and riemannian_extension_check records.
+FIELD_TOL = 1e-9
 
 
 class TransportInputError(ValueError):
@@ -420,16 +422,13 @@ def _kernel(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return M.shape[1] - rank, Vh[rank:], sv
 
 
-def generator_space(
-    cd: CurvatureData,
-    q,
-    order: int | str = "auto",
-    m_max: int = 6,
-) -> GeneratorSpace:
+def generator_space(cd: CurvatureData, q, order: int | str = "auto") -> GeneratorSpace:
     """Compute i_m(q): dims for m = 0.., the kernel basis at the final
     order, and the stabilization certificate (three equal consecutive
-    dims).  With an explicit order, exactly that order is used and the
-    certificate reflects the dims computed up to it.  Each order writes
+    dims).  'auto' stops at the certificate, or at the order
+    cd.max_order - 1, the last the tower reaches.  With an explicit order,
+    exactly that order is used and the certificate reflects the dims
+    computed up to it.  Each order writes
     f_q with the scan's assembler at the single point q, from the row
     blocks that store something (_kept_blocks), and takes a full SVD: the
     rank counts singular values, one for each unknown, above
@@ -441,7 +440,7 @@ def generator_space(
     q = _as_point(s, q) if s.coords else None
     pts = q[None, :] if q is not None else np.zeros((1, 0))
     auto = order == "auto"
-    target = m_max if auto else int(order)
+    target = cd.max_order - 1 if auto else int(order)
     if target + 1 > cd.max_order:  # order m reads nabla^(m+1)
         raise BudgetError(
             f"order {target} needs derivative order {target + 1}, which exceeds "
@@ -498,12 +497,7 @@ def _neighbour_flags(dims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return regular, pit & has_neighbour
 
 
-def scan_regularity(
-    cd: CurvatureData,
-    grid: Grid,
-    order: int | str = "auto",
-    m_max: int = 6,
-) -> dict:
+def scan_regularity(cd: CurvatureData, grid: Grid, order: int | str = "auto") -> dict:
     """dim i(q) over a grid, regularity flags (all neighbors share the
     dimension), and an upper-semicontinuity surrogate: a point all of whose
     neighbors have strictly larger dimension is flagged as a violation.
@@ -516,7 +510,7 @@ def scan_regularity(
     the threshold rule of generator_space."""
     s = cd.structure
     if s.mode == "lie":
-        gs = generator_space(cd, None, order, m_max)
+        gs = generator_space(cd, None, order)
         return {
             "mode": "lie",
             "dims": [gs.dim],
@@ -530,7 +524,7 @@ def scan_regularity(
         return {"mode": "chart", "dims": [], "regular": [], "semicontinuity_violations": 0}
 
     # stabilization order is probed at the first point, then reused
-    gs0 = generator_space(cd, grid[0], order, m_max)
+    gs0 = generator_space(cd, grid[0], order)
     m = gs0.m_used
     nunk = ambient_dimension(s.n)
     dims = np.empty(npts, dtype=np.min_scalar_type(nunk))  # a byte a point up to n = 11
@@ -976,7 +970,7 @@ def verify_killing(
     cd: CurvatureData,
     Z: list[Expression],
     points=None,
-    tol: float = 1e-9,
+    tol: float = FIELD_TOL,
     bracket_data: tuple | None = None,
 ) -> list[CheckRecord]:
     """Six residual checks for an expression-valued field:
@@ -1098,7 +1092,7 @@ def riemannian_extension_check(
     cd: CurvatureData,
     Z: list[Expression],
     points=None,
-    tol: float = 1e-9,
+    tol: float = FIELD_TOL,
     bracket_data: tuple | None = None,
 ) -> list[CheckRecord]:
     """Killing residuals of the extended Riemannian metric (g on H, xi unit

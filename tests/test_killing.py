@@ -194,6 +194,15 @@ class TestGeneratorSpace:
         assert gs.dims == [4, 4]
         assert gs.m_used == 1
 
+    def test_auto_searches_to_the_tower_bound(self, heis):
+        """'auto' stops at cd.max_order - 1, the last order the tower
+        reaches, uncertified when the dims have not settled by then."""
+        cd = curvature(compute_connection(heis))
+        cd.max_order = 2
+        gs = generator_space(cd, ORIGIN)
+        assert gs.dims == [4, 4] and not gs.certified
+        assert scan_regularity(cd, Grid(names=XYZ, axes=[np.zeros(1)] * 3))["order_used"] == 1
+
     def test_heisenberg2_dimension_is_nine(self):
         from srkilling.frame import load_structure
         from srkilling.connection import compute_connection, curvature
