@@ -957,6 +957,11 @@ class TestExitCodes:
             # under a tolerance of 0 or less no residual passes
             (("dim", "heisenberg:1", "--tol", "0"), "--tol: '0' is not positive"),
             (("check", "heisenberg:1", "--tol=-1e-3"), "--tol: '-1e-3' is not positive"),
+            # verify's records read --tol, so it is checked there as well
+            (("verify", "heisenberg:1", "--field", "-y, x, 0", "--tol", "inf"),
+             "--tol: 'inf' is not finite"),
+            (("verify", "heisenberg:1", "--field", "-y, x, 0", "--tol", "0"),
+             "--tol: '0' is not positive"),
         ],
     )
     def test_non_positive_or_non_finite_tolerance_is_an_input_error(self, capsys, argv, message):
